@@ -59,13 +59,9 @@ fn bench_kernel_classes(c: &mut Criterion) {
     for (name, u, operands) in &cases {
         let kernel = GateKernel::classify(u, operands.len());
         assert_eq!(&kernel.name(), name);
-        let mut ws = Workspace::serial();
+        let mut ws = Workspace::new();
         group.bench_function(format!("{name}/kernel/4^8"), |b| {
             b.iter(|| state.apply_kernel(&kernel, u, operands, &mut ws))
-        });
-        let mut par = Workspace::new();
-        group.bench_function(format!("{name}/kernel-parallel/4^8"), |b| {
-            b.iter(|| state.apply_kernel(&kernel, u, operands, &mut par))
         });
         group.bench_function(format!("{name}/generic/4^8"), |b| {
             b.iter(|| state.apply_unitary(u, operands))

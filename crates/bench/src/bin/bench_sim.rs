@@ -1,13 +1,13 @@
 //! Emits the `BENCH_sim.json` perf baseline: gate-apply ns/op by kernel
 //! class at 4^8 amplitudes (SIMD vs. scalar sweep bodies, specialized
-//! vs. the generic dense path, with a guard-aware parallel column),
+//! vs. the generic dense path),
 //! windowed vs. whole-register vs. unfused vs. kernel-demoted vs.
 //! register-padded trajectory throughput on the cnu-6q benchmark plus a
 //! trajectories/sec-vs-threads scaling curve, dense vs. density-adaptive
 //! sparse throughput on basis inputs with the sparse support trajectory
 //! (peak nnz, densities, final representation), per-strategy state bytes
 //! with per-segment occupancy and reshape counts, compile times, and
-//! per-pass pipeline wall times (schema `bench_sim/v7`).
+//! per-pass pipeline wall times (schema `bench_sim/v8`).
 //!
 //! Usage: `cargo run --release -p waltz-bench --bin bench_sim [--out PATH]
 //! [--budget-ms N]`.
@@ -30,14 +30,8 @@ use waltz_sim::{
 };
 
 /// One gate-apply comparison: the specialized kernel at the detected
-/// SIMD tier (serial and parallel workspaces) against the same kernel
-/// pinned to the scalar sweep body and against the generic dense
-/// reference.
-///
-/// Honesty guard: when [`Workspace::would_split_sweep`] rejects the
-/// shape, the "parallel" workspace runs the identical serial code path —
-/// the column then *reports* the serial number instead of re-measuring
-/// the same loop and presenting timer noise as a speedup or regression.
+/// SIMD tier against the same kernel pinned to the scalar sweep body and
+/// against the generic dense reference.
 fn apply_case(
     name: &str,
     u: &Matrix,
@@ -47,43 +41,26 @@ fn apply_case(
 ) -> JsonObject {
     let kernel = GateKernel::classify(u, operands.len());
     assert_eq!(kernel.name(), name, "unexpected kernel class for {name}");
-    let mut scalar = Workspace::serial();
+    let mut scalar = Workspace::new();
     scalar.set_simd_level(SimdLevel::Scalar);
     let scalar_t = time_ns(budget, || {
         state.apply_kernel(&kernel, u, operands, &mut scalar)
     });
-    let mut serial = Workspace::serial();
-    let kernel_t = time_ns(budget, || {
-        state.apply_kernel(&kernel, u, operands, &mut serial)
-    });
-    let mut parallel = Workspace::new();
-    let splits = parallel.would_split_sweep(state.register(), operands);
-    let parallel_ns = if splits {
-        time_ns(budget, || {
-            state.apply_kernel(&kernel, u, operands, &mut parallel)
-        })
-        .ns_per_op
-    } else {
-        kernel_t.ns_per_op
-    };
+    let mut ws = Workspace::new();
+    let kernel_t = time_ns(budget, || state.apply_kernel(&kernel, u, operands, &mut ws));
     let generic_t = time_ns(budget, || state.apply_unitary(u, operands));
     let mut o = JsonObject::new();
     o.num("kernel_ns", kernel_t.ns_per_op)
         .num("kernel_scalar_ns", scalar_t.ns_per_op)
-        .num("kernel_parallel_ns", parallel_ns)
         .num("generic_ns", generic_t.ns_per_op)
         .num("speedup", generic_t.ns_per_op / kernel_t.ns_per_op)
-        .num("speedup_simd", scalar_t.ns_per_op / kernel_t.ns_per_op)
-        .num("speedup_parallel", generic_t.ns_per_op / parallel_ns)
-        .int("parallel_split", u64::from(splits));
+        .num("speedup_simd", scalar_t.ns_per_op / kernel_t.ns_per_op);
     println!(
-        "apply/{name:<14} simd {:>10.0} ns  scalar {:>10.0} ns ({:.2}x)  parallel {:>10.0} ns{}  \
+        "apply/{name:<14} simd {:>10.0} ns  scalar {:>10.0} ns ({:.2}x)  \
          generic {:>11.0} ns  ({:.1}x)",
         kernel_t.ns_per_op,
         scalar_t.ns_per_op,
         scalar_t.ns_per_op / kernel_t.ns_per_op,
-        parallel_ns,
-        if splits { "" } else { "*" },
         generic_t.ns_per_op,
         generic_t.ns_per_op / kernel_t.ns_per_op
     );
@@ -361,7 +338,7 @@ fn main() {
         // One noiseless adaptive run traces the support: peak nnz, the
         // density it implies against the dense amplitude count, and
         // which representation the state ended in.
-        let mut sparse_ws = Workspace::serial();
+        let mut sparse_ws = Workspace::new();
         sparse_ws.set_sparse_density_threshold(policy.density_threshold);
         sparse_ws.set_sparse_epsilon(policy.epsilon);
         let (nnz_peak, sparse_peak_bytes, density_final, repr_final) = match compiled.sim_segments()
@@ -523,7 +500,7 @@ fn main() {
     let threads = host_cores;
     let mut report = JsonObject::new();
     report
-        .str("schema", "bench_sim/v7")
+        .str("schema", "bench_sim/v8")
         .str(
             "bench",
             "SIMD-vectorized kernel-specialized state-vector engine + gate fusion + \

@@ -414,9 +414,9 @@ mod tests {
 
     #[test]
     fn serial_shots_run_segmented_and_decode_from_the_last_register() {
-        // mixed-radix cnu-6q under pure byte pricing (the calibrated
-        // default fixed term is build-profile dependent and may merge
-        // the split): the compiler windows this program, so the serial
+        // mixed-radix cnu-6q under pure byte pricing (the default fixed
+        // term may merge the split): the compiler windows this program,
+        // so the serial
         // path must start on the first segment's register and end on the
         // last segment's.
         let mut c = Circuit::new(6);

@@ -6,10 +6,13 @@
 //! Both tiers hold **encoded bytes**, not live artifacts: every hit runs
 //! the full [`waltz_codec`] decode path, so a replayed artifact is
 //! guaranteed to be whatever the wire format can represent — the same
-//! guarantee a fresh process loading the disk store gets. Floating
-//! content the compiler derives per process (calibrated fuse constants,
-//! occupancy profiles) is captured inside the stored artifact, never
-//! re-derived on a hit.
+//! guarantee a fresh process loading the disk store gets. Everything
+//! the compile derived (fusion decisions, occupancy profiles, windowed
+//! segments) is captured inside the stored artifact, never re-derived on
+//! a hit. The compiler half of the key is a pure function of the target,
+//! the options and the checked-in cost constants, so a default compiler
+//! in a fresh process computes the same key and a disk store hits across
+//! restarts.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

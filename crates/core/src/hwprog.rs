@@ -357,7 +357,7 @@ impl HwProgram {
     /// This entry point prices sweeps by amplitude count alone
     /// (`sweep_fixed = 0`); the compiler calls
     /// [`HwProgram::window_registers_with`] with the fusion cost model's
-    /// calibrated fixed per-sweep term.
+    /// checked-in fixed per-sweep term.
     pub fn window_registers(&self) -> Vec<RegisterWindow> {
         self.window_registers_with(0)
     }

@@ -61,7 +61,7 @@
 //!    ([`CompiledCircuit::sim_segments`]; batch fidelity estimation
 //!    runs it automatically).
 //! 6. [`Pass::Fuse`] — batch the simulation schedule with the gate-fusion
-//!    pass (host-calibrated cost constants, optional block-span cap);
+//!    pass (checked-in cost constants, optional block-span cap);
 //!    block products are memoized in a compiler-wide
 //!    [`waltz_sim::FuseCache`], so batches of structurally similar
 //!    circuits multiply each repeated block shape once.
@@ -135,12 +135,15 @@
 //! **Fingerprints.** [`Target::fingerprint`] hashes the strategy, gate
 //! library, topology spec and noise model over their wire encodings;
 //! [`Compiler::fingerprint`] folds in the compile options and the
-//! *resolved* cost-model constants (host-calibrated fuse constants,
-//! window pricing), so two processes with different calibrations never
-//! mistake each other's artifacts for their own. Stability rules: a
-//! fingerprint is a pure function of wire bytes — stable across process
-//! restarts and rebuilds, changed exactly when a compilation-relevant
-//! field (or `CODEC_VERSION` itself) changes.
+//! *resolved* cost-model constants (fuse constants, window pricing).
+//! Those constants are checked in ([`waltz_sim::FuseOptions::default`]),
+//! never measured at run time, so a default compiler has the same
+//! fingerprint in every process and a disk store written before a
+//! restart hits after it; a later change to the constants still changes
+//! every key. Stability rules: a fingerprint is a pure function of wire
+//! bytes — stable across process restarts and rebuilds, changed exactly
+//! when a compilation-relevant field (or `CODEC_VERSION` itself)
+//! changes.
 //!
 //! **The artifact cache.** [`ArtifactCache`] stores versioned artifact
 //! bytes keyed on `(circuit content hash, compiler fingerprint)` in an
@@ -152,7 +155,8 @@
 //! passing the supervisor's live byte-budget gate. Every hit decodes
 //! from bytes, so a cache-loaded artifact simulates bit-identically to a
 //! fresh compile (1e-12, pinned by `tests/artifact_cache.rs`) and the
-//! same guarantee holds for a store written by another process.
+//! same guarantee holds for a store written by another process — which
+//! a default compiler in a fresh process finds under its own key.
 //!
 //! # Serving
 //!

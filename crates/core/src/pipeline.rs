@@ -5,13 +5,12 @@
 //! [`Pass::Lower`] — recording a [`PassReport`] (wall time, op/depth
 //! deltas, diagnostics) per stage into the returned [`CompileArtifact`].
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use waltz_arch::InteractionGraph;
 use waltz_circuit::{Circuit, GateKind};
 use waltz_gates::Q1Gate;
-use waltz_sim::{FuseCache, FuseOptions, GateKernel, Register, State, TimedCircuit, Workspace};
+use waltz_sim::{FuseCache, FuseOptions, GateKernel, TimedCircuit};
 
 use crate::artifact::CompileArtifact;
 use crate::cache::ArtifactCache;
@@ -188,10 +187,10 @@ fn schedule_depth(timed: &TimedCircuit) -> usize {
 /// A reusable compiler for one [`Target`]: drives the pass pipeline and
 /// records per-pass reports.
 ///
-/// Construction resolves the gate-fusion cost-model constants — from the
-/// [`CompileOptions`] overrides when given, otherwise from a one-shot
-/// sweep-timing calibration measured once per process — so every
-/// compilation through the same `Compiler` uses identical constants.
+/// The gate-fusion and window cost models run on the checked-in
+/// [`FuseOptions::default`] constants, so every compile decision — and
+/// [`Compiler::fingerprint`] — is a pure function of the target and the
+/// [`CompileOptions`], identical in every process on every host.
 ///
 /// # Example
 ///
@@ -227,7 +226,7 @@ pub struct Compiler {
 
 impl Compiler {
     /// A compiler for `target` with default [`CompileOptions`] (gate
-    /// fusion on, calibrated cost constants, unbounded block span).
+    /// fusion on, unbounded block span).
     pub fn new(target: Target) -> Self {
         Compiler::with_options(target, CompileOptions::default())
     }
@@ -263,10 +262,11 @@ impl Compiler {
 
     /// The compiler half of the [`ArtifactCache`] key: the target's
     /// [`Target::fingerprint`] folded with the compile options and the
-    /// *resolved* cost-model constants — so host-calibrated fuse
-    /// constants and the resolved window pricing are part of the key, and
-    /// a cache shared across processes never replays an artifact compiled
-    /// under different constants as if it matched.
+    /// *resolved* cost-model constants. The constants are checked in, so
+    /// the fingerprint is the same in every process — a disk cache hits
+    /// after a restart — while a later change to them still changes every
+    /// key, and a shared cache never replays an artifact compiled under
+    /// different constants as if it matched.
     pub fn fingerprint(&self) -> u64 {
         use waltz_codec::Encode;
         let mut w = waltz_codec::ByteWriter::new();
@@ -291,7 +291,8 @@ impl Compiler {
         &self.options
     }
 
-    /// The resolved fusion cost-model constants (calibrated or pinned).
+    /// The resolved fusion cost-model constants: the checked-in
+    /// [`FuseOptions::default`] with the options' block-span cap.
     pub fn fuse_options(&self) -> &FuseOptions {
         &self.fuse
     }
@@ -455,7 +456,7 @@ impl Compiler {
         }
         let windowing = self.options.windowed_registers && !self.options.padded_registers;
         // The window cost model prices each sweep's fixed overhead with
-        // the same constant the fusion model calibrated, unless pinned.
+        // the fusion model's per-sweep constant, unless pinned.
         let window_fixed = self
             .options
             .window_sweep_fixed
@@ -691,17 +692,6 @@ impl Compiler {
                 }
                 .to_string(),
             ));
-            analyze.diagnostics.push((
-                "sparse_density_threshold".into(),
-                self.options
-                    .sparse_density_threshold()
-                    .unwrap_or(waltz_sim::DEFAULT_SPARSE_DENSITY_THRESHOLD)
-                    .to_string(),
-            ));
-            analyze.diagnostics.push((
-                "sparse_epsilon".into(),
-                self.options.sparse_epsilon().unwrap_or(0.0).to_string(),
-            ));
         }
 
         let artifact = CompileArtifact::new(compiled, reports, self.target.noise().clone());
@@ -813,107 +803,14 @@ fn validate(
     Ok(())
 }
 
-/// Resolves the fusion knobs for a compiler: option overrides win,
-/// anything unspecified comes from the once-per-process calibration.
-/// Calibration is skipped entirely when fusion is off or both constants
-/// are pinned.
+/// The fusion knobs for a compiler: the checked-in cost constants with
+/// the options' block-span cap.
 fn resolve_fuse_options(options: &CompileOptions) -> FuseOptions {
     let defaults = FuseOptions::default();
-    let needs_calibration = options.fusion != Fusion::Off
-        && (options.fuse_sweep_overhead.is_none() || options.fuse_sweep_fixed.is_none());
-    let (cal_overhead, cal_fixed) = if needs_calibration {
-        calibrated_fuse_constants()
-    } else {
-        (defaults.sweep_overhead, defaults.sweep_fixed)
-    };
     FuseOptions {
-        sweep_overhead: options.fuse_sweep_overhead.unwrap_or(cal_overhead),
-        sweep_fixed: options.fuse_sweep_fixed.unwrap_or(cal_fixed),
         max_block_span: options.max_fused_span.unwrap_or(defaults.max_block_span),
+        ..defaults
     }
-}
-
-/// The host-calibrated `(sweep_overhead, sweep_fixed)` pair, measured once
-/// per process (see [`measure_fuse_constants`]).
-fn calibrated_fuse_constants() -> (usize, usize) {
-    static CAL: OnceLock<(usize, usize)> = OnceLock::new();
-    *CAL.get_or_init(measure_fuse_constants)
-}
-
-/// Best-of-`reps` mean nanoseconds per call of `f` over `iters` calls.
-fn best_time_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-/// One-shot sweep-timing calibration of the fusion cost model (a ROADMAP
-/// follow-up: the shipped constants were tuned on a 1-core container).
-///
-/// Times a two-ququart *diagonal* sweep at two state sizes to split the
-/// sweep cost into a fixed part and a per-amplitude part, and a
-/// two-ququart *dense* apply to price one complex multiply; the model
-/// constants are those costs re-expressed in multiply units. Falls back
-/// to the shipped defaults if the timer resolution defeats the
-/// measurement (both constants are clamped to sane ranges regardless).
-fn measure_fuse_constants() -> (usize, usize) {
-    use waltz_math::{Matrix, C64};
-
-    let defaults = FuseOptions::default();
-    let fallback = (defaults.sweep_overhead, defaults.sweep_fixed);
-
-    const SMALL_QUDITS: usize = 3; // 4^3 = 64 amplitudes
-    const BIG_QUDITS: usize = 6; // 4^6 = 4096 amplitudes
-    let small_amps = 4usize.pow(SMALL_QUDITS as u32) as f64;
-    let big_amps = 4usize.pow(BIG_QUDITS as u32) as f64;
-
-    // A 16-dim diagonal (phases) and a 16-dim dense unitary on two
-    // ququarts; the dense matrix need not be unitary to price a matvec.
-    let diag: Vec<C64> = (0..16)
-        .map(|k| C64::new(0.0, 0.3 * k as f64).exp())
-        .collect();
-    let diag_u = Matrix::from_diag(&diag);
-    let mut dense_u = Matrix::zeros(16, 16);
-    for r in 0..16 {
-        for c in 0..16 {
-            dense_u[(r, c)] = C64::new(1.0 / (1.0 + (r + 2 * c) as f64), 0.1);
-        }
-    }
-    let diag_kernel = GateKernel::classify(&diag_u, 2);
-    let dense_kernel = GateKernel::classify(&dense_u, 2);
-
-    let mut ws = Workspace::serial();
-    let mut small = State::zero(&Register::ququarts(SMALL_QUDITS));
-    let mut big = State::zero(&Register::ququarts(BIG_QUDITS));
-
-    let t_diag_small = best_time_ns(3, 256, || {
-        small.apply_kernel(&diag_kernel, &diag_u, &[0, 1], &mut ws)
-    });
-    let t_diag_big = best_time_ns(3, 48, || {
-        big.apply_kernel(&diag_kernel, &diag_u, &[0, 1], &mut ws)
-    });
-    let t_dense_big = best_time_ns(3, 16, || {
-        big.apply_kernel(&dense_kernel, &dense_u, &[0, 1], &mut ws)
-    });
-
-    let per_amp_diag = (t_diag_big - t_diag_small) / (big_amps - small_amps);
-    let fixed_ns = (t_diag_small - small_amps * per_amp_diag).max(0.0);
-    let per_amp_dense = (t_dense_big - fixed_ns) / big_amps;
-    let mult_ns = per_amp_dense / 16.0;
-    if !(per_amp_diag > 0.0 && mult_ns > 0.0) {
-        return fallback;
-    }
-    // The diagonal sweep does one multiply per amplitude; everything above
-    // that is bookkeeping overhead.
-    let overhead = ((per_amp_diag / mult_ns) - 1.0).round().clamp(1.0, 32.0) as usize;
-    let fixed = (fixed_ns / mult_ns).round().clamp(256.0, 65536.0) as usize;
-    (overhead, fixed)
 }
 
 #[cfg(test)]
@@ -1047,8 +944,8 @@ mod tests {
 
     #[test]
     fn analyze_reports_windowed_segments_on_disjoint_enc_windows() {
-        // Pure byte pricing: the calibrated default fixed term is
-        // build-profile dependent and may merge cnu-6q's split.
+        // Pure byte pricing: the default fixed term may merge cnu-6q's
+        // split.
         let circuit = toffoli_ladder_6q();
         let compiler = Compiler::with_options(
             Target::paper(Strategy::mixed_radix_ccz()),
@@ -1125,27 +1022,25 @@ mod tests {
 
     #[test]
     fn option_overrides_pin_the_fuse_constants() {
-        let options = CompileOptions::default()
-            .with_fuse_constants(7, 1234)
-            .with_max_fused_span(3);
+        // The span cap is the one fusion knob the options carry; the cost
+        // constants are the checked-in defaults in every process.
+        let options = CompileOptions::default().with_max_fused_span(3);
         let compiler = Compiler::with_options(Target::paper(Strategy::qubit_only()), options);
-        assert_eq!(compiler.fuse_options().sweep_overhead, 7);
-        assert_eq!(compiler.fuse_options().sweep_fixed, 1234);
+        assert_eq!(compiler.fuse_options().sweep_overhead, 3);
+        assert_eq!(compiler.fuse_options().sweep_fixed, 256);
         assert_eq!(compiler.fuse_options().max_block_span, 3);
         let artifact = compiler.compile(&small_circuit()).unwrap();
         for op in &artifact.sim_circuit().ops {
             let span = op.noise_events.as_ref().map_or(1, Vec::len);
             assert!(span <= 3, "block spans {span} pulses");
         }
-    }
-
-    #[test]
-    fn calibrated_constants_are_in_range_and_stable() {
-        let (o1, f1) = calibrated_fuse_constants();
-        let (o2, f2) = calibrated_fuse_constants();
-        assert_eq!((o1, f1), (o2, f2), "calibration must be process-stable");
-        assert!((1..=32).contains(&o1));
-        assert!((256..=65536).contains(&f1));
+        // Unfused compilers report the same constants, so a fingerprint
+        // never depends on whether a pass had to resolve them.
+        let unfused = Compiler::with_options(
+            Target::paper(Strategy::qubit_only()),
+            CompileOptions::unfused(),
+        );
+        assert_eq!(*unfused.fuse_options(), FuseOptions::default());
     }
 
     #[test]

@@ -46,15 +46,6 @@ pub enum Fusion {
 pub struct CompileOptions {
     /// Gate-fusion mode for the simulation schedule.
     pub fusion: Fusion,
-    /// Override for the fusion cost model's per-amplitude sweep-overhead
-    /// constant ([`waltz_sim::FuseOptions::sweep_overhead`]). `None` uses
-    /// the value the compiler calibrates from a one-shot measured sweep
-    /// timing at [`crate::Compiler`] construction.
-    pub fuse_sweep_overhead: Option<usize>,
-    /// Override for the fusion cost model's fixed per-sweep constant
-    /// ([`waltz_sim::FuseOptions::sweep_fixed`]). `None` uses the
-    /// calibrated value.
-    pub fuse_sweep_fixed: Option<usize>,
     /// Cap on the number of constituent pulses a fused block may absorb
     /// ([`waltz_sim::FuseOptions::max_block_span`]), for workloads that
     /// need tighter noise interleaving than whole-run replay. `None`
@@ -87,42 +78,23 @@ pub struct CompileOptions {
     /// term: splitting the program costs two extra sweeps per boundary
     /// (the reshape's read and write), each priced at this many
     /// amplitude-multiplies on top of its amplitude count. `None` (the
-    /// default) reuses the fusion cost model's calibrated
+    /// default) reuses the fusion cost model's checked-in
     /// [`waltz_sim::FuseOptions::sweep_fixed`] — per-sweep overhead is
     /// the same quantity in both models — which stops short windows
     /// (e.g. cnu-6q's) from splitting when the reshape's fixed costs
     /// outweigh the byte savings. `Some(0)` restores the pure
     /// byte-seconds balance.
     pub window_sweep_fixed: Option<usize>,
-    /// Override for the sparse → dense density threshold the simulation
-    /// layer's adaptive states switch at
-    /// ([`waltz_sim::DEFAULT_SPARSE_DENSITY_THRESHOLD`] when `None`).
-    /// Stored as the `f64`'s IEEE-754 bit pattern so the options stay
-    /// `Eq + Hash` (compile-cache keys); use
-    /// [`CompileOptions::with_sparse_density_threshold`] /
-    /// [`CompileOptions::sparse_density_threshold`] to set/read the
-    /// float. The analyze pass records the effective value in its
-    /// diagnostics so simulation hosts configure their workspaces from
-    /// the artifact.
-    pub sparse_density_threshold_bits: Option<u64>,
-    /// Override for the sparse truncation epsilon (`0.0`, lossless, when
-    /// `None`). Same bit-pattern encoding as
-    /// [`CompileOptions::sparse_density_threshold_bits`].
-    pub sparse_epsilon_bits: Option<u64>,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             fusion: Fusion::default(),
-            fuse_sweep_overhead: None,
-            fuse_sweep_fixed: None,
             max_fused_span: None,
             padded_registers: false,
             windowed_registers: true,
             window_sweep_fixed: None,
-            sparse_density_threshold_bits: None,
-            sparse_epsilon_bits: None,
         }
     }
 }
@@ -134,14 +106,6 @@ impl CompileOptions {
             fusion: Fusion::Off,
             ..CompileOptions::default()
         }
-    }
-
-    /// Pins the fusion cost-model constants instead of calibrating them at
-    /// [`crate::Compiler`] construction.
-    pub fn with_fuse_constants(mut self, sweep_overhead: usize, sweep_fixed: usize) -> Self {
-        self.fuse_sweep_overhead = Some(sweep_overhead);
-        self.fuse_sweep_fixed = Some(sweep_fixed);
-        self
     }
 
     /// Caps fused-block span at `span` constituent pulses.
@@ -169,37 +133,12 @@ impl CompileOptions {
     }
 
     /// Pins the windowed-register cost model's fixed per-sweep term
-    /// instead of reusing the fusion calibration (see
+    /// instead of reusing the fusion constant (see
     /// [`CompileOptions::window_sweep_fixed`]); `0` restores the pure
     /// byte-seconds balance with no fixed reshape cost.
     pub fn with_window_sweep_fixed(mut self, fixed: usize) -> Self {
         self.window_sweep_fixed = Some(fixed);
         self
-    }
-
-    /// Pins the sparse → dense density threshold adaptive simulation of
-    /// this artifact should switch at (clamped to be non-negative; `0.0`
-    /// forces dense from the first apply, above `1.0` never densifies).
-    pub fn with_sparse_density_threshold(mut self, threshold: f64) -> Self {
-        self.sparse_density_threshold_bits = Some(threshold.max(0.0).to_bits());
-        self
-    }
-
-    /// The pinned sparse density threshold, if any.
-    pub fn sparse_density_threshold(&self) -> Option<f64> {
-        self.sparse_density_threshold_bits.map(f64::from_bits)
-    }
-
-    /// Pins the sparse truncation epsilon (clamped to be non-negative;
-    /// nonzero values trade norm for entry count and are not lossless).
-    pub fn with_sparse_epsilon(mut self, epsilon: f64) -> Self {
-        self.sparse_epsilon_bits = Some(epsilon.max(0.0).to_bits());
-        self
-    }
-
-    /// The pinned sparse truncation epsilon, if any.
-    pub fn sparse_epsilon(&self) -> Option<f64> {
-        self.sparse_epsilon_bits.map(f64::from_bits)
     }
 }
 

@@ -478,14 +478,9 @@ impl Supervisor {
         // Panic retry: once, through a conservative pipeline. The retry
         // keeps the *first* error when it fails too.
         if self.policy.retry_degraded && matches!(result, Err(CompileError::Internal { .. })) {
-            let safe = self.compiler.reoptioned(
-                CompileOptions::unfused()
-                    .with_windowed_registers(false)
-                    .with_fuse_constants(
-                        self.compiler.fuse_options().sweep_overhead,
-                        self.compiler.fuse_options().sweep_fixed,
-                    ),
-            );
+            let safe = self
+                .compiler
+                .reoptioned(CompileOptions::unfused().with_windowed_registers(false));
             retried = true;
             if let Ok(artifact) = self.attempt(&safe, circuit, deadline, budget_ms) {
                 result = Ok(artifact);

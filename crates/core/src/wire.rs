@@ -153,14 +153,10 @@ impl Decode for Strategy {
 impl Encode for CompileOptions {
     fn encode(&self, w: &mut ByteWriter) {
         self.fusion.encode(w);
-        self.fuse_sweep_overhead.encode(w);
-        self.fuse_sweep_fixed.encode(w);
         self.max_fused_span.encode(w);
         w.put_bool(self.padded_registers);
         w.put_bool(self.windowed_registers);
         self.window_sweep_fixed.encode(w);
-        self.sparse_density_threshold_bits.encode(w);
-        self.sparse_epsilon_bits.encode(w);
     }
 }
 
@@ -168,14 +164,10 @@ impl Decode for CompileOptions {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         Ok(CompileOptions {
             fusion: Fusion::decode(r)?,
-            fuse_sweep_overhead: Option::decode(r)?,
-            fuse_sweep_fixed: Option::decode(r)?,
             max_fused_span: Option::decode(r)?,
             padded_registers: r.get_bool()?,
             windowed_registers: r.get_bool()?,
             window_sweep_fixed: Option::decode(r)?,
-            sparse_density_threshold_bits: Option::decode(r)?,
-            sparse_epsilon_bits: Option::decode(r)?,
         })
     }
 }
@@ -659,12 +651,11 @@ mod tests {
             CompileOptions::default(),
             CompileOptions::unfused(),
             CompileOptions::default()
-                .with_fuse_constants(7, 1234)
                 .with_max_fused_span(3)
                 .with_window_sweep_fixed(0),
             CompileOptions::default()
-                .with_sparse_density_threshold(0.125)
-                .with_sparse_epsilon(1e-10),
+                .with_padded_registers()
+                .with_windowed_registers(false),
         ] {
             let bytes = encode_to_vec(&options);
             let back: CompileOptions = decode_from_slice(&bytes).unwrap();

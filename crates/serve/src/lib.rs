@@ -55,10 +55,14 @@
 //! let mut client = ServeClient::connect(server.local_addr().to_string()).unwrap();
 //! let mut c = Circuit::new(2);
 //! c.h(0).cx(0, 1);
-//! let reports = client.compile_batch(vec![c.clone(), c]).unwrap();
+//! let batch = vec![c.clone(), c];
+//! let reports = client.compile_batch(batch.clone()).unwrap();
 //! assert!(reports.iter().all(|r| r.result.is_ok()));
-//! // The second job hit the shared artifact cache.
-//! assert!(reports[1].cached);
+//! // Resubmitting the batch replays every job from the shared artifact
+//! // cache. (Within the first batch the workers may compile both copies
+//! // at once, so neither is guaranteed to be a hit.)
+//! let warm = client.compile_batch(batch).unwrap();
+//! assert!(warm.iter().all(|r| r.cached));
 //! server.shutdown();
 //! ```
 

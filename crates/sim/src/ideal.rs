@@ -17,7 +17,7 @@ use crate::{SegmentedCircuit, State, TimedCircuit, RESHAPE_LEAK_TOL};
 /// Panics if the initial state's register differs from the circuit's.
 pub fn run(circuit: &TimedCircuit, initial: &State) -> State {
     let mut out = initial.clone();
-    let mut ws = Workspace::serial();
+    let mut ws = Workspace::new();
     run_into(circuit, initial, &mut out, &mut ws);
     out
 }
@@ -54,7 +54,7 @@ pub fn run_into(circuit: &TimedCircuit, initial: &State, out: &mut State, ws: &m
 /// segment's.
 pub fn run_segmented(circuit: &SegmentedCircuit, initial: &State) -> State {
     let (mut out, mut scratch) = circuit.rolling_buffers();
-    let mut ws = Workspace::serial();
+    let mut ws = Workspace::new();
     run_segmented_into(circuit, initial, &mut out, &mut scratch, &mut ws);
     out
 }
@@ -247,7 +247,7 @@ mod tests {
         let initial = State::random_qubit_product(&reg, &mut rng);
         let fresh = run(&tc, &initial);
         let mut out = State::zero(&reg);
-        let mut ws = Workspace::serial();
+        let mut ws = Workspace::new();
         run_into(&tc, &initial, &mut out, &mut ws);
         // Run twice into the same buffer: stale contents must not leak.
         run_into(&tc, &initial, &mut out, &mut ws);

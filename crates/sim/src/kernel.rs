@@ -16,11 +16,11 @@
 //! * [`GateKernel::GeneralDense`] — the fallback dense block matvec.
 //!
 //! All paths share one sweep over the configurations of the non-operand
-//! qudits; for large registers the sweep is split across threads (each
-//! configuration touches a disjoint set of amplitudes, so workers never
-//! overlap). Scratch that cannot live on the stack is borrowed from a
-//! reusable [`Workspace`] so steady-state trajectory simulation performs
-//! no heap allocation per gate.
+//! qudits, run on the caller's thread: the [`crate::TrajectoryPool`] is
+//! the simulator's parallelism, one trajectory per worker. Scratch that
+//! cannot live on the stack is borrowed from a reusable [`Workspace`] so
+//! steady-state trajectory simulation performs no heap allocation per
+//! gate.
 
 use waltz_math::structure::{self, MatrixStructure};
 use waltz_math::{Matrix, C64};
@@ -34,101 +34,13 @@ use crate::Register;
 pub const CLASSIFY_TOL: f64 = 1e-14;
 
 /// Largest dense block applied through stack buffers; bigger blocks fall
-/// back to a heap-allocating serial path (beyond any gate this workspace
+/// back to a heap-allocating path (beyond any gate this workspace
 /// compiles — three ququart operands give a block of 64).
 pub(crate) const MAX_STACK_BLOCK: usize = 64;
 
 /// Largest two-qudit dense block (two ququarts) — the dedicated
 /// gather-once/apply-many path below uses scratch of exactly this size.
 const MAX_TWO_QUDIT_BLOCK: usize = 16;
-
-/// The historical parallel-sweep threshold, kept as the middle rung of
-/// the calibration ladder and as the documented order of magnitude where
-/// splitting *can* start to pay. The actual process-wide default is
-/// **measured** once per process (see [`Workspace::par_min_amps`]);
-/// override per host with the `WALTZ_PAR_MIN_AMPS` environment variable
-/// or per workspace with [`Workspace::set_par_min_amps`].
-pub const DEFAULT_PAR_MIN_AMPS: usize = 1 << 15;
-
-/// The process-wide parallel-sweep threshold, resolved once:
-/// `WALTZ_PAR_MIN_AMPS` wins when set to a valid count; a host without a
-/// second core can never profit from splitting, so it pins the threshold
-/// to `usize::MAX` without measuring; otherwise the threshold is
-/// **calibrated** — the same measure-once-per-process pattern as the
-/// fuse-cost constants — by timing a representative diagonal sweep
-/// serial vs split at a ladder of state sizes and keeping the first size
-/// where the split wins by ≥ 10%.
-fn calibrated_par_min_amps() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        if let Some(v) = std::env::var("WALTZ_PAR_MIN_AMPS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            // Clamp like `set_par_min_amps`: a zero threshold would split
-            // every sweep.
-            return v.max(1);
-        }
-        if sweep_threads() <= 1 {
-            return usize::MAX;
-        }
-        measure_par_min_amps()
-    })
-}
-
-/// Best-of-`reps` wall time per iteration of `f`, in nanoseconds.
-fn best_time_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..reps {
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min((start.elapsed().as_nanos() / iters.max(1) as u128) as u64);
-    }
-    best
-}
-
-/// Times a CZ-class diagonal sweep (the cheapest kernel per amplitude,
-/// i.e. the hardest case for threading to win) serial vs split at a
-/// ladder of qubit-register sizes around [`DEFAULT_PAR_MIN_AMPS`] and
-/// returns the first size where the split is ≥ 10% faster — or
-/// `usize::MAX` when threading never pays on this host, which is exactly
-/// what single-core containers measure.
-fn measure_par_min_amps() -> usize {
-    let u = Matrix::from_diag(&[C64::ONE, C64::ONE, C64::ONE, -C64::ONE]);
-    let kernel = GateKernel::classify(&u, 2);
-    for shift in [13usize, 15, 17] {
-        let reg = Register::qubits(shift);
-        let mut amps = vec![C64::new(0.5, -0.5); 1 << shift];
-        let iters = (1usize << (19 - shift)).clamp(2, 64);
-        let mut ws_serial = Workspace::with_settings(false, 1);
-        let serial = best_time_ns(3, iters, || {
-            apply(&mut amps, &reg, &kernel, &u, &[0, 1], &mut ws_serial)
-        });
-        let mut ws_split = Workspace::with_settings(true, 1);
-        let split = best_time_ns(3, iters, || {
-            apply(&mut amps, &reg, &kernel, &u, &[0, 1], &mut ws_split)
-        });
-        if split.saturating_mul(10) <= serial.saturating_mul(9) {
-            return 1 << shift;
-        }
-    }
-    usize::MAX
-}
-
-/// The one guard for every threaded sweep: splitting pays off only when
-/// the workspace allows it, the state is at least `min_amps` amplitudes,
-/// and there are enough independent units to give each worker a few.
-pub(crate) fn par_sweep_worthwhile(
-    parallel: bool,
-    total_amps: usize,
-    units: usize,
-    threads: usize,
-    min_amps: usize,
-) -> bool {
-    parallel && threads > 1 && total_amps >= min_amps && units >= 4 * threads
-}
 
 /// The specialized apply strategy chosen for one gate matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,11 +152,6 @@ pub struct Workspace {
     pub(crate) jump_p: Vec<f64>,
     /// Per-qudit busy-until times (trajectory runner).
     pub(crate) free_at: Vec<f64>,
-    /// Whether sweeps over large registers may use threads. Off inside
-    /// trajectory workers (already one per core), on for direct use.
-    pub(crate) parallel: bool,
-    /// Minimum amplitude count before a sweep is split across threads.
-    pub(crate) par_min_amps: usize,
     /// The SIMD tier the sweep bodies run at.
     pub(crate) simd: SimdLevel,
     /// nnz/amps ratio above which an adaptive state switches sparse →
@@ -259,25 +166,9 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// A workspace that parallelizes large sweeps. The first
-    /// threading-capable workspace of the process calibrates the
-    /// parallel-sweep threshold (see [`Workspace::par_min_amps`]).
+    /// A workspace at the detected SIMD tier with the default sparse
+    /// knobs. Its sweeps run on the caller's thread.
     pub fn new() -> Self {
-        Workspace::with_settings(true, calibrated_par_min_amps())
-    }
-
-    /// A workspace that never spawns threads — for use inside an outer
-    /// parallel loop such as the trajectory runner. Never triggers the
-    /// threshold calibration: a workspace that cannot split has no use
-    /// for the measurement.
-    pub fn serial() -> Self {
-        Workspace::with_settings(false, usize::MAX)
-    }
-
-    /// Direct constructor bypassing the once-per-process calibration —
-    /// used *by* the calibration itself (which would otherwise deadlock
-    /// re-entering the `OnceLock`) and by [`Workspace::serial`].
-    fn with_settings(parallel: bool, par_min_amps: usize) -> Self {
         Workspace {
             offsets: Vec::new(),
             others: Vec::new(),
@@ -285,8 +176,6 @@ impl Workspace {
             lambdas: Vec::new(),
             jump_p: Vec::new(),
             free_at: Vec::new(),
-            parallel,
-            par_min_amps: par_min_amps.max(1),
             simd: SimdLevel::detect(),
             sparse_density_threshold: crate::sparse::DEFAULT_SPARSE_DENSITY_THRESHOLD,
             sparse_epsilon: 0.0,
@@ -295,20 +184,17 @@ impl Workspace {
         }
     }
 
-    /// The minimum amplitude count before this workspace's sweeps split
-    /// across threads. Resolution order: `WALTZ_PAR_MIN_AMPS` if set,
-    /// else a once-per-process measured calibration (`usize::MAX` on
-    /// single-core hosts — splitting can never pay there), overridable
-    /// per workspace with [`Workspace::set_par_min_amps`].
-    pub fn par_min_amps(&self) -> usize {
-        self.par_min_amps
+    /// The same workspace as [`Workspace::new`] (sweeps never split
+    /// across threads); kept for callers that name the serial intent.
+    pub fn serial() -> Self {
+        Workspace::new()
     }
 
-    /// Overrides the parallel-sweep threshold for this workspace — the
-    /// re-tuning knob for many-core hosts, where smaller states may
-    /// already profit from splitting.
-    pub fn set_par_min_amps(&mut self, min_amps: usize) {
-        self.par_min_amps = min_amps.max(1);
+    /// The amplitude count at which a sweep would split across threads:
+    /// always `usize::MAX` — sweeps never split. Kept so runtime reports
+    /// can keep printing the resolved value.
+    pub fn par_min_amps(&self) -> usize {
+        usize::MAX
     }
 
     /// The SIMD tier this workspace's sweep bodies run at
@@ -354,34 +240,6 @@ impl Workspace {
     pub fn set_sparse_epsilon(&mut self, epsilon: f64) {
         self.sparse_epsilon = epsilon.max(0.0);
     }
-
-    /// Whether [`crate::State::apply_op`] through this workspace would
-    /// split its sweep across threads for a kernel on `operands` over
-    /// `reg`. This is the bench's honesty guard: when the shape is
-    /// rejected, a "parallel" measurement runs the *same* code path as
-    /// the serial one and must be reported as such rather than as an
-    /// independent sample of measurement noise.
-    pub fn would_split_sweep(&self, reg: &Register, operands: &[usize]) -> bool {
-        let mut units: usize = (0..reg.n_qudits())
-            .filter(|q| !operands.contains(q))
-            .map(|q| reg.dim(q))
-            .product();
-        // The vector arms sweep in two-configuration pairs.
-        if self.simd.accelerated() {
-            if let Some(innermost) = (0..reg.n_qudits()).rfind(|q| !operands.contains(q)) {
-                if reg.stride(innermost) == 1 && reg.dim(innermost).is_multiple_of(2) {
-                    units /= 2;
-                }
-            }
-        }
-        par_sweep_worthwhile(
-            self.parallel,
-            reg.total_dim(),
-            units,
-            sweep_threads(),
-            self.par_min_amps,
-        )
-    }
 }
 
 impl Default for Workspace {
@@ -419,18 +277,7 @@ pub(crate) fn compute_offsets(
 /// reach.
 pub(crate) const MAX_QUDITS: usize = 64;
 
-/// Base amplitude offset of the `linear`-th configuration of `others`.
-fn base_of(reg: &Register, others: &[usize], mut linear: usize) -> usize {
-    let mut base = 0usize;
-    for &q in others.iter().rev() {
-        let d = reg.dim(q);
-        base += (linear % d) * reg.stride(q);
-        linear /= d;
-    }
-    base
-}
-
-/// Calls `f(base)` for positions `lo..hi` of a mixed-radix counter over
+/// Calls `f(base)` for every position of a mixed-radix counter over
 /// `dims` (last digit fastest) with per-digit strides, walking the bases
 /// incrementally (amortized O(1) per step, no divisions in the loop).
 /// Shared by the scalar sweep bodies and the vector arms in
@@ -438,27 +285,11 @@ fn base_of(reg: &Register, others: &[usize], mut linear: usize) -> usize {
 /// dims/strides; `#[inline(always)]` so it specializes into the
 /// `#[target_feature]` callers.
 #[inline(always)]
-pub(crate) fn walk_bases(
-    dims: &[usize],
-    strides: &[usize],
-    lo: usize,
-    hi: usize,
-    mut f: impl FnMut(usize),
-) {
+pub(crate) fn walk_bases(dims: &[usize], strides: &[usize], mut f: impl FnMut(usize)) {
     assert!(dims.len() <= MAX_QUDITS, "register too large for sweep");
     let mut counter = [0usize; MAX_QUDITS];
-    // Seed the counter and base from `lo` (the only division site).
-    let mut rem = lo;
-    for slot in (0..dims.len()).rev() {
-        counter[slot] = rem % dims[slot];
-        rem /= dims[slot];
-    }
-    let mut base = counter[..dims.len()]
-        .iter()
-        .zip(strides)
-        .map(|(&digit, &stride)| digit * stride)
-        .sum::<usize>();
-    for _ in lo..hi {
+    let mut base = 0usize;
+    for _ in 0..dims.iter().product::<usize>() {
         f(base);
         let mut pos = dims.len();
         loop {
@@ -477,16 +308,9 @@ pub(crate) fn walk_bases(
     }
 }
 
-/// Runs `f(state, base)` for configurations `lo..hi` of `others` via
-/// [`walk_bases`].
-fn run_range<S, F: Fn(&mut S, usize)>(
-    reg: &Register,
-    others: &[usize],
-    lo: usize,
-    hi: usize,
-    state: &mut S,
-    f: &F,
-) {
+/// Calls `f(base)` with the base amplitude offset of every configuration
+/// of the non-operand qudits `others`, via [`walk_bases`].
+fn sweep(reg: &Register, others: &[usize], f: impl FnMut(usize)) {
     assert!(others.len() <= MAX_QUDITS, "register too large for sweep");
     let mut dims = [0usize; MAX_QUDITS];
     let mut strides = [0usize; MAX_QUDITS];
@@ -495,76 +319,26 @@ fn run_range<S, F: Fn(&mut S, usize)>(
         strides[slot] = reg.stride(q);
     }
     let n = others.len();
-    walk_bases(&dims[..n], &strides[..n], lo, hi, |base| f(state, base));
+    walk_bases(&dims[..n], &strides[..n], f);
 }
 
-/// Shared mutable amplitude pointer for the threaded sweep. Soundness:
-/// each worker visits a disjoint range of non-operand configurations, and
-/// every amplitude index decomposes uniquely into (non-operand digits,
-/// operand digits), so workers write disjoint index sets.
+/// Raw amplitude pointer the sweep bodies read and write through. Every
+/// `base + offset` a sweep forms is the index of one basis state of the
+/// register — non-operand digits from `base`, operand digits from
+/// `offset` — so the unchecked accesses stay in bounds.
 #[derive(Clone, Copy)]
 pub(crate) struct SharedAmps(*mut C64);
-unsafe impl Sync for SharedAmps {}
-unsafe impl Send for SharedAmps {}
 
 impl SharedAmps {
     /// Pointer to amplitude `idx`.
     ///
     /// # Safety
     ///
-    /// `idx` must be in bounds and no other thread may access it
-    /// concurrently. (Going through a method also makes closures capture
-    /// the whole `Sync` wrapper rather than the raw pointer field.)
+    /// `idx` must be in bounds of the amplitude vector the pointer was
+    /// taken from, and that vector must outlive the access.
     pub(crate) unsafe fn at(self, idx: usize) -> *mut C64 {
         unsafe { self.0.add(idx) }
     }
-}
-
-/// Number of worker threads for a parallel sweep.
-pub(crate) fn sweep_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(16)
-}
-
-/// Runs `f(per_worker_state, base_offset)` for every configuration of the
-/// non-operand qudits, splitting across threads when allowed and
-/// worthwhile.
-fn sweep<S, I, F>(
-    reg: &Register,
-    others: &[usize],
-    total_amps: usize,
-    parallel: bool,
-    min_amps: usize,
-    init: I,
-    f: F,
-) where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) + Sync,
-{
-    let others_total: usize = others.iter().map(|&q| reg.dim(q)).product();
-    let threads = sweep_threads();
-    if !par_sweep_worthwhile(parallel, total_amps, others_total, threads, min_amps) {
-        let mut state = init();
-        run_range(reg, others, 0, others_total, &mut state, &f);
-        return;
-    }
-    let chunk = others_total.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = (lo + chunk).min(others_total);
-            if lo >= hi {
-                break;
-            }
-            let (init, f) = (&init, &f);
-            scope.spawn(move || {
-                let mut state = init();
-                run_range(reg, others, lo, hi, &mut state, f);
-            });
-        }
-    });
 }
 
 /// Applies `kernel` (classified from `u`) to the operand qudits of a raw
@@ -601,27 +375,21 @@ pub(crate) fn apply(
 
     // Fast path: diagonal on a single qudit is a contiguous slice scale.
     if let (GateKernel::Diagonal { phases }, [q]) = (kernel, operands) {
-        return apply_diagonal_single(amps, reg, phases, *q, ws.parallel, ws.par_min_amps, ws.simd);
+        return apply_diagonal_single(amps, reg, phases, *q, ws.simd);
     }
 
     ws.others.clear();
     ws.others
         .extend((0..reg.n_qudits()).filter(|q| !operands.contains(q)));
     let block = compute_offsets(reg, operands, &mut ws.offsets);
-    let total = amps.len();
     let shared = SharedAmps(amps.as_mut_ptr());
     let offsets: &[usize] = &ws.offsets;
     let others: &[usize] = &ws.others;
-    let parallel = ws.parallel;
-    let min_amps = ws.par_min_amps;
     let ctx = simd::SweepCtx {
         reg,
         others,
         offsets,
         shared,
-        total_amps: total,
-        parallel,
-        min_amps,
         level: ws.simd,
     };
 
@@ -631,40 +399,24 @@ pub(crate) fn apply(
             if simd::diag_sweep(&ctx, phases) {
                 return;
             }
-            // SAFETY: disjoint bases per worker (see SharedAmps).
-            sweep(
-                reg,
-                others,
-                total,
-                parallel,
-                min_amps,
-                || (),
-                |(), base| unsafe {
-                    for (sub, &off) in offsets.iter().enumerate() {
-                        let p = shared.at(base + off);
-                        *p *= phases[sub];
-                    }
-                },
-            );
+            // SAFETY: every base + offset is in bounds (see SharedAmps).
+            sweep(reg, others, |base| unsafe {
+                for (sub, &off) in offsets.iter().enumerate() {
+                    let p = shared.at(base + off);
+                    *p *= phases[sub];
+                }
+            });
         }
         GateKernel::Permutation { cycles, phases, .. } => {
             if simd::perm_sweep(&ctx, cycles, phases) {
                 return;
             }
-            // SAFETY: disjoint bases per worker (see SharedAmps).
-            sweep(
-                reg,
-                others,
-                total,
-                parallel,
-                min_amps,
-                || (),
-                |(), base| unsafe {
-                    for cycle in cycles {
-                        walk_cycle(shared, base, offsets, cycle, phases);
-                    }
-                },
-            );
+            // SAFETY: every base + offset is in bounds (see SharedAmps).
+            sweep(reg, others, |base| unsafe {
+                for cycle in cycles {
+                    walk_cycle(shared, base, offsets, cycle, phases);
+                }
+            });
         }
         GateKernel::SingleQudit if u.rows() == 2 => {
             if simd::dense_sweep(&ctx, u.as_slice(), false) {
@@ -672,22 +424,14 @@ pub(crate) fn apply(
             }
             let m = u.as_slice();
             let (m00, m01, m10, m11) = (m[0], m[1], m[2], m[3]);
-            // SAFETY: disjoint bases per worker (see SharedAmps).
-            sweep(
-                reg,
-                others,
-                total,
-                parallel,
-                min_amps,
-                || (),
-                |(), base| unsafe {
-                    let p0 = shared.at(base + offsets[0]);
-                    let p1 = shared.at(base + offsets[1]);
-                    let (a0, a1) = (*p0, *p1);
-                    *p0 = m00 * a0 + m01 * a1;
-                    *p1 = m10 * a0 + m11 * a1;
-                },
-            );
+            // SAFETY: every base + offset is in bounds (see SharedAmps).
+            sweep(reg, others, |base| unsafe {
+                let p0 = shared.at(base + offsets[0]);
+                let p1 = shared.at(base + offsets[1]);
+                let (a0, a1) = (*p0, *p1);
+                *p0 = m00 * a0 + m01 * a1;
+                *p1 = m10 * a0 + m11 * a1;
+            });
         }
         GateKernel::SingleQudit if u.rows() == 4 => {
             if simd::dense_sweep(&ctx, u.as_slice(), false) {
@@ -695,26 +439,18 @@ pub(crate) fn apply(
             }
             let mut m = [C64::ZERO; 16];
             m.copy_from_slice(u.as_slice());
-            // SAFETY: disjoint bases per worker (see SharedAmps).
-            sweep(
-                reg,
-                others,
-                total,
-                parallel,
-                min_amps,
-                || (),
-                |(), base| unsafe {
-                    let p0 = shared.at(base + offsets[0]);
-                    let p1 = shared.at(base + offsets[1]);
-                    let p2 = shared.at(base + offsets[2]);
-                    let p3 = shared.at(base + offsets[3]);
-                    let (a0, a1, a2, a3) = (*p0, *p1, *p2, *p3);
-                    *p0 = m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3;
-                    *p1 = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
-                    *p2 = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
-                    *p3 = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
-                },
-            );
+            // SAFETY: every base + offset is in bounds (see SharedAmps).
+            sweep(reg, others, |base| unsafe {
+                let p0 = shared.at(base + offsets[0]);
+                let p1 = shared.at(base + offsets[1]);
+                let p2 = shared.at(base + offsets[2]);
+                let p3 = shared.at(base + offsets[3]);
+                let (a0, a1, a2, a3) = (*p0, *p1, *p2, *p3);
+                *p0 = m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3;
+                *p1 = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
+                *p2 = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
+                *p3 = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
+            });
         }
         GateKernel::TwoQudit if block <= MAX_TWO_QUDIT_BLOCK => {
             // Gather-once/apply-many two-qudit path: the vector arm
@@ -725,9 +461,7 @@ pub(crate) fn apply(
             if simd::dense_sweep(&ctx, u.as_slice(), true) {
                 return;
             }
-            dense_block_sweep::<MAX_TWO_QUDIT_BLOCK>(
-                reg, others, total, parallel, min_amps, shared, offsets, u,
-            );
+            dense_block_sweep::<MAX_TWO_QUDIT_BLOCK>(reg, others, shared, offsets, u);
         }
         GateKernel::SingleQudit | GateKernel::TwoQudit | GateKernel::GeneralDense
             if block <= MAX_STACK_BLOCK =>
@@ -735,16 +469,12 @@ pub(crate) fn apply(
             if simd::dense_sweep(&ctx, u.as_slice(), false) {
                 return;
             }
-            dense_block_sweep::<MAX_STACK_BLOCK>(
-                reg, others, total, parallel, min_amps, shared, offsets, u,
-            );
+            dense_block_sweep::<MAX_STACK_BLOCK>(reg, others, shared, offsets, u);
         }
         _ => {
-            // Oversized dense block: serial heap-scratch fallback.
+            // Oversized dense block: heap-scratch fallback.
             let mut state = vec![C64::ZERO; block];
-            let others_total: usize = others.iter().map(|&q| reg.dim(q)).product();
-            for linear in 0..others_total {
-                let base = base_of(reg, others, linear);
+            sweep(reg, others, |base| {
                 for (sub, &off) in offsets.iter().enumerate() {
                     state[sub] = amps[base + off];
                 }
@@ -758,7 +488,7 @@ pub(crate) fn apply(
                     }
                     amps[base + off] = acc;
                 }
-            }
+            });
         }
     }
 }
@@ -778,13 +508,9 @@ pub(crate) fn apply(
 /// specialized path slower than the generic dense reference (0.78x in
 /// `BENCH_sim.json` v4); dropping it makes the two-qudit arm beat the
 /// reference again on both plain and `target-cpu=native` builds.
-#[allow(clippy::too_many_arguments)]
 fn dense_block_sweep<const CAP: usize>(
     reg: &Register,
     others: &[usize],
-    total: usize,
-    parallel: bool,
-    min_amps: usize,
     shared: SharedAmps,
     offsets: &[usize],
     u: &Matrix,
@@ -792,55 +518,40 @@ fn dense_block_sweep<const CAP: usize>(
     let block = offsets.len();
     debug_assert!(block <= CAP, "block exceeds scratch capacity");
     let m = u.as_slice();
+    let mut scratch = [C64::ZERO; CAP];
     if m.iter().all(|&c| c != C64::ZERO) {
         // Fully dense: branchless multiply-accumulate.
-        // SAFETY: disjoint bases per worker (see SharedAmps).
-        sweep(
-            reg,
-            others,
-            total,
-            parallel,
-            min_amps,
-            || [C64::ZERO; CAP],
-            |scratch, base| unsafe {
-                for (s, &off) in scratch.iter_mut().zip(offsets) {
-                    *s = *shared.at(base + off);
-                }
-                for (row_coeffs, &off) in m.chunks_exact(block).zip(offsets) {
-                    let mut acc = C64::ZERO;
-                    for (&coeff, &amp) in row_coeffs.iter().zip(&scratch[..block]) {
-                        acc += coeff * amp;
-                    }
-                    *shared.at(base + off) = acc;
-                }
-            },
-        );
-        return;
-    }
-    // Sparse rows: skip structural zeros.
-    // SAFETY: disjoint bases per worker (see SharedAmps).
-    sweep(
-        reg,
-        others,
-        total,
-        parallel,
-        min_amps,
-        || [C64::ZERO; CAP],
-        |scratch, base| unsafe {
+        // SAFETY: every base + offset is in bounds (see SharedAmps).
+        sweep(reg, others, |base| unsafe {
             for (s, &off) in scratch.iter_mut().zip(offsets) {
                 *s = *shared.at(base + off);
             }
             for (row_coeffs, &off) in m.chunks_exact(block).zip(offsets) {
                 let mut acc = C64::ZERO;
                 for (&coeff, &amp) in row_coeffs.iter().zip(&scratch[..block]) {
-                    if coeff != C64::ZERO {
-                        acc += coeff * amp;
-                    }
+                    acc += coeff * amp;
                 }
                 *shared.at(base + off) = acc;
             }
-        },
-    );
+        });
+        return;
+    }
+    // Sparse rows: skip structural zeros.
+    // SAFETY: every base + offset is in bounds (see SharedAmps).
+    sweep(reg, others, |base| unsafe {
+        for (s, &off) in scratch.iter_mut().zip(offsets) {
+            *s = *shared.at(base + off);
+        }
+        for (row_coeffs, &off) in m.chunks_exact(block).zip(offsets) {
+            let mut acc = C64::ZERO;
+            for (&coeff, &amp) in row_coeffs.iter().zip(&scratch[..block]) {
+                if coeff != C64::ZERO {
+                    acc += coeff * amp;
+                }
+            }
+            *shared.at(base + off) = acc;
+        }
+    });
 }
 
 /// Walks one permutation cycle in place:
@@ -848,8 +559,7 @@ fn dense_block_sweep<const CAP: usize>(
 ///
 /// # Safety
 ///
-/// `base + offsets[c]` must be in bounds for every cycle member, and no
-/// other thread may touch those indices concurrently.
+/// `base + offsets[c]` must be in bounds for every cycle member.
 unsafe fn walk_cycle(
     amps: SharedAmps,
     base: usize,
@@ -874,51 +584,27 @@ unsafe fn walk_cycle(
 }
 
 /// Diagonal gate on one qudit: scale contiguous level slices in place.
-#[allow(clippy::too_many_arguments)]
 fn apply_diagonal_single(
     amps: &mut [C64],
     reg: &Register,
     phases: &[C64],
     q: usize,
-    parallel: bool,
-    min_amps: usize,
     level: SimdLevel,
 ) {
     let stride = reg.stride(q);
-    let dim = reg.dim(q);
-    let span = stride * dim;
-    let scale_block = |chunk: &mut [C64]| {
-        if simd::scale_diag_chunk(level, chunk, phases, stride) {
-            return;
-        }
-        for block in chunk.chunks_exact_mut(span) {
-            for (lvl, &phase) in phases.iter().enumerate() {
-                if phase == C64::ONE {
-                    continue;
-                }
-                for a in &mut block[lvl * stride..(lvl + 1) * stride] {
-                    *a *= phase;
-                }
-            }
-        }
-    };
-    let threads = sweep_threads();
-    let n_spans = amps.len() / span;
-    if !par_sweep_worthwhile(parallel, amps.len(), n_spans, threads, min_amps) {
-        scale_block(amps);
+    if simd::scale_diag_chunk(level, amps, phases, stride) {
         return;
     }
-    let per = n_spans.div_ceil(threads) * span;
-    std::thread::scope(|scope| {
-        let mut rest = amps;
-        while !rest.is_empty() {
-            let cut = per.min(rest.len());
-            let (head, tail) = rest.split_at_mut(cut);
-            rest = tail;
-            let scale_block = &scale_block;
-            scope.spawn(move || scale_block(head));
+    for block in amps.chunks_exact_mut(stride * reg.dim(q)) {
+        for (lvl, &phase) in phases.iter().enumerate() {
+            if phase == C64::ONE {
+                continue;
+            }
+            for a in &mut block[lvl * stride..(lvl + 1) * stride] {
+                *a *= phase;
+            }
         }
-    });
+    }
 }
 
 #[cfg(test)]
@@ -961,57 +647,6 @@ mod tests {
         // A phased fixed point is kept.
         let cycles = cycles_of(&[1, 0, 2], &[C64::ONE, C64::ONE, C64::I]);
         assert_eq!(cycles, vec![vec![0, 1], vec![2]]);
-    }
-
-    #[test]
-    fn par_guard_gates_on_every_condition() {
-        // Serial workspaces, tiny states, too few units and single-thread
-        // hosts all refuse to split; a big state with plenty of units on a
-        // multi-core host splits.
-        assert!(!par_sweep_worthwhile(false, 1 << 20, 1 << 16, 8, 1 << 15));
-        assert!(!par_sweep_worthwhile(true, 1 << 10, 1 << 8, 8, 1 << 15));
-        assert!(!par_sweep_worthwhile(true, 1 << 20, 8, 8, 1 << 15));
-        assert!(!par_sweep_worthwhile(true, 1 << 20, 1 << 16, 1, 1 << 15));
-        assert!(par_sweep_worthwhile(true, 1 << 20, 1 << 16, 8, 1 << 15));
-        // Raising the threshold above the state size turns splitting off.
-        assert!(!par_sweep_worthwhile(true, 1 << 20, 1 << 16, 8, 1 << 21));
-    }
-
-    #[test]
-    fn workspace_threshold_knob_overrides_default() {
-        let mut ws = Workspace::new();
-        assert!(ws.par_min_amps() >= 1);
-        ws.set_par_min_amps(1024);
-        assert_eq!(ws.par_min_amps(), 1024);
-        // Zero is clamped: a zero threshold would split every sweep.
-        ws.set_par_min_amps(0);
-        assert_eq!(ws.par_min_amps(), 1);
-        // The knob survives cloning into per-worker workspaces.
-        assert_eq!(ws.clone().par_min_amps(), 1);
-    }
-
-    #[test]
-    fn tuned_threshold_still_matches_serial_results() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        // Force the parallel path on a small state by dropping the
-        // threshold to 1, and pin it against the serial sweep.
-        let reg = Register::ququarts(6);
-        let mut rng = StdRng::seed_from_u64(17);
-        let u = waltz_math::linalg::haar_unitary(16, &mut rng);
-        let kernel = GateKernel::classify(&u, 2);
-        assert_eq!(kernel.name(), "two-qudit");
-        let amps = waltz_math::linalg::haar_state(reg.total_dim(), &mut rng);
-        let mut serial_amps = amps.clone();
-        let mut ws = Workspace::serial();
-        apply(&mut serial_amps, &reg, &kernel, &u, &[1, 4], &mut ws);
-        let mut par_amps = amps;
-        let mut ws = Workspace::new();
-        ws.set_par_min_amps(1);
-        apply(&mut par_amps, &reg, &kernel, &u, &[1, 4], &mut ws);
-        for (a, b) in par_amps.iter().zip(&serial_amps) {
-            assert!(a.approx_eq(*b, 1e-12));
-        }
     }
 
     #[test]

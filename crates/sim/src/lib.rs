@@ -32,11 +32,8 @@
 //!
 //! Scratch that cannot live on the stack is borrowed from a reusable
 //! [`Workspace`], so the trajectory hot loop performs no per-gate heap
-//! allocation; sweeps over large registers are split across threads
-//! (threshold tunable via `WALTZ_PAR_MIN_AMPS` or
-//! [`Workspace::set_par_min_amps`]). [`State::apply_unitary`] remains the
-//! independent generic dense reference path that every kernel is tested
-//! against (≤ 1e-12).
+//! allocation. [`State::apply_unitary`] remains the independent generic
+//! dense reference path that every kernel is tested against (≤ 1e-12).
 //!
 //! # Gate fusion (gather-once/apply-many)
 //!
@@ -49,7 +46,7 @@
 //! pulse. Fused programs run through the same [`ideal`] / [`trajectory`]
 //! entry points and are parity-pinned against the unfused engine.
 //!
-//! # SIMD dispatch & threading
+//! # SIMD dispatch & the trajectory pool
 //!
 //! Every sweep body exists in two forms: a portable scalar loop (always
 //! compiled, the parity reference) and an explicit AVX2+FMA form in
@@ -70,27 +67,23 @@
 //! the scalar body whenever no pairing exists, so results never depend on
 //! shape-specific support.
 //!
-//! Threaded sweeps are gated by a measured threshold: the first
-//! [`Workspace::new`] in a process times a serial vs. split diagonal
-//! sweep at increasing state sizes and records the smallest size where
-//! splitting wins ([`DEFAULT_PAR_MIN_AMPS`] is the ladder's middle
-//! rung; single-core hosts calibrate to "never split"). The
-//! `WALTZ_PAR_MIN_AMPS` environment variable or
-//! [`Workspace::set_par_min_amps`] overrides the calibration.
-//! Trajectory ensembles run on the persistent [`TrajectoryPool`]
-//! (`WALTZ_TRAJ_THREADS` caps its workers): workers steal trajectory
-//! indices one at a time, every trajectory derives its RNG seed from its
-//! *global* index, and each worker reuses one `Workspace` + state
-//! buffers across trajectories — so for a fixed seed the estimate is
-//! bit-identical no matter the thread count, including the pure serial
-//! path.
+//! A sweep always runs on the caller's thread. The parallelism is the
+//! persistent [`TrajectoryPool`] (`WALTZ_TRAJ_THREADS` caps its
+//! workers): the paper's estimates are ensembles of small independent
+//! trajectories (64–256 amplitudes for cnu-6q), so one trajectory per
+//! worker keeps every core busy where splitting one sweep across threads
+//! would not pay. Workers steal trajectory indices one at a time, every
+//! trajectory derives its RNG seed from its *global* index, and each
+//! worker reuses one `Workspace` + state buffers across trajectories —
+//! so for a fixed seed the estimate is bit-identical no matter the
+//! thread count, including the pure serial path.
 //!
 //! # State representations (dense vs sparse)
 //!
 //! The engine has two state representations behind one interface:
 //!
 //! * **Dense** — [`State`], one amplitude per basis state (16 bytes
-//!   each), SIMD + threaded sweeps. The reference representation.
+//!   each), SIMD sweeps. The reference representation.
 //! * **Sparse** — [`SparseState`], a sorted `(index, amplitude)` map
 //!   holding only nonzero amplitudes (24 bytes per entry), with
 //!   kernel-specialized arms: diagonal gates phase the stored entries
@@ -169,7 +162,7 @@ pub mod simd;
 pub mod sparse;
 pub mod trajectory;
 
-pub use kernel::{GateKernel, Workspace, DEFAULT_PAR_MIN_AMPS};
+pub use kernel::{GateKernel, Workspace};
 pub use pool::TrajectoryPool;
 pub use register::Register;
 pub use session::{SegmentedSession, Session};

@@ -39,7 +39,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session over `register` with a threaded-sweep-capable workspace.
+    /// A session over `register`.
     pub fn new(register: &crate::Register) -> Self {
         Session {
             ws: Workspace::new(),
@@ -47,17 +47,8 @@ impl Session {
         }
     }
 
-    /// A session whose sweeps never split across threads (see
-    /// [`Workspace::serial`]).
-    pub fn serial(register: &crate::Register) -> Self {
-        Session {
-            ws: Workspace::serial(),
-            out: State::zero(register),
-        }
-    }
-
-    /// The reusable kernel workspace (e.g. to tune the parallel-sweep
-    /// threshold via [`Workspace::set_par_min_amps`]).
+    /// The reusable kernel workspace (e.g. to pin its SIMD level via
+    /// [`Workspace::set_simd_level`]).
     pub fn workspace_mut(&mut self) -> &mut Workspace {
         &mut self.ws
     }
@@ -109,23 +100,11 @@ pub struct SegmentedSession {
 }
 
 impl SegmentedSession {
-    /// A session sized to `circuit`'s peak segment, with a
-    /// threaded-sweep-capable workspace.
+    /// A session sized to `circuit`'s peak segment.
     pub fn new(circuit: &SegmentedCircuit) -> Self {
         let (out, scratch) = circuit.rolling_buffers();
         SegmentedSession {
             ws: Workspace::new(),
-            out,
-            scratch,
-        }
-    }
-
-    /// A session whose sweeps never split across threads (see
-    /// [`Workspace::serial`]).
-    pub fn serial(circuit: &SegmentedCircuit) -> Self {
-        let (out, scratch) = circuit.rolling_buffers();
-        SegmentedSession {
-            ws: Workspace::serial(),
             out,
             scratch,
         }
@@ -244,7 +223,7 @@ mod tests {
     #[test]
     fn session_reuses_buffers_across_runs() {
         let tc = small_circuit();
-        let mut session = Session::serial(&tc.register);
+        let mut session = Session::new(&tc.register);
         let initial = State::zero(&tc.register);
         // The second run must fully overwrite the first.
         session.run_trajectory(

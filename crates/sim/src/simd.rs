@@ -34,7 +34,7 @@ use crate::kernel::SharedAmps;
 use crate::Register;
 
 #[cfg(target_arch = "x86_64")]
-use crate::kernel::{par_sweep_worthwhile, sweep_threads, MAX_QUDITS};
+use crate::kernel::MAX_QUDITS;
 
 /// The instruction-set tier the sweep bodies run at.
 ///
@@ -104,14 +104,8 @@ pub(crate) struct SweepCtx<'a> {
     pub others: &'a [usize],
     /// Amplitude offset per operand-block configuration.
     pub offsets: &'a [usize],
-    /// Shared amplitude pointer (see [`SharedAmps`]).
+    /// Amplitude pointer (see [`SharedAmps`]).
     pub shared: SharedAmps,
-    /// Total amplitude count of the state.
-    pub total_amps: usize,
-    /// Whether this workspace may split sweeps across threads.
-    pub parallel: bool,
-    /// Parallel-sweep threshold of the workspace.
-    pub min_amps: usize,
     /// The workspace's SIMD level.
     pub level: SimdLevel,
 }
@@ -125,7 +119,6 @@ struct PairedSweep {
     dims: [usize; MAX_QUDITS],
     strides: [usize; MAX_QUDITS],
     len: usize,
-    units: usize,
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -147,13 +140,7 @@ impl PairedSweep {
         // its (unit) stride.
         dims[len - 1] /= 2;
         strides[len - 1] = 2;
-        let units = dims[..len].iter().product();
-        Some(PairedSweep {
-            dims,
-            strides,
-            len,
-            units,
-        })
+        Some(PairedSweep { dims, strides, len })
     }
 
     fn dims(&self) -> &[usize] {
@@ -165,31 +152,6 @@ impl PairedSweep {
     }
 }
 
-/// Runs `f(lo, hi)` over pair-unit ranges covering `0..units`, splitting
-/// across threads under the same guard as the scalar sweep. Chunks are
-/// in pair-units, so workers always split at even configuration
-/// boundaries and never share a lane.
-#[cfg(target_arch = "x86_64")]
-fn sweep_pair_ranges<F: Fn(usize, usize) + Sync>(ctx: &SweepCtx<'_>, units: usize, f: F) {
-    let threads = sweep_threads();
-    if !par_sweep_worthwhile(ctx.parallel, ctx.total_amps, units, threads, ctx.min_amps) {
-        f(0, units);
-        return;
-    }
-    let chunk = units.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = (lo + chunk).min(units);
-            if lo >= hi {
-                break;
-            }
-            let f = &f;
-            scope.spawn(move || f(lo, hi));
-        }
-    });
-}
-
 /// Vector arm of the multi-qudit diagonal sweep. Returns `true` when the
 /// sweep was handled (level accelerated and pairing possible).
 pub(crate) fn diag_sweep(ctx: &SweepCtx<'_>, phases: &[C64]) -> bool {
@@ -197,17 +159,9 @@ pub(crate) fn diag_sweep(ctx: &SweepCtx<'_>, phases: &[C64]) -> bool {
     {
         if ctx.level.accelerated() {
             if let Some(ps) = PairedSweep::detect(ctx.reg, ctx.others) {
-                sweep_pair_ranges(ctx, ps.units, |lo, hi| unsafe {
-                    x86::diag_pairs(
-                        ctx.shared,
-                        ps.dims(),
-                        ps.strides(),
-                        lo,
-                        hi,
-                        ctx.offsets,
-                        phases,
-                    );
-                });
+                unsafe {
+                    x86::diag_pairs(ctx.shared, ps.dims(), ps.strides(), ctx.offsets, phases);
+                }
                 return true;
             }
         }
@@ -222,18 +176,16 @@ pub(crate) fn perm_sweep(ctx: &SweepCtx<'_>, cycles: &[Vec<usize>], phases: &[C6
     {
         if ctx.level.accelerated() {
             if let Some(ps) = PairedSweep::detect(ctx.reg, ctx.others) {
-                sweep_pair_ranges(ctx, ps.units, |lo, hi| unsafe {
+                unsafe {
                     x86::perm_pairs(
                         ctx.shared,
                         ps.dims(),
                         ps.strides(),
-                        lo,
-                        hi,
                         ctx.offsets,
                         cycles,
                         phases,
                     );
-                });
+                }
                 return true;
             }
         }
@@ -259,14 +211,12 @@ pub(crate) fn dense_sweep(ctx: &SweepCtx<'_>, m: &[C64], tiled: bool) -> bool {
                 // Embedded gates carry structural zeros worth skipping;
                 // fully dense (Haar / fused) blocks run branch-free.
                 let sparse = m.contains(&C64::ZERO);
-                sweep_pair_ranges(ctx, ps.units, |lo, hi| unsafe {
+                unsafe {
                     if tiled {
                         x86::two_qudit_pairs(
                             ctx.shared,
                             ps.dims(),
                             ps.strides(),
-                            lo,
-                            hi,
                             ctx.offsets,
                             m,
                             sparse,
@@ -276,14 +226,12 @@ pub(crate) fn dense_sweep(ctx: &SweepCtx<'_>, m: &[C64], tiled: bool) -> bool {
                             ctx.shared,
                             ps.dims(),
                             ps.strides(),
-                            lo,
-                            hi,
                             ctx.offsets,
                             m,
                             sparse,
                         );
                     }
-                });
+                }
                 return true;
             }
         }
@@ -292,9 +240,9 @@ pub(crate) fn dense_sweep(ctx: &SweepCtx<'_>, m: &[C64], tiled: bool) -> bool {
     false
 }
 
-/// Vector arm of the single-qudit diagonal fast path, over one worker's
-/// contiguous chunk (a whole number of `stride * phases.len()` spans,
-/// starting on a span boundary). Returns `true` when handled.
+/// Vector arm of the single-qudit diagonal fast path, over the whole
+/// amplitude vector (a whole number of `stride * phases.len()` spans).
+/// Returns `true` when handled.
 pub(crate) fn scale_diag_chunk(
     level: SimdLevel,
     chunk: &mut [C64],
@@ -433,12 +381,10 @@ mod x86 {
         amps: SharedAmps,
         dims: &[usize],
         strides: &[usize],
-        lo: usize,
-        hi: usize,
         offsets: &[usize],
         phases: &[C64],
     ) {
-        walk_bases(dims, strides, lo, hi, |base| unsafe {
+        walk_bases(dims, strides, |base| unsafe {
             for (&off, p) in offsets.iter().zip(phases) {
                 let v = load2(amps, base + off);
                 store2(amps, base + off, cmul_bcast(v, bcast(p.re), bcast(p.im)));
@@ -452,19 +398,16 @@ mod x86 {
     /// # Safety
     ///
     /// As [`diag_pairs`].
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn perm_pairs(
         amps: SharedAmps,
         dims: &[usize],
         strides: &[usize],
-        lo: usize,
-        hi: usize,
         offsets: &[usize],
         cycles: &[Vec<usize>],
         phases: &[C64],
     ) {
-        walk_bases(dims, strides, lo, hi, |base| unsafe {
+        walk_bases(dims, strides, |base| unsafe {
             for cycle in cycles {
                 if let [only] = cycle.as_slice() {
                     let idx = base + offsets[*only];
@@ -507,14 +450,11 @@ mod x86 {
     ///
     /// As [`diag_pairs`]; additionally `m` must be a `block * block`
     /// row-major matrix for `block = offsets.len() <= MAX_BLOCK`.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn dense_pairs(
         amps: SharedAmps,
         dims: &[usize],
         strides: &[usize],
-        lo: usize,
-        hi: usize,
         offsets: &[usize],
         m: &[C64],
         sparse: bool,
@@ -523,7 +463,7 @@ mod x86 {
         debug_assert!(block <= MAX_BLOCK);
         let mut sc = [unsafe { zero() }; MAX_BLOCK];
         let mut sw = [unsafe { zero() }; MAX_BLOCK];
-        walk_bases(dims, strides, lo, hi, |base| unsafe {
+        walk_bases(dims, strides, |base| unsafe {
             for (i, &off) in offsets.iter().enumerate() {
                 let v = load2(amps, base + off);
                 sc[i] = v;
@@ -553,14 +493,11 @@ mod x86 {
     /// # Safety
     ///
     /// As [`dense_pairs`], with `block <= MAX_TILE_BLOCK`.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn two_qudit_pairs(
         amps: SharedAmps,
         dims: &[usize],
         strides: &[usize],
-        lo: usize,
-        hi: usize,
         offsets: &[usize],
         m: &[C64],
         sparse: bool,
@@ -568,7 +505,7 @@ mod x86 {
         debug_assert!(offsets.len() <= MAX_TILE_BLOCK);
         let mut bases = [0usize; TILE];
         let mut n = 0usize;
-        walk_bases(dims, strides, lo, hi, |base| unsafe {
+        walk_bases(dims, strides, |base| unsafe {
             bases[n] = base;
             n += 1;
             if n == TILE {
@@ -728,7 +665,8 @@ mod tests {
         let ps = PairedSweep::detect(&reg, &others).expect("pairable");
         assert_eq!(ps.dims(), &[4, 2]);
         assert_eq!(ps.strides(), &[reg.stride(2), 2]);
-        assert_eq!(ps.units, 8);
+        // 16 configurations walk as 8 pair-units.
+        assert_eq!(ps.dims().iter().product::<usize>(), 8);
         // When the innermost qudit is an operand the sweep cannot pair.
         let others = [0usize, 1];
         assert!(PairedSweep::detect(&reg, &others).is_none());

@@ -41,7 +41,7 @@ use crate::{Register, State, TimedOp};
 /// against 16 bytes per dense amplitude, so the map stops winning on
 /// *memory* at density 2/3; the sweep arms stop winning earlier because
 /// every sparse apply rebuilds and re-sorts the entry list while the
-/// dense sweeps stream contiguous memory with SIMD and threads. One
+/// dense sweeps stream contiguous memory with SIMD. One
 /// quarter — comfortably below the memory break-even, several re-sorts
 /// of headroom above the regime where sparse clearly wins (density
 /// `1e-3` and below) — is the shipped default; tune per workspace with

@@ -472,7 +472,7 @@ impl State {
         dt_ns: f64,
         rng: &mut R,
     ) {
-        let mut ws = Workspace::serial();
+        let mut ws = Workspace::new();
         self.damping_step_with(model, qudit, dt_ns, rng, &mut ws);
     }
 

@@ -100,7 +100,7 @@ pub fn run_trajectory<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> State {
     let mut out = initial.clone();
-    let mut ws = Workspace::serial();
+    let mut ws = Workspace::new();
     run_trajectory_into(circuit, initial, noise, rng, &mut out, &mut ws);
     out
 }
@@ -248,7 +248,7 @@ pub fn run_trajectory_segmented<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> State {
     let (mut out, mut scratch) = circuit.rolling_buffers();
-    let mut ws = Workspace::serial();
+    let mut ws = Workspace::new();
     run_trajectory_segmented_into(
         circuit,
         initial,
@@ -453,7 +453,7 @@ pub fn fidelity_samples_with_on(
         trajectories,
         seed,
         || Worker {
-            ws: Workspace::serial(),
+            ws: Workspace::new(),
             initial: State::zero(&circuit.register),
             noisy_out: State::zero(&circuit.register),
             ideal_out: State::zero(&circuit.register),
@@ -771,7 +771,7 @@ pub fn average_fidelity_supervised_with_on(
         seed,
         policy,
         || Worker {
-            ws: Workspace::serial(),
+            ws: Workspace::new(),
             initial: State::zero(&circuit.register),
             noisy_out: State::zero(&circuit.register),
             ideal_out: State::zero(&circuit.register),
@@ -883,7 +883,7 @@ pub fn average_fidelity_segmented_supervised_with_on(
             let (noisy_out, noisy_scratch) = circuit.rolling_buffers();
             let (ideal_out, ideal_scratch) = circuit.rolling_buffers();
             Worker {
-                ws: Workspace::serial(),
+                ws: Workspace::new(),
                 initial: State::zero(circuit.first_register()),
                 noisy_out,
                 noisy_scratch,
@@ -1024,7 +1024,7 @@ pub fn fidelity_samples_segmented_with_on(
             let (noisy_out, noisy_scratch) = circuit.rolling_buffers();
             let (ideal_out, ideal_scratch) = circuit.rolling_buffers();
             Worker {
-                ws: Workspace::serial(),
+                ws: Workspace::new(),
                 initial: State::zero(circuit.first_register()),
                 noisy_out,
                 noisy_scratch,
@@ -1150,9 +1150,9 @@ pub fn run_trajectory_segmented_adaptive_into<R: Rng + ?Sized>(
     }
 }
 
-/// Applies a [`SparsePolicy`] to a fresh serial worker workspace.
+/// Applies a [`SparsePolicy`] to a fresh worker workspace.
 fn sparse_worker_ws(policy: &SparsePolicy) -> Workspace {
-    let mut ws = Workspace::serial();
+    let mut ws = Workspace::new();
     ws.set_sparse_density_threshold(policy.density_threshold);
     ws.set_sparse_epsilon(policy.epsilon);
     ws
@@ -1613,7 +1613,7 @@ mod tests {
     #[test]
     fn segmented_session_reuses_buffers_and_matches_free_functions() {
         let (seg, _) = segmented_and_whole();
-        let mut session = crate::SegmentedSession::serial(&seg);
+        let mut session = crate::SegmentedSession::new(&seg);
         let mut rng = StdRng::seed_from_u64(41);
         let initial = State::random_qubit_product(seg.first_register(), &mut rng);
         let noise = NoiseModel::paper();

@@ -2,8 +2,8 @@
 //! the generic dense `State::apply_unitary` loop to 1e-12 on random
 //! mixed-radix states. `apply_unitary` is an independent implementation
 //! (it never consults a `GateKernel`), so these tests catch bugs in the
-//! classification, the offset arithmetic, the cycle walks and the
-//! threaded sweep alike.
+//! classification, the offset arithmetic and the cycle walks alike, up
+//! to a 4^8-amplitude register.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -192,10 +192,9 @@ fn general_dense_kernel_matches_dense() {
 }
 
 #[test]
-fn parallel_sweep_matches_serial_on_large_register() {
-    // 4^8 = 65536 amplitudes: above the parallel threshold, so a
-    // parallel-enabled workspace exercises the threaded sweep on every
-    // kernel class and must agree with the serial dense reference.
+fn kernels_match_dense_on_4pow8_register() {
+    // 4^8 = 65536 amplitudes: the largest register on which every
+    // kernel class is checked against the dense reference.
     let reg = Register::ququarts(8);
     let mut rng = StdRng::seed_from_u64(40);
     let gates: Vec<(Matrix, Vec<usize>, &str)> = vec![
@@ -213,7 +212,7 @@ fn parallel_sweep_matches_serial_on_large_register() {
             "two-qudit",
         ),
     ];
-    let mut ws = Workspace::new(); // parallel allowed
+    let mut ws = Workspace::new();
     for (u, operands, expect) in gates {
         let kernel = GateKernel::classify(&u, operands.len());
         assert_eq!(kernel.name(), expect);
@@ -222,7 +221,7 @@ fn parallel_sweep_matches_serial_on_large_register() {
         let mut specialized = random_state(&reg, 44);
         specialized.apply_kernel(&kernel, &u, &operands, &mut ws);
         for (a, b) in specialized.amplitudes().iter().zip(reference.amplitudes()) {
-            assert!(a.approx_eq(*b, TOL), "{expect} parallel sweep deviates");
+            assert!(a.approx_eq(*b, TOL), "{expect} kernel deviates at 4^8");
         }
     }
 }

@@ -3,24 +3,31 @@
 //! re-runs), simulate bit-identically (1e-12) to the fresh compile it
 //! was stored from — including when the store was written by a
 //! different process — and a warm [`Supervisor`] batch must return
-//! element-wise identical job results.
+//! element-wise identical job results. Every compiler here is a default
+//! one: compile decisions and fingerprints must not depend on the
+//! process that makes them.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use waltz_circuit::Circuit;
+use waltz_circuits::generalized_toffoli;
 use waltz_core::{
-    ArtifactCache, CompileArtifact, CompileOptions, Compiler, JobStatus, Pass, Strategy,
-    Supervisor, Target,
+    ArtifactCache, CompileArtifact, Compiler, JobStatus, Pass, Strategy, Supervisor, Target,
 };
 use waltz_sim::ideal;
 
 const TOL: f64 = 1e-12;
 
-/// Environment variables handing the disk-store location and the
-/// expected fidelity (as exact bits) to the child process.
+/// Environment variables handing the disk-store location, the expected
+/// fidelity (as exact bits) and the parent's compiler fingerprint to the
+/// child process.
 const DIR_ENV: &str = "WALTZ_DISK_CACHE_DIR";
 const MEAN_ENV: &str = "WALTZ_EXPECTED_MEAN_BITS";
+const FINGERPRINT_ENV: &str = "WALTZ_EXPECTED_FINGERPRINT";
+/// Set for the compile-shape child; its report lines carry this prefix.
+const SHAPE_ENV: &str = "WALTZ_COMPILE_SHAPE_CHILD";
+const SHAPE_PREFIX: &str = "compile-shape ";
 
 fn cnu_6q() -> Circuit {
     let mut c = Circuit::new(6);
@@ -28,13 +35,11 @@ fn cnu_6q() -> Circuit {
     c
 }
 
-/// A compiler with pinned cost-model constants, so its fingerprint (and
-/// therefore its cache keys) is identical in every process.
-fn pinned_compiler(strategy: Strategy) -> Compiler {
-    Compiler::with_options(
-        Target::paper(strategy),
-        CompileOptions::default().with_fuse_constants(8, 1024),
-    )
+/// A default compiler: nothing about it is measured at run time, so its
+/// fingerprint (and therefore its cache keys) must be identical in every
+/// process.
+fn default_compiler(strategy: Strategy) -> Compiler {
+    Compiler::new(Target::paper(strategy))
 }
 
 /// Noiseless 1e-12 parity: same seeded product input through both
@@ -59,7 +64,7 @@ fn assert_noiseless_parity(a: &CompileArtifact, b: &CompileArtifact, seed: u64) 
 #[test]
 fn repeat_compile_replays_from_the_cache() {
     let cache = ArtifactCache::new();
-    let compiler = pinned_compiler(Strategy::mixed_radix_ccz()).with_artifact_cache(cache.clone());
+    let compiler = default_compiler(Strategy::mixed_radix_ccz()).with_artifact_cache(cache.clone());
     let circuit = cnu_6q();
     let cold = compiler.compile(&circuit).unwrap();
     assert!(!cold.is_cached());
@@ -90,7 +95,7 @@ fn cached_artifact_simulates_bit_identically() {
         Strategy::mixed_radix_ccz(),
         Strategy::full_ququart(),
     ] {
-        let compiler = pinned_compiler(strategy).with_artifact_cache(ArtifactCache::new());
+        let compiler = default_compiler(strategy).with_artifact_cache(ArtifactCache::new());
         let cold = compiler.compile(&circuit).unwrap();
         let warm = compiler.compile(&circuit).unwrap();
         assert!(warm.is_cached(), "{}", strategy.name());
@@ -111,7 +116,7 @@ fn cached_artifact_simulates_bit_identically() {
 #[test]
 fn warm_supervisor_batch_matches_the_cold_one() {
     let compiler =
-        pinned_compiler(Strategy::mixed_radix_ccz()).with_artifact_cache(ArtifactCache::new());
+        default_compiler(Strategy::mixed_radix_ccz()).with_artifact_cache(ArtifactCache::new());
     let supervisor = Supervisor::new(compiler);
     let circuits: Vec<Circuit> = (3..=5)
         .map(|n| {
@@ -145,16 +150,18 @@ fn artifact_survives_into_a_fresh_process() {
     let _ = std::fs::remove_dir_all(&dir);
     // Capacity 0: every hit must come from the on-disk store.
     let cache = ArtifactCache::with_capacity(0).with_disk_dir(&dir);
-    let compiler = pinned_compiler(Strategy::full_ququart()).with_artifact_cache(cache);
+    let compiler = default_compiler(Strategy::full_ququart()).with_artifact_cache(cache);
     let cold = compiler.compile(&cnu_6q()).unwrap();
     assert!(!cold.is_cached());
     let expected = cold.simulate().with_seed(17).average_fidelity(4).mean;
-    // Re-run this test binary in a fresh process: it must load the
-    // artifact from the directory and reproduce the simulation exactly.
+    // Re-run this test binary in a fresh process: it must build the same
+    // fingerprint, load the artifact from the directory and reproduce
+    // the simulation exactly.
     let status = std::process::Command::new(std::env::current_exe().unwrap())
         .args(["--exact", "disk_store_child", "--ignored", "--nocapture"])
         .env(DIR_ENV, &dir)
         .env(MEAN_ENV, format!("{:016x}", expected.to_bits()))
+        .env(FINGERPRINT_ENV, format!("{:016x}", compiler.fingerprint()))
         .status()
         .expect("spawning the child test process");
     assert!(status.success(), "child process failed (see output above)");
@@ -170,11 +177,16 @@ fn disk_store_child() {
         return; // ran directly (e.g. --include-ignored), nothing to check
     };
     let cache = ArtifactCache::with_capacity(0).with_disk_dir(std::path::PathBuf::from(dir));
-    let compiler = pinned_compiler(Strategy::full_ququart()).with_artifact_cache(cache);
+    let compiler = default_compiler(Strategy::full_ququart()).with_artifact_cache(cache);
+    assert_eq!(
+        format!("{:016x}", compiler.fingerprint()),
+        std::env::var(FINGERPRINT_ENV).unwrap(),
+        "a default compiler's fingerprint must be stable across processes"
+    );
     let warm = compiler.compile(&cnu_6q()).unwrap();
     assert!(
         warm.is_cached(),
-        "the fingerprint must be stable across processes"
+        "the artifact must load from the disk tier"
     );
     // Bit-identical to the spawning process's simulation...
     let bits = u64::from_str_radix(&std::env::var(MEAN_ENV).unwrap(), 16).unwrap();
@@ -185,8 +197,88 @@ fn disk_store_child() {
         f64::from_bits(bits)
     );
     // ...and to a compile done fresh in this process.
-    let fresh = pinned_compiler(Strategy::full_ququart())
+    let fresh = default_compiler(Strategy::full_ququart())
         .compile(&cnu_6q())
         .unwrap();
     assert_noiseless_parity(&fresh, &warm, 0xF00D);
+}
+
+/// One line per (circuit, strategy) with everything a default compile
+/// decides that cache keys and simulation cost depend on: fingerprint,
+/// hardware ops, simulation ops, segments and peak state bytes.
+fn compile_shapes() -> Vec<String> {
+    let mut lines = Vec::new();
+    for (name, circuit) in [
+        ("cnu-6q", generalized_toffoli(3)),
+        ("cnu-10q", generalized_toffoli(5)),
+    ] {
+        for strategy in [
+            Strategy::qubit_only(),
+            Strategy::mixed_radix_ccz(),
+            Strategy::full_ququart(),
+        ] {
+            let compiler = default_compiler(strategy);
+            let artifact = compiler.compile(&circuit).unwrap();
+            let (sim_ops, segments) = match artifact.sim_segments() {
+                Some(seg) => (seg.len(), seg.n_segments()),
+                None => (artifact.sim_circuit().len(), 1),
+            };
+            lines.push(format!(
+                "{name} {}: fingerprint {:016x} hw_ops {} sim_ops {sim_ops} segments {segments} \
+                 peak_bytes {}",
+                strategy.name(),
+                compiler.fingerprint(),
+                artifact.stats.hw_ops,
+                artifact.sim_state_bytes_peak()
+            ));
+        }
+    }
+    lines
+}
+
+#[test]
+fn default_compiles_agree_across_fresh_processes() {
+    let child = || {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "compile_shape_child", "--ignored", "--nocapture"])
+            .env(SHAPE_ENV, "1")
+            .output()
+            .expect("spawning the child test process");
+        assert!(
+            out.status.success(),
+            "child process failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .filter_map(|line| line.strip_prefix(SHAPE_PREFIX))
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let first = child();
+    let second = child();
+    assert_eq!(first.len(), 6, "child reported {first:?}");
+    assert_eq!(
+        first, second,
+        "two fresh processes compiled differently with default compilers"
+    );
+    assert_eq!(
+        first,
+        compile_shapes(),
+        "this process disagrees with its children"
+    );
+}
+
+/// Child half of [`default_compiles_agree_across_fresh_processes`]:
+/// prints this process's compile shapes.
+#[test]
+#[ignore = "helper: spawned by default_compiles_agree_across_fresh_processes"]
+fn compile_shape_child() {
+    if std::env::var_os(SHAPE_ENV).is_none() {
+        return; // ran directly (e.g. --include-ignored), nothing to report
+    }
+    for line in compile_shapes() {
+        println!("{SHAPE_PREFIX}{line}");
+    }
 }

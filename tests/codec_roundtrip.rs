@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
-use quantum_waltz::prelude::{Circuit, CompileArtifact, CompileOptions, Compiler, Target};
+use quantum_waltz::prelude::{Circuit, CompileArtifact, Compiler, Target};
 use waltz_circuit::{Gate, GateKind};
 use waltz_codec::{
     content_hash, decode_from_slice, decode_versioned, encode_to_vec, encode_versioned,
@@ -145,13 +145,9 @@ fn compiled_cnu_artifacts_round_trip_byte_identical() {
         Strategy::mixed_radix_ccz(),
         Strategy::full_ququart(),
     ] {
-        // Pinned fuse constants keep the artifact process-independent.
-        let artifact = Compiler::with_options(
-            Target::paper(strategy),
-            CompileOptions::default().with_fuse_constants(8, 1024),
-        )
-        .compile(&circuit)
-        .unwrap();
+        let artifact = Compiler::new(Target::paper(strategy))
+            .compile(&circuit)
+            .unwrap();
         let bytes = encode_versioned(&artifact);
         let back: CompileArtifact = decode_versioned(&bytes).unwrap();
         assert_eq!(

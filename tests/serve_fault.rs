@@ -15,8 +15,7 @@ use std::sync::Mutex;
 use quantum_waltz::circuit::Circuit;
 use quantum_waltz::core::fault::{self, FaultPlan};
 use quantum_waltz::core::{
-    CompileError, CompileOptions, Compiler, Degradation, JobStatus, Pass, Strategy,
-    SupervisorPolicy, Target,
+    CompileError, Compiler, Degradation, JobStatus, Pass, Strategy, SupervisorPolicy, Target,
 };
 use quantum_waltz::serve::{ServeClient, Server, ServerConfig};
 use waltz_gates::Q1Gate;
@@ -54,10 +53,7 @@ fn toffoli_chain(i: usize) -> Circuit {
 }
 
 fn compiler() -> Compiler {
-    Compiler::with_options(
-        Target::paper(Strategy::mixed_radix_ccz()),
-        CompileOptions::default().with_fuse_constants(8, 1024),
-    )
+    Compiler::new(Target::paper(Strategy::mixed_radix_ccz()))
 }
 
 #[test]

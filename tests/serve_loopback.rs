@@ -12,8 +12,8 @@ use std::sync::OnceLock;
 
 use quantum_waltz::circuit::Circuit;
 use quantum_waltz::core::{
-    CompileArtifact, CompileError, CompileOptions, CompiledCircuit, Compiler, JobReport, JobStatus,
-    Pass, Strategy, Supervisor, SupervisorPolicy, Target,
+    CompileArtifact, CompileError, CompiledCircuit, Compiler, JobReport, JobStatus, Pass, Strategy,
+    Supervisor, SupervisorPolicy, Target,
 };
 use quantum_waltz::serve::{
     ArtifactSource, BatchEvent, BatchOptions, ClientError, ErrorCode, ServeClient, Server,
@@ -25,14 +25,12 @@ use waltz_gates::Q1Gate;
 const CLIENTS: usize = 4;
 const PER_CLIENT: usize = 16;
 
-/// The compiler both sides of every parity check use: pinned fuse
-/// constants make artifacts process- and host-independent, so the server
-/// and the in-process reference produce the same bytes.
-fn pinned_compiler() -> Compiler {
-    Compiler::with_options(
-        Target::paper(Strategy::mixed_radix_ccz()),
-        CompileOptions::default().with_fuse_constants(8, 1024),
-    )
+/// The compiler both sides of every parity check use: a default one,
+/// whose checked-in cost constants make artifacts process- and
+/// host-independent, so the server and the in-process reference produce
+/// the same bytes.
+fn compiler() -> Compiler {
+    Compiler::new(Target::paper(Strategy::mixed_radix_ccz()))
 }
 
 /// Deterministic, pairwise-distinct circuits (the `Rz` angle encodes the
@@ -70,8 +68,7 @@ static SERVER: OnceLock<Server> = OnceLock::new();
 
 fn server() -> &'static Server {
     SERVER.get_or_init(|| {
-        Server::bind("127.0.0.1:0", pinned_compiler(), ServerConfig::default())
-            .expect("bind loopback")
+        Server::bind("127.0.0.1:0", compiler(), ServerConfig::default()).expect("bind loopback")
     })
 }
 
@@ -108,7 +105,7 @@ fn concurrent_clients_match_in_process_compile_batch() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let reference = Supervisor::new(pinned_compiler());
+    let reference = Supervisor::new(compiler());
     for (k, (chunk, remote_reports)) in chunks.iter().zip(&remote).enumerate() {
         let local_reports = reference.compile_batch(chunk);
         assert_eq!(remote_reports.len(), local_reports.len());
@@ -163,7 +160,7 @@ fn oversized_batch_is_rejected_with_queue_full() {
     // nothing enqueued; the connection stays usable.
     let server = Server::bind(
         "127.0.0.1:0",
-        pinned_compiler(),
+        compiler(),
         ServerConfig::default().with_queue_capacity(4),
     )
     .unwrap();
@@ -251,7 +248,7 @@ fn over_budget_and_deadline_jobs_surface_with_their_codes() {
     // supervisor's structured OverBudget travels the wire intact.
     let server = Server::bind(
         "127.0.0.1:0",
-        pinned_compiler(),
+        compiler(),
         ServerConfig::default()
             .with_policy(SupervisorPolicy::default().with_state_budget_bytes(64)),
     )
@@ -277,7 +274,7 @@ fn over_budget_and_deadline_jobs_surface_with_their_codes() {
     // end to end.
     let server = Server::bind(
         "127.0.0.1:0",
-        pinned_compiler(),
+        compiler(),
         ServerConfig::default().with_policy(SupervisorPolicy::default().with_deadline_ms(0)),
     )
     .unwrap();
@@ -307,7 +304,7 @@ fn remote_simulation_matches_a_local_replay_of_the_same_seed() {
     // By cache reference: the client never ships artifact bytes. The
     // fingerprint is reproducible client-side because the compiler's
     // cost constants are pinned.
-    let fingerprint = pinned_compiler().fingerprint();
+    let fingerprint = compiler().fingerprint();
     let seed = 7u64;
     let trajectories = 24;
     let remote = client
@@ -372,7 +369,7 @@ fn cancel_drops_queued_jobs_and_the_tally_accounts_for_every_job() {
     // One worker so the queue stays deep; cancel right after admission.
     let server = Server::bind(
         "127.0.0.1:0",
-        pinned_compiler(),
+        compiler(),
         ServerConfig::default().with_workers(1),
     )
     .unwrap();
@@ -420,7 +417,7 @@ fn cancel_drops_queued_jobs_and_the_tally_accounts_for_every_job() {
 fn graceful_shutdown_drains_inflight_work() {
     let server = Server::bind(
         "127.0.0.1:0",
-        pinned_compiler(),
+        compiler(),
         ServerConfig::default().with_workers(2),
     )
     .unwrap();

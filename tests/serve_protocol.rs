@@ -13,7 +13,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use quantum_waltz::circuit::Circuit;
-use quantum_waltz::core::{CompileError, CompileOptions, Compiler, Strategy, Target};
+use quantum_waltz::core::{CompileError, Compiler, Strategy, Target};
 use quantum_waltz::serve::protocol::{read_frame, read_message, write_frame};
 use quantum_waltz::serve::{
     ArtifactSource, BatchOptions, ErrorCode, ErrorFrame, FrameError, JobPhase, Request, Response,
@@ -28,10 +28,7 @@ static SERVER: OnceLock<Server> = OnceLock::new();
 
 fn server() -> &'static Server {
     SERVER.get_or_init(|| {
-        let compiler = Compiler::with_options(
-            Target::paper(Strategy::mixed_radix_ccz()),
-            CompileOptions::default().with_fuse_constants(8, 1024),
-        );
+        let compiler = Compiler::new(Target::paper(Strategy::mixed_radix_ccz()));
         Server::bind("127.0.0.1:0", compiler, ServerConfig::default()).expect("bind loopback")
     })
 }

@@ -22,7 +22,7 @@ const TOL: f64 = 1e-12;
 
 /// Compiles with windowed registers under the pure byte-seconds cost
 /// model (`window_sweep_fixed = 0`, the PR 5 pricing this suite pins —
-/// the calibrated default additionally merges marginal boundaries, see
+/// the default fixed term additionally merges marginal boundaries, see
 /// `calibrated_sweep_cost_merges_marginal_splits`) and with the PR 4
 /// whole-program demoted registers.
 fn compile_both(circuit: &Circuit, strategy: Strategy) -> (CompileArtifact, CompileArtifact) {
@@ -173,9 +173,9 @@ fn disjoint_windows_beat_whole_program_demotion() {
 /// The window cost model folds a fixed per-sweep term into boundary
 /// pricing: a large term merges every marginal split back into the
 /// whole-program register, zero restores pure byte pricing, and the
-/// *default* (fusion's machine-calibrated constant, so the exact value
-/// is build-profile dependent) must sit monotonically between the two —
-/// never splitting more than pure byte pricing does.
+/// *default* (fusion's checked-in per-sweep constant, once measured by
+/// a sweep-timing calibration — hence the name) must sit monotonically
+/// between the two — never splitting more than pure byte pricing does.
 #[test]
 fn calibrated_sweep_cost_merges_marginal_splits() {
     let compile_fixed = |circuit: &Circuit, fixed: Option<usize>| {
@@ -203,14 +203,14 @@ fn calibrated_sweep_cost_merges_marginal_splits() {
             taxed.sim_segments().is_none(),
             "a prohibitive fixed term must merge every boundary"
         );
-        let calibrated = compile_fixed(&circuit, None);
+        let default = compile_fixed(&circuit, None);
         assert!(
-            seg_count(&calibrated) <= seg_count(&free),
-            "the calibrated term must only ever merge boundaries, not add them"
+            seg_count(&default) <= seg_count(&free),
+            "the default term must only ever merge boundaries, not add them"
         );
-        // Whatever the calibration decides, the peak never exceeds the
+        // Whatever the default term decides, the peak never exceeds the
         // whole-program register.
-        assert!(calibrated.sim_state_bytes_peak() <= calibrated.timed.register.state_bytes());
+        assert!(default.sim_state_bytes_peak() <= default.timed.register.state_bytes());
     }
 }
 
