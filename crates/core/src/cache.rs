@@ -6,7 +6,10 @@
 //! Both tiers hold **encoded bytes**, not live artifacts: every hit runs
 //! the full [`waltz_codec`] decode path, so a replayed artifact is
 //! guaranteed to be whatever the wire format can represent — the same
-//! guarantee a fresh process loading the disk store gets. Everything
+//! guarantee a fresh process loading the disk store gets. The memory
+//! tier shares its bytes (`Arc<Vec<u8>>`): a store moves the encoding in
+//! and a hit decodes straight from the shared buffer, so neither copies
+//! it (a qram-21q artifact encodes to 5.4 MB). Everything
 //! the compile derived (fusion decisions, occupancy profiles, windowed
 //! segments) is captured inside the stored artifact, never re-derived on
 //! a hit. The compiler half of the key is a pure function of the target,
@@ -30,10 +33,13 @@ const DEFAULT_MEMORY_CAPACITY: usize = 64;
 /// fingerprint (target + resolved options), both 64-bit FNV-1a.
 pub(crate) type CacheKey = (u64, u64);
 
+/// The memory tier: key → (LRU tick, shared versioned artifact bytes).
+type MemoryTier = HashMap<CacheKey, (u64, Arc<Vec<u8>>)>;
+
 #[derive(Debug)]
 struct ArtifactCacheInner {
-    /// Memory tier: key → (LRU tick, versioned artifact bytes).
-    map: Mutex<HashMap<CacheKey, (u64, Vec<u8>)>>,
+    /// Memory tier.
+    map: Mutex<MemoryTier>,
     /// Memory-tier capacity in artifacts; 0 disables the memory tier.
     capacity: usize,
     /// Monotonic LRU clock.
@@ -216,7 +222,7 @@ impl ArtifactCache {
 
     /// The map lock, tolerating poisoning: a panicked compilation thread
     /// can only ever have inserted whole entries.
-    fn lock(&self) -> MutexGuard<'_, HashMap<CacheKey, (u64, Vec<u8>)>> {
+    fn lock(&self) -> MutexGuard<'_, MemoryTier> {
         match self.inner.map.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -258,33 +264,35 @@ impl ArtifactCache {
     }
 
     /// The stored bytes for a key: memory tier first (bumping its LRU
-    /// tick), then the disk tier (promoting a hit into memory).
-    fn lookup_bytes(&self, key: CacheKey) -> Option<Vec<u8>> {
+    /// tick), then the disk tier (promoting a hit into memory). The lock
+    /// is held only to share the buffer, never to decode it.
+    fn lookup_bytes(&self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
         {
             let mut map = self.lock();
             if let Some((tick, bytes)) = map.get_mut(&key) {
                 *tick = self.inner.tick.fetch_add(1, Ordering::Relaxed);
-                return Some(bytes.clone());
+                return Some(Arc::clone(bytes));
             }
         }
         let dir = self.inner.dir.as_ref()?;
         let bytes = std::fs::read(Self::path_for(dir, key)).ok()?;
         // Validate before promoting so corrupt files never enter memory.
         decode_versioned::<CompileArtifact>(&bytes).ok()?;
-        self.insert_memory(key, bytes.clone());
+        let bytes = Arc::new(bytes);
+        self.insert_memory(key, Arc::clone(&bytes));
         Some(bytes)
     }
 
     /// Stores an artifact's versioned encoding in both tiers.
     pub(crate) fn store(&self, key: CacheKey, artifact: &CompileArtifact) {
-        let bytes = encode_versioned(artifact);
+        let bytes = Arc::new(encode_versioned(artifact));
         if let Some(dir) = &self.inner.dir {
             // Best-effort: a read-only or full disk degrades the cache,
             // never the compilation.
             let _ = std::fs::create_dir_all(dir);
             let path = Self::path_for(dir, key);
             let tmp = path.with_extension("tmp");
-            if std::fs::write(&tmp, &bytes).is_ok() {
+            if std::fs::write(&tmp, bytes.as_slice()).is_ok() {
                 let _ = std::fs::rename(&tmp, &path);
             }
             if let Some(cap) = self.inner.disk_capacity {
@@ -340,7 +348,7 @@ impl ArtifactCache {
 
     /// Inserts into the memory tier, evicting the least recently used
     /// entry when full.
-    fn insert_memory(&self, key: CacheKey, bytes: Vec<u8>) {
+    fn insert_memory(&self, key: CacheKey, bytes: Arc<Vec<u8>>) {
         if self.inner.capacity == 0 {
             return;
         }

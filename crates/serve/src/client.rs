@@ -10,7 +10,7 @@ use waltz_core::JobReport;
 
 use crate::protocol::{
     read_message, write_frame, ArtifactSource, BatchOptions, ErrorFrame, FrameError, JobPhase,
-    Request, Response,
+    Request, Response, MAX_SIM_TRAJECTORIES,
 };
 use crate::stats::StatsSnapshot;
 
@@ -288,7 +288,10 @@ impl ServeClient {
     }
 
     /// Runs a remote simulation, collecting the streamed per-trajectory
-    /// fidelities and the closing summary.
+    /// fidelities and the closing summary. A count over
+    /// [`MAX_SIM_TRAJECTORIES`] comes back as a [`ClientError::Server`]
+    /// frame with [`crate::ErrorCode::OVER_BUDGET`]; the connection stays
+    /// usable.
     pub fn simulate(
         &mut self,
         source: ArtifactSource,
@@ -302,7 +305,9 @@ impl ServeClient {
             seed,
             chunk,
         })?;
-        let mut fidelities: Vec<f64> = Vec::with_capacity(trajectories);
+        // The server declines counts over the cap before streaming any
+        // sample, so the cap is the most this call can ever collect.
+        let mut fidelities: Vec<f64> = Vec::with_capacity(trajectories.min(MAX_SIM_TRAJECTORIES));
         loop {
             match self.response()? {
                 Response::TrajectoryChunk {

@@ -76,7 +76,7 @@ pub mod stats;
 pub use client::{BatchEvent, BatchStream, ClientError, RetryPolicy, ServeClient, SimulateResult};
 pub use protocol::{
     ArtifactSource, BatchOptions, ErrorCode, ErrorFrame, FrameError, JobPhase, Request, Response,
-    FRAME_MAGIC, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    FRAME_MAGIC, MAX_FRAME_BYTES, MAX_SIM_TRAJECTORIES, PROTOCOL_VERSION,
 };
 pub use server::{LoadWatermark, Server, ServerConfig};
 pub use stats::{ServerStats, StatsSnapshot};

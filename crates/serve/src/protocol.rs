@@ -17,7 +17,18 @@
 //! or [`Response`]. Readers reject foreign magic, other protocol
 //! versions and frames over [`MAX_FRAME_BYTES`] *before* touching the
 //! payload, so a hostile or confused peer costs a bounded read, never an
-//! allocation it names. [`PROTOCOL_VERSION`] is independent of
+//! allocation it names.
+//!
+//! One frame is one write: [`write_frame`] encodes the header and the
+//! payload into a single buffer and hands it to the socket in one
+//! `write_all`, and both ends run with `TCP_NODELAY`. Each half is
+//! needed. With Nagle's algorithm on, a segment written while an earlier
+//! one is unacknowledged waits for the peer's ACK, and the peer delays
+//! that ACK (about 40 ms on Linux): a payload written after its header,
+//! or the back-to-back frames of a simulate stream, would wait that long
+//! for no work.
+//!
+//! [`PROTOCOL_VERSION`] is independent of
 //! [`waltz_codec::CODEC_VERSION`]: the codec versions *what the bytes
 //! mean*, the protocol versions *which messages exist* — either may move
 //! without the other, and each is gated by its own golden fixture.
@@ -34,7 +45,7 @@
 use std::io::{Read, Write};
 
 use waltz_circuit::Circuit;
-use waltz_codec::{encode_to_vec, ByteReader, ByteWriter, Decode, DecodeError, Encode};
+use waltz_codec::{ByteReader, ByteWriter, Decode, DecodeError, Encode};
 use waltz_core::{CompileArtifact, CompileError, JobReport, JobStatus};
 
 use crate::stats::StatsSnapshot;
@@ -57,6 +68,15 @@ pub const FRAME_MAGIC: [u8; 4] = *b"WSRV";
 /// both sides. Generous next to any real batch (artifacts are tens of
 /// kilobytes) while keeping a corrupt length prefix harmless.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Bytes in a frame header: magic, version and payload length.
+pub(crate) const FRAME_HEADER_BYTES: usize = 12;
+
+/// Upper bound on [`Request::Simulate`] trajectories. The server answers
+/// a request over it with a connection-scoped [`ErrorCode::OVER_BUDGET`]
+/// frame before allocating anything, and the client bounds its sample
+/// pre-allocation by it. At the cap the streamed samples take 8 MiB.
+pub const MAX_SIM_TRAJECTORIES: usize = 1 << 20;
 
 /// Why reading a frame failed.
 #[derive(Debug)]
@@ -115,26 +135,31 @@ impl From<DecodeError> for FrameError {
     }
 }
 
-/// Writes one message as a frame, returning the bytes put on the wire
-/// (header + payload) so callers can account traffic.
+/// Writes one message as a frame in a single `write_all`, returning the
+/// bytes put on the wire (header + payload) so callers can account
+/// traffic. The message is encoded straight after a placeholder header
+/// whose length field is patched afterwards, so the payload is never
+/// copied.
 pub fn write_frame<W: Write, T: Encode>(w: &mut W, msg: &T) -> std::io::Result<usize> {
-    let payload = encode_to_vec(msg);
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES, "oversized outbound frame");
-    let mut header = [0u8; 12];
-    header[..4].copy_from_slice(&FRAME_MAGIC);
-    header[4..8].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(&payload)?;
+    let mut frame = ByteWriter::new();
+    frame.put_raw(&FRAME_MAGIC);
+    frame.put_u32(PROTOCOL_VERSION);
+    frame.put_u32(0);
+    msg.encode(&mut frame);
+    let mut frame = frame.into_bytes();
+    let len = frame.len() - FRAME_HEADER_BYTES;
+    debug_assert!(len <= MAX_FRAME_BYTES, "oversized outbound frame");
+    frame[8..FRAME_HEADER_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
-    Ok(header.len() + payload.len())
+    Ok(frame.len())
 }
 
 /// Reads one frame's payload bytes, validating magic, version and length
 /// before allocating. [`FrameError::Closed`] means the peer hung up
 /// cleanly between frames; EOF *inside* a frame is an I/O error.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; 12];
+    let mut header = [0u8; FRAME_HEADER_BYTES];
     // Distinguish a clean close (no bytes at all) from a truncated frame.
     let mut got = 0;
     while got < header.len() {
@@ -159,7 +184,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     if version != PROTOCOL_VERSION {
         return Err(FrameError::VersionMismatch { found: version });
     }
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
+    let len = u32::from_le_bytes(header[8..FRAME_HEADER_BYTES].try_into().unwrap()) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge { len: len as u64 });
     }
@@ -283,7 +308,7 @@ pub enum Request {
     Simulate {
         /// The artifact to simulate.
         source: ArtifactSource,
-        /// Trajectories to run.
+        /// Trajectories to run, at most [`MAX_SIM_TRAJECTORIES`].
         trajectories: usize,
         /// RNG seed (the run is deterministic given the seed).
         seed: u64,
@@ -567,7 +592,8 @@ impl ErrorCode {
     /// ([`CompileError::DeadlineExceeded`]).
     pub const DEADLINE_EXCEEDED: ErrorCode = ErrorCode(9);
     /// No degradation rung fit the state-byte budget
-    /// ([`CompileError::OverBudget`]).
+    /// ([`CompileError::OverBudget`]), or a simulate asked for more than
+    /// [`MAX_SIM_TRAJECTORIES`].
     pub const OVER_BUDGET: ErrorCode = ErrorCode(10);
     /// A [`ArtifactSource::Cached`] reference missed the server's cache.
     pub const NOT_FOUND: ErrorCode = ErrorCode(11);
@@ -751,7 +777,7 @@ pub(crate) fn frame_error_code(err: &FrameError) -> Option<(ErrorCode, String)> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waltz_codec::decode_from_slice;
+    use waltz_codec::{decode_from_slice, encode_to_vec};
 
     fn round_trip<T: Encode + Decode>(value: &T) -> T {
         decode_from_slice(&encode_to_vec(value)).expect("round trip")
@@ -866,6 +892,47 @@ mod tests {
             read_message::<_, Request>(&mut cursor).unwrap_err(),
             FrameError::Closed
         ));
+    }
+
+    /// A sink that keeps each `write` call's bytes separately.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_of_header_then_payload() {
+        // Two writes per frame let Nagle hold the second one until the
+        // peer's delayed ACK: one frame must reach the socket in one call.
+        let messages = [
+            Response::Pong { token: 5 },
+            Response::TrajectoryChunk {
+                start: 0,
+                fidelities: vec![0.25; 300],
+            },
+            Response::Error(ErrorFrame::connection(ErrorCode::NOT_FOUND, "miss")),
+        ];
+        for msg in &messages {
+            let mut log = WriteLog::default();
+            let n = write_frame(&mut log, msg).unwrap();
+            assert_eq!(log.0.len(), 1, "{msg:?} took {} writes", log.0.len());
+            let payload = encode_to_vec(msg);
+            let mut expected = FRAME_MAGIC.to_vec();
+            expected.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+            expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&payload);
+            assert_eq!(log.0[0], expected, "{msg:?}");
+            assert_eq!(n, expected.len());
+        }
     }
 
     #[test]

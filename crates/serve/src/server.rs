@@ -21,13 +21,18 @@
 //! channel, and intercepting [`Request::Cancel`] so it acts mid-stream)
 //! and a *handler* thread (the only writer on the socket; requests that
 //! arrive while a batch is streaming simply wait in the channel).
+//! Accepted sockets run with `TCP_NODELAY` and the handler writes each
+//! response frame in one call ([`crate::protocol::write_frame`]), so a
+//! streamed response never waits on the client's delayed ACK.
 //! Batches are admitted all-or-nothing against the bounded queue — a
 //! full queue is a typed [`ErrorCode::QUEUE_FULL`] backpressure frame,
 //! not a hang — and the worker pool runs every job through the shared
 //! supervisor, so panic isolation, deadlines, the byte-budget ladder and
 //! the artifact cache behave exactly as they do in-process. Failed jobs
 //! return to *their* client as job-scoped [`ErrorFrame`]s; sibling jobs
-//! and other connections never see them.
+//! and other connections never see them. A [`Request::Simulate`] over
+//! [`MAX_SIM_TRAJECTORIES`] is declined with [`ErrorCode::OVER_BUDGET`]
+//! before anything is allocated for it.
 //!
 //! # Load shedding
 //!
@@ -52,7 +57,7 @@ use waltz_core::{
 
 use crate::protocol::{
     frame_error_code, read_frame, write_frame, ArtifactSource, BatchOptions, ErrorCode, ErrorFrame,
-    FrameError, JobPhase, Request, Response,
+    FrameError, JobPhase, Request, Response, FRAME_HEADER_BYTES, MAX_SIM_TRAJECTORIES,
 };
 use crate::stats::{ServerStats, StatsSnapshot};
 
@@ -409,6 +414,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
+                // Without it, Nagle holds a frame written while the
+                // previous one is unacknowledged until the client's
+                // delayed ACK (about 40 ms on Linux).
+                let _ = stream.set_nodelay(true);
                 shared.stats.connection();
                 let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
                 if let Ok(clone) = stream.try_clone() {
@@ -455,7 +464,7 @@ fn reader_loop(
     loop {
         match read_frame(&mut read_half) {
             Ok(payload) => {
-                shared.stats.received(payload.len() + 12);
+                shared.stats.received(payload.len() + FRAME_HEADER_BYTES);
                 match waltz_codec::decode_from_slice::<Request>(&payload) {
                     Ok(Request::Cancel) => {
                         cancel_gen.fetch_add(1, Ordering::Relaxed);
@@ -677,6 +686,12 @@ impl Connection<'_> {
         seed: u64,
         chunk: usize,
     ) -> bool {
+        if trajectories > MAX_SIM_TRAJECTORIES {
+            return self.send(&Response::Error(ErrorFrame::connection(
+                ErrorCode::OVER_BUDGET,
+                format!("{trajectories} trajectories exceed the cap of {MAX_SIM_TRAJECTORIES}"),
+            )));
+        }
         let artifact: CompileArtifact = match source {
             ArtifactSource::Inline(artifact) => *artifact,
             ArtifactSource::Cached {

@@ -6,9 +6,12 @@
 //! server's shared artifact cache, backpressure and failed jobs arrive
 //! as typed error frames scoped to the owning client, and remote
 //! simulation streams the exact trajectory fidelities a local replay of
-//! the same seed produces.
+//! the same seed produces. Round trips never wait on a delayed ACK:
+//! hundreds of pings and chunked simulate streams on one connection
+//! finish in well under a second.
 
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use quantum_waltz::circuit::Circuit;
 use quantum_waltz::core::{
@@ -362,6 +365,67 @@ fn remote_simulation_matches_a_local_replay_of_the_same_seed() {
         other => panic!("expected NOT_FOUND, got {other:?}"),
     }
     assert_eq!(client.ping(1).expect("still connected"), 1);
+}
+
+#[test]
+fn round_trips_on_one_connection_never_wait_on_delayed_acks() {
+    // With Nagle's algorithm on the server socket, a frame written while
+    // the previous segment is unacknowledged waits for the client's
+    // delayed ACK, at least 40 ms on Linux. A frame written as a header
+    // and then a payload pays it once per response (200 pings: ~9 s); a
+    // chunked simulate stream (16 one-trajectory chunks plus the summary
+    // = 17 frames here) pays it about once per simulate even when each
+    // frame is a single write (20 simulates: ~0.9 s, inside the overall
+    // bound — the medians catch it). Without either stall all of this
+    // takes tens of milliseconds.
+    let circuit = distinct_circuit(7800);
+    let mut client = connect();
+    let reports = client
+        .compile_batch(vec![circuit.clone()])
+        .expect("compile");
+    assert_eq!(reports[0].status, JobStatus::Ok);
+    let (circuit_hash, fingerprint) = (content_hash(&circuit), compiler().fingerprint());
+
+    let t0 = Instant::now();
+    let mut pings = Vec::new();
+    for token in 0..200u64 {
+        let t = Instant::now();
+        assert_eq!(client.ping(token).expect("ping"), token);
+        pings.push(t.elapsed());
+    }
+    let mut simulates = Vec::new();
+    for seed in 0..20u64 {
+        let source = ArtifactSource::Cached {
+            circuit_hash,
+            fingerprint,
+        };
+        let t = Instant::now();
+        let result = client.simulate(source, 16, seed, 1).expect("simulate");
+        simulates.push(t.elapsed());
+        assert_eq!(result.fidelities.len(), 16);
+    }
+    let wall = t0.elapsed();
+    assert!(
+        wall < Duration::from_secs(2),
+        "200 pings + 20 chunked simulates took {wall:?}"
+    );
+    // Medians, so one descheduled round trip cannot fail the test; the
+    // bound sits at half the delayed-ACK floor.
+    let median = |times: &mut Vec<Duration>| {
+        times.sort();
+        times[times.len() / 2]
+    };
+    let stall = Duration::from_millis(20);
+    let ping = median(&mut pings);
+    assert!(
+        ping < stall,
+        "median ping {ping:?}: the reply waited on an ACK"
+    );
+    let simulate = median(&mut simulates);
+    assert!(
+        simulate < stall,
+        "median 17-frame simulate {simulate:?}: a frame waited on an ACK"
+    );
 }
 
 #[test]

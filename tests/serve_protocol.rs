@@ -4,6 +4,9 @@
 //! a live server answers malformed, truncated, oversized and
 //! foreign-version frames with typed [`ErrorFrame`]s — never a panic,
 //! never a silent hang — while staying healthy for the next connection.
+//! Well-formed but hostile requests (a simulate naming an absurd
+//! trajectory count) get a typed frame too, and the same connection
+//! keeps serving.
 
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
@@ -16,9 +19,9 @@ use quantum_waltz::circuit::Circuit;
 use quantum_waltz::core::{CompileError, Compiler, Strategy, Target};
 use quantum_waltz::serve::protocol::{read_frame, read_message, write_frame};
 use quantum_waltz::serve::{
-    ArtifactSource, BatchOptions, ErrorCode, ErrorFrame, FrameError, JobPhase, Request, Response,
-    ServeClient, Server, ServerConfig, StatsSnapshot, FRAME_MAGIC, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    ArtifactSource, BatchOptions, ClientError, ErrorCode, ErrorFrame, FrameError, JobPhase,
+    Request, Response, ServeClient, Server, ServerConfig, StatsSnapshot, FRAME_MAGIC,
+    MAX_FRAME_BYTES, MAX_SIM_TRAJECTORIES, PROTOCOL_VERSION,
 };
 use waltz_gates::Q1Gate;
 
@@ -151,6 +154,42 @@ fn clean_close_gets_no_error_frame() {
         Err(FrameError::Closed) | Err(FrameError::Io(_))
     ));
     assert_server_alive();
+}
+
+#[test]
+fn hostile_trajectory_counts_answer_over_budget_on_a_live_connection() {
+    // Well-formed simulates of a real cached artifact whose sample vector
+    // alone would need 8 MiB + 8 bytes, 8 TiB (1 << 40) or more than the
+    // address space (usize::MAX). Each is declined with a typed frame
+    // before anything is allocated for it — unchecked, 1 << 40 asks the
+    // allocator for 8 TiB, and a failed allocation aborts the whole
+    // server — and the same connection answers the next request.
+    let mut client = ServeClient::connect(server().local_addr().to_string()).expect("connect");
+    let mut c = Circuit::new(3);
+    c.h(0).ccx(0, 1, 2);
+    let reports = client.compile_batch(vec![c.clone()]).expect("compile");
+    assert!(reports[0].result.is_ok());
+    let cached = || ArtifactSource::Cached {
+        circuit_hash: waltz_codec::content_hash(&c),
+        fingerprint: server().supervisor().compiler().fingerprint(),
+    };
+    for trajectories in [MAX_SIM_TRAJECTORIES + 1, 1 << 40, usize::MAX] {
+        match client.simulate(cached(), trajectories, 1, 0) {
+            Err(ClientError::Server(frame)) => {
+                assert_eq!(frame.code, ErrorCode::OVER_BUDGET, "{trajectories}");
+                assert!(frame.job.is_none(), "the refusal is connection-scoped");
+            }
+            Err(other) => panic!("{trajectories} trajectories: expected OVER_BUDGET, got {other}"),
+            Ok(run) => panic!(
+                "{trajectories} trajectories: expected OVER_BUDGET, ran {}",
+                run.fidelities.len()
+            ),
+        }
+        assert_eq!(client.ping(7).expect("same connection"), 7);
+    }
+    // A count within the cap still runs on the same connection.
+    let result = client.simulate(cached(), 8, 1, 0).expect("simulate");
+    assert_eq!(result.fidelities.len(), 8);
 }
 
 // ---------------------------------------------------------------------
