@@ -144,14 +144,12 @@ pub struct Workspace {
     pub(crate) offsets: Vec<usize>,
     /// Non-operand qudit indices of the current sweep.
     pub(crate) others: Vec<usize>,
-    /// Per-level occupation probabilities (damping).
-    pub(crate) level_p: Vec<f64>,
-    /// Per-level decay weights (damping).
-    pub(crate) lambdas: Vec<f64>,
-    /// Per-level jump probabilities (damping).
-    pub(crate) jump_p: Vec<f64>,
     /// Per-qudit busy-until times (trajectory runner).
     pub(crate) free_at: Vec<f64>,
+    /// Deferred damping normalization of the running trajectory: the
+    /// trajectory's state is `norm_scale ×` the stored amplitudes
+    /// (trajectory runner).
+    pub(crate) norm_scale: f64,
     /// The SIMD tier the sweep bodies run at.
     pub(crate) simd: SimdLevel,
     /// nnz/amps ratio above which an adaptive state switches sparse →
@@ -172,16 +170,22 @@ impl Workspace {
         Workspace {
             offsets: Vec::new(),
             others: Vec::new(),
-            level_p: Vec::new(),
-            lambdas: Vec::new(),
-            jump_p: Vec::new(),
             free_at: Vec::new(),
+            norm_scale: 1.0,
             simd: SimdLevel::detect(),
             sparse_density_threshold: crate::sparse::DEFAULT_SPARSE_DENSITY_THRESHOLD,
             sparse_epsilon: 0.0,
             sparse_gather: Vec::new(),
             sparse_out: Vec::new(),
         }
+    }
+
+    /// Starts a trajectory over `n_qudits` devices: every device free at
+    /// time 0 and no deferred damping normalization.
+    pub(crate) fn begin_trajectory(&mut self, n_qudits: usize) {
+        self.free_at.clear();
+        self.free_at.resize(n_qudits, 0.0);
+        self.norm_scale = 1.0;
     }
 
     /// The same workspace as [`Workspace::new`] (sweeps never split

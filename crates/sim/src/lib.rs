@@ -12,7 +12,11 @@
 //! * [`trajectory`] — the paper's modified trajectory method (§6.4):
 //!   before each gate, each operand is amplitude-damped for the *exact*
 //!   time it has been idle; after each gate a generalized-Pauli error is
-//!   drawn with probability `1 - F_gate` (§6.5).
+//!   drawn with probability `1 - F_gate` (§6.5). A damping step reads
+//!   the state once (the damped qudit's level populations) and writes
+//!   only the levels its branch changes; its normalization is deferred
+//!   into one factor per trajectory, applied after the last step (see
+//!   the [`trajectory`] module docs).
 //!
 //! # The kernel layer
 //!
@@ -124,6 +128,9 @@
 //! simulator performs one in-flight [`State::reshape_into`] — an
 //! expand/clip that preserves amplitude labels and asserts (at
 //! [`RESHAPE_LEAK_TOL`]) that clipped levels were provably unpopulated.
+//! Trailing qudits whose dimension the boundary keeps map contiguous
+//! runs of amplitudes onto contiguous runs, so a reshape is a sequence of
+//! run copies rather than a per-amplitude index decomposition.
 //! The segmented entry points ([`ideal::run_segmented_into`],
 //! [`trajectory::run_trajectory_segmented_into`],
 //! [`trajectory::average_fidelity_segmented_with`], [`SegmentedSession`])

@@ -32,6 +32,7 @@ use waltz_math::{Matrix, C64};
 use waltz_noise::{CoherenceModel, PauliOp};
 
 use crate::kernel::{self, GateKernel, Workspace};
+use crate::state::{DampingStep, POP_LANES};
 use crate::{Register, State, TimedOp};
 
 /// Default nnz/amps ratio above which an [`AdaptiveState`] abandons the
@@ -567,104 +568,91 @@ impl SparseState {
         }
     }
 
-    /// One stochastic amplitude-damping step — the sparse counterpart of
-    /// [`State::damping_step_with`], consuming the identical RNG stream:
-    /// the same two pre-RNG early returns, level probabilities
-    /// accumulated in the same per-span-block partial-sum order (absent
-    /// amplitudes contribute exact zeros), one uniform draw, and the
-    /// same collapse/no-jump arithmetic.
+    /// One stochastic amplitude-damping step, normalized — the sparse
+    /// counterpart of [`State::damping_step_with`], consuming the
+    /// identical RNG stream. The workspace is not used; the parameter
+    /// stays for existing callers.
     pub fn damping_step_with<R: Rng + ?Sized>(
         &mut self,
         model: &CoherenceModel,
         qudit: usize,
         dt_ns: f64,
         rng: &mut R,
-        ws: &mut Workspace,
+        _ws: &mut Workspace,
     ) {
-        if dt_ns <= 0.0 {
-            return;
-        }
+        let mut scale = 1.0;
+        self.damping_step_deferred(model, qudit, dt_ns, rng, &mut scale);
+        self.scale_amplitudes(scale);
+    }
+
+    /// The sparse mirror of `State::damping_step_deferred`: the same two
+    /// pre-RNG early returns, level populations accumulated into the same
+    /// lanes in the same order (absent amplitudes would add exact zeros),
+    /// the same draw, and the same collapse/no-jump arithmetic, leaving
+    /// normalization to `scale`.
+    pub(crate) fn damping_step_deferred<R: Rng + ?Sized>(
+        &mut self,
+        model: &CoherenceModel,
+        qudit: usize,
+        dt_ns: f64,
+        rng: &mut R,
+        scale: &mut f64,
+    ) {
         let dim = self.register.dim(qudit);
-        ws.lambdas.clear();
-        ws.lambdas.extend((1..dim).map(|m| model.lambda(m, dt_ns)));
-        if ws.lambdas.iter().all(|&l| l == 0.0) {
+        let Some(mut step) = DampingStep::new(model, dim, dt_ns) else {
             return;
-        }
+        };
         let stride = self.register.stride(qudit);
-        let span = stride * dim;
-        ws.level_p.clear();
-        ws.level_p.resize(dim, 0.0);
-        // Sorted entries visit each (span block, level) slice as one
-        // contiguous run, so the per-slice partial sums reassociate
-        // exactly like the dense `chunks_exact(span)` loop.
-        let mut i = 0;
-        while i < self.entries.len() {
-            let idx = self.entries[i].0 as usize;
-            let block = idx / span;
-            let lvl = (idx / stride) % dim;
-            let mut partial = 0.0f64;
-            while i < self.entries.len() {
-                let idx = self.entries[i].0 as usize;
-                if idx / span != block || (idx / stride) % dim != lvl {
-                    break;
-                }
-                partial += self.entries[i].1.norm_sqr();
-                i += 1;
-            }
-            ws.level_p[lvl] += partial;
+        // The dense lane order (`POP_LANES`): each stored amplitude into
+        // lane `idx % POP_LANES` of its level, in ascending index order.
+        let lanes = step.lanes_mut();
+        for &(idx, amp) in &self.entries {
+            let idx = idx as usize;
+            lanes[(idx / stride) % dim][idx % POP_LANES] += amp.norm_sqr();
         }
-        ws.jump_p.clear();
-        for m in 1..dim {
-            ws.jump_p.push(ws.lambdas[m - 1] * ws.level_p[m]);
-        }
-        let total_jump: f64 = ws.jump_p.iter().sum();
-        let roll: f64 = rng.gen();
-        if roll < total_jump {
-            let mut acc = 0.0;
-            let mut level = 1;
-            for (m, &p) in ws.jump_p.iter().enumerate() {
-                acc += p;
-                if roll < acc {
-                    level = m + 1;
-                    break;
-                }
+        match step.draw(scale, rng) {
+            // Jump: entries on `level` move to ground (subtracting the
+            // same `level * stride` keeps them sorted), every other entry
+            // is dropped.
+            Some(level) => {
+                let shift = (level * stride) as u64;
+                self.entries.retain_mut(|(idx, _)| {
+                    if (*idx as usize / stride) % dim == level {
+                        *idx -= shift;
+                        true
+                    } else {
+                        false
+                    }
+                });
             }
-            self.collapse_level_to_ground(qudit, level);
-        } else {
-            for (idx, amp) in &mut self.entries {
-                let lvl = (*idx as usize / stride) % dim;
-                if lvl >= 1 {
-                    let scale = (1.0 - ws.lambdas[lvl - 1]).sqrt();
-                    *amp *= scale;
+            None => {
+                let keep = step.keep();
+                for (idx, amp) in &mut self.entries {
+                    let lvl = (*idx as usize / stride) % dim;
+                    if lvl >= 1 {
+                        *amp *= keep[lvl];
+                    }
                 }
+                self.truncate();
             }
-            self.normalize();
-            self.truncate();
         }
     }
 
-    /// Applies the jump `K_m` (decay of `level` to ground) and
-    /// normalizes: entries on `level` move to ground (subtracting the
-    /// same `level * stride` keeps them sorted), every other entry is
-    /// dropped.
-    fn collapse_level_to_ground(&mut self, qudit: usize, level: usize) {
-        let stride = self.register.stride(qudit);
-        let dim = self.register.dim(qudit);
-        let shift = (level * stride) as u64;
-        self.entries.retain_mut(|(idx, _)| {
-            if (*idx as usize / stride) % dim == level {
-                *idx -= shift;
-                true
-            } else {
-                false
+    /// Multiplies every stored amplitude by `factor` (a no-op for `1.0`)
+    /// — the same multiply as `State::scale_amplitudes`.
+    pub(crate) fn scale_amplitudes(&mut self, factor: f64) {
+        if factor != 1.0 {
+            for (_, a) in &mut self.entries {
+                *a *= factor;
             }
-        });
-        self.normalize();
+        }
     }
 
     /// Drops entries at or below the truncation epsilon. With epsilon
     /// `0` only exact zeros are dropped, which never changes any dense
-    /// sum the entries feed into.
+    /// sum the entries feed into. Like every rebuild arm it compares the
+    /// stored amplitudes, which inside a trajectory carry the deferred
+    /// damping normalization (see [`crate::trajectory`]).
     fn truncate(&mut self) {
         let eps2 = self.epsilon * self.epsilon;
         self.entries.retain(|(_, a)| a.norm_sqr() > eps2);
@@ -672,9 +660,10 @@ impl SparseState {
 
     /// Reshape onto `out`'s register, clipping whatever population sits
     /// outside it and returning the clipped probability — the sparse
-    /// counterpart of [`State::reshape_into_lossy`] (same digit-wise
-    /// amplitude-label mapping, clip sum accumulated in the same
-    /// ascending-source-index order, no renormalization).
+    /// counterpart of [`State::reshape_into_lossy`] (same amplitude-label
+    /// mapping, here digit by digit per stored entry; clip sum
+    /// accumulated in the same ascending-source-index order; no
+    /// renormalization).
     ///
     /// # Panics
     ///
@@ -940,25 +929,53 @@ impl AdaptiveState {
         self.note_peak();
     }
 
-    /// One stochastic amplitude-damping step (same RNG stream in either
-    /// representation).
+    /// One stochastic amplitude-damping step, normalized (same RNG
+    /// stream in either representation).
     pub fn damping_step_with<R: Rng + ?Sized>(
         &mut self,
         model: &CoherenceModel,
         qudit: usize,
         dt_ns: f64,
         rng: &mut R,
-        ws: &mut Workspace,
+        _ws: &mut Workspace,
+    ) {
+        let mut scale = 1.0;
+        self.damping_step_deferred(model, qudit, dt_ns, rng, &mut scale);
+        self.scale_amplitudes(scale);
+    }
+
+    /// The damping step with normalization deferred into `scale`, in
+    /// whichever representation the state is in.
+    pub(crate) fn damping_step_deferred<R: Rng + ?Sized>(
+        &mut self,
+        model: &CoherenceModel,
+        qudit: usize,
+        dt_ns: f64,
+        rng: &mut R,
+        scale: &mut f64,
     ) {
         if self.is_dense {
             self.dense
                 .as_mut()
                 .expect("dense buffer")
-                .damping_step_with(model, qudit, dt_ns, rng, ws);
+                .damping_step_deferred(model, qudit, dt_ns, rng, scale);
         } else {
-            self.sparse.damping_step_with(model, qudit, dt_ns, rng, ws);
+            self.sparse
+                .damping_step_deferred(model, qudit, dt_ns, rng, scale);
         }
         self.note_peak();
+    }
+
+    /// Multiplies every amplitude by `factor` (a no-op for `1.0`).
+    pub(crate) fn scale_amplitudes(&mut self, factor: f64) {
+        if self.is_dense {
+            self.dense
+                .as_mut()
+                .expect("dense buffer")
+                .scale_amplitudes(factor);
+        } else {
+            self.sparse.scale_amplitudes(factor);
+        }
     }
 
     /// The state's 2-norm.

@@ -3,7 +3,7 @@
 use rand::Rng;
 
 use waltz_math::{vector, Matrix, C64};
-use waltz_noise::PauliOp;
+use waltz_noise::{CoherenceModel, PauliOp};
 
 use crate::kernel::{self, GateKernel, Workspace};
 use crate::{Register, TimedOp};
@@ -354,28 +354,35 @@ impl State {
 
     /// [`State::reshape_into`] for noisy trajectories: clips whatever
     /// population sits outside `out`'s register and returns the clipped
-    /// probability (summed `|amp|²`), **without renormalizing**.
+    /// probability (summed `|amp|²`), without renormalizing the state it
+    /// writes.
     ///
     /// A depolarizing draw inside an `ENC` window can leave population on
     /// levels the *noiseless* occupancy analysis proved empty (e.g. a
     /// ququart Pauli right after the `DEC` pulse); the whole-program
     /// engine simply carries that population to the end, where it
     /// overlaps the ideal state — which never leaves the occupied
-    /// subspace — with amplitude zero. Dropping it here *without*
-    /// renormalizing reproduces that zero contribution to first order
-    /// (renormalizing would bias the estimate upward for every leaking
-    /// trajectory), at the cost of a slightly sub-unit norm for the rest
-    /// of the trajectory. It is not exact: in the whole-program engine,
-    /// amplitude damping or a later window's gates can move leaked
-    /// population *back* into the kept subspace — an `O(p_leak)`
-    /// second-order correction the `window_parity` 4000-trajectory
-    /// statistical pin bounds below one standard error.
+    /// subspace — with amplitude zero. The reshape drops that population
+    /// and leaves a sub-unit norm, but a trajectory keeps it only until
+    /// its next damping step, which weighs its jump probabilities by the
+    /// sub-unit populations and then normalizes: the surviving
+    /// amplitudes are rescaled as if the trajectory had been conditioned
+    /// on not leaking. Only when no damping step follows the reshape
+    /// does the sub-unit norm reach the fidelity overlap. Neither matches
+    /// the whole-program engine exactly, where damping or a later
+    /// window's gates can also move leaked population *back* into the
+    /// kept subspace; the `window_parity` 4000-trajectory statistical pin
+    /// bounds the difference below one standard error.
+    ///
+    /// Trailing qudits whose dimension is unchanged map contiguous runs
+    /// of amplitudes onto contiguous runs, so the reshape walks the
+    /// leading digits with an odometer and copies (or clips) one run at a
+    /// time; clipped probability is summed in ascending source order.
     ///
     /// # Panics
     ///
     /// Panics if the qudit counts differ.
     pub fn reshape_into_lossy(&self, out: &mut State) -> f64 {
-        const MAX_QUDITS: usize = 64;
         let src = &self.register;
         let State {
             register: dst,
@@ -390,17 +397,48 @@ impl State {
             out_amps.copy_from_slice(&self.amps);
             return 0.0;
         }
-        let n = src.n_qudits();
-        assert!(n <= MAX_QUDITS, "register too large for stack digits");
+        // Qudits `lead..` keep their dimension; `lead >= 1` since the
+        // registers differ.
+        let mut lead = src.n_qudits();
+        while src.dim(lead - 1) == dst.dim(lead - 1) {
+            lead -= 1;
+        }
+        assert!(
+            lead <= kernel::MAX_QUDITS,
+            "register too large for stack digits"
+        );
+        let run = src.stride(lead - 1);
         out_amps.fill(C64::ZERO);
-        let mut digits = [0usize; MAX_QUDITS];
+        // Odometer over the leading digits: `clipped` counts the digits
+        // outside `dst`'s range, `dst_base` is the run's offset in `dst`
+        // whenever `clipped == 0`.
+        let mut digits = [0usize; kernel::MAX_QUDITS];
+        let mut clipped = 0usize;
+        let mut dst_base = 0usize;
         let mut leaked = 0.0f64;
-        for (idx, &amp) in self.amps.iter().enumerate() {
-            src.digits_into(idx, &mut digits[..n]);
-            if digits[..n].iter().enumerate().all(|(q, &d)| d < dst.dim(q)) {
-                out_amps[dst.index_of(&digits[..n])] = amp;
+        for src_run in self.amps.chunks_exact(run) {
+            if clipped == 0 {
+                out_amps[dst_base..dst_base + run].copy_from_slice(src_run);
             } else {
-                leaked += amp.norm_sqr();
+                for amp in src_run {
+                    leaked += amp.norm_sqr();
+                }
+            }
+            for q in (0..lead).rev() {
+                let d = digits[q] + 1;
+                if d < src.dim(q) {
+                    digits[q] = d;
+                    dst_base += dst.stride(q);
+                    if d == dst.dim(q) {
+                        clipped += 1;
+                    }
+                    break;
+                }
+                if digits[q] >= dst.dim(q) {
+                    clipped -= 1;
+                }
+                dst_base -= digits[q] * dst.stride(q);
+                digits[q] = 0;
             }
         }
         leaked
@@ -463,101 +501,88 @@ impl State {
     /// One stochastic amplitude-damping step on `qudit` for `dt_ns` of
     /// elapsed time (trajectory unraveling of the §6.5 channel): with
     /// probability `lambda_m P(level m)` the state collapses through the
-    /// jump operator `K_m`; otherwise the no-jump Kraus `K_0` is applied
-    /// and the state renormalized.
+    /// jump operator `K_m`; otherwise the no-jump Kraus `K_0` is applied.
+    /// Either way the result is normalized.
+    ///
+    /// The step reads the state once (the level populations) and, on
+    /// no-jump, rescales only the excited levels; normalization is one
+    /// multiply pass at the end. The trajectory runners skip even that
+    /// pass: they carry the normalizing factor across steps and apply it
+    /// once per trajectory (see [`crate::trajectory`]).
     pub fn damping_step<R: Rng + ?Sized>(
         &mut self,
-        model: &waltz_noise::CoherenceModel,
+        model: &CoherenceModel,
         qudit: usize,
         dt_ns: f64,
         rng: &mut R,
     ) {
-        let mut ws = Workspace::new();
-        self.damping_step_with(model, qudit, dt_ns, rng, &mut ws);
+        let mut scale = 1.0;
+        self.damping_step_deferred(model, qudit, dt_ns, rng, &mut scale);
+        self.scale_amplitudes(scale);
     }
 
-    /// [`State::damping_step`] borrowing its probability buffers from a
-    /// reusable [`Workspace`] — the allocation-free trajectory hot path.
+    /// [`State::damping_step`], at the same cost: one read pass for the
+    /// level populations, a write of the excited levels (no-jump) or of
+    /// every level (jump), and one multiply pass that normalizes. Inside
+    /// a trajectory the runners use the step without that last pass and
+    /// apply one deferred factor per trajectory instead. The workspace
+    /// is not used (the step's per-level tables live on the stack); the
+    /// parameter stays for existing callers.
     pub fn damping_step_with<R: Rng + ?Sized>(
         &mut self,
-        model: &waltz_noise::CoherenceModel,
+        model: &CoherenceModel,
         qudit: usize,
         dt_ns: f64,
         rng: &mut R,
-        ws: &mut Workspace,
+        _ws: &mut Workspace,
     ) {
-        if dt_ns <= 0.0 {
-            return;
-        }
+        self.damping_step(model, qudit, dt_ns, rng);
+    }
+
+    /// The damping step with normalization deferred. On entry the true
+    /// state is `scale ×` the stored amplitudes, which may have any norm;
+    /// jump probabilities are taken from `scale²` times the stored
+    /// populations, so a sub-unit true norm (after a lossy reshape)
+    /// weighs them exactly as it would unscaled. On return the stored
+    /// amplitudes hold the unnormalized post-step state and `scale` is
+    /// reset to the factor that normalizes it. `dt_ns <= 0` or all
+    /// `λ_m == 0` return before drawing, leaving both untouched.
+    pub(crate) fn damping_step_deferred<R: Rng + ?Sized>(
+        &mut self,
+        model: &CoherenceModel,
+        qudit: usize,
+        dt_ns: f64,
+        rng: &mut R,
+        scale: &mut f64,
+    ) {
         let dim = self.register.dim(qudit);
-        ws.lambdas.clear();
-        ws.lambdas.extend((1..dim).map(|m| model.lambda(m, dt_ns)));
-        if ws.lambdas.iter().all(|&l| l == 0.0) {
+        let Some(mut step) = DampingStep::new(model, dim, dt_ns) else {
             return;
-        }
-        // Level occupation probabilities, summed over contiguous level
-        // slices of each span block.
+        };
         let stride = self.register.stride(qudit);
-        let span = stride * dim;
-        ws.level_p.clear();
-        ws.level_p.resize(dim, 0.0);
-        for block in self.amps.chunks_exact(span) {
-            for (lvl, p) in ws.level_p.iter_mut().enumerate() {
-                *p += block[lvl * stride..(lvl + 1) * stride]
-                    .iter()
-                    .map(|a| a.norm_sqr())
-                    .sum::<f64>();
-            }
-        }
-        ws.jump_p.clear();
-        for m in 1..dim {
-            ws.jump_p.push(ws.lambdas[m - 1] * ws.level_p[m]);
-        }
-        let total_jump: f64 = ws.jump_p.iter().sum();
-        let roll: f64 = rng.gen();
-        if roll < total_jump {
-            // Select which level decayed.
-            let mut acc = 0.0;
-            let mut level = 1;
-            for (m, &p) in ws.jump_p.iter().enumerate() {
-                acc += p;
-                if roll < acc {
-                    level = m + 1;
-                    break;
+        add_level_populations(&self.amps, stride, dim, step.lanes_mut());
+        match step.draw(scale, rng) {
+            // Jump `K_m`: the decayed level's slice moves to ground and
+            // every other level is zeroed.
+            Some(level) => {
+                for block in self.amps.chunks_exact_mut(stride * dim) {
+                    block.copy_within(level * stride..(level + 1) * stride, 0);
+                    block[stride..].fill(C64::ZERO);
                 }
             }
-            self.collapse_level_to_ground(qudit, level);
-        } else {
-            // No-jump evolution: scale each excited level by sqrt(1 - l_m).
-            for block in self.amps.chunks_exact_mut(span) {
-                for (m, &lambda) in ws.lambdas.iter().enumerate() {
-                    let scale = (1.0 - lambda).sqrt();
-                    for a in &mut block[(m + 1) * stride..(m + 2) * stride] {
-                        *a *= scale;
-                    }
-                }
-            }
-            self.normalize();
+            // No-jump `K_0`: scale each excited level by `√(1−λ_m)`.
+            None => scale_levels(&mut self.amps, stride, step.keep()),
         }
     }
 
-    /// Applies the jump `K_m` (decay of `level` to ground) and normalizes.
-    /// Runs in place: the decayed level's slice moves to ground and every
-    /// other level is zeroed, with no scratch vector.
-    fn collapse_level_to_ground(&mut self, qudit: usize, level: usize) {
-        let stride = self.register.stride(qudit);
-        let dim = self.register.dim(qudit);
-        let span = stride * dim;
-        for block in self.amps.chunks_exact_mut(span) {
-            for inner in 0..stride {
-                let survivor = block[inner + level * stride];
-                for lvl in 0..dim {
-                    block[inner + lvl * stride] = C64::ZERO;
-                }
-                block[inner] = survivor;
+    /// Multiplies every amplitude by `factor` (a no-op for `1.0`) — how
+    /// a deferred damping normalization is applied.
+    pub(crate) fn scale_amplitudes(&mut self, factor: f64) {
+        if factor != 1.0 {
+            for a in &mut self.amps {
+                *a *= factor;
             }
         }
-        self.normalize();
     }
 
     /// Samples a computational basis outcome.
@@ -571,6 +596,263 @@ impl State {
             }
         }
         self.amps.len() - 1
+    }
+}
+
+/// Qudit dimensions whose damping tables live on the stack. A register
+/// admits up to 255 levels, so taller qudits spill to the heap.
+const STACK_LEVELS: usize = 8;
+
+/// Independent partial sums per level population: amplitude `i` adds
+/// its `|a|²` into lane `i % POP_LANES` of its level, each lane in
+/// ascending index order, and a level's lanes combine as
+/// `(l0 + l1) + (l2 + l3)`. Four lanes keep four additions in flight
+/// instead of waiting on one chain. The order depends only on amplitude
+/// indices, so the sparse engine, adding its stored amplitudes into the
+/// same lanes (absent ones would add exact zeros), gets the same bits.
+pub(crate) const POP_LANES: usize = 4;
+
+/// One value of `T` per level of a damping step, on the stack up to
+/// [`STACK_LEVELS`] levels.
+struct LevelTable<T> {
+    stack: [T; STACK_LEVELS],
+    heap: Vec<T>,
+    dim: usize,
+}
+
+impl<T: Copy + Default> LevelTable<T> {
+    fn zeros(dim: usize) -> Self {
+        LevelTable {
+            stack: [T::default(); STACK_LEVELS],
+            heap: if dim > STACK_LEVELS {
+                vec![T::default(); dim]
+            } else {
+                Vec::new()
+            },
+            dim,
+        }
+    }
+}
+
+impl<T> std::ops::Deref for LevelTable<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        if self.dim > STACK_LEVELS {
+            &self.heap
+        } else {
+            &self.stack[..self.dim]
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for LevelTable<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        if self.dim > STACK_LEVELS {
+            &mut self.heap
+        } else {
+            &mut self.stack[..self.dim]
+        }
+    }
+}
+
+/// The per-level numbers of one amplitude-damping step: `λ_m` and
+/// `√(1−λ_m)`, computed once per step, and the [`POP_LANES`] partial
+/// sums of each level population `P_m` of the stored amplitudes, which
+/// the engine fills in one read pass. The dense and sparse engines fill
+/// the lanes alike and both draw through [`DampingStep::draw`], so they
+/// take the same branch from the same bits.
+pub(crate) struct DampingStep {
+    lambda: LevelTable<f64>,
+    keep: LevelTable<f64>,
+    lanes: LevelTable<[f64; POP_LANES]>,
+}
+
+impl DampingStep {
+    /// The tables for a `dim`-level qudit damped for `dt_ns`, or `None`
+    /// when the step must return before drawing: `dt_ns <= 0` or every
+    /// `λ_m == 0`.
+    pub(crate) fn new(model: &CoherenceModel, dim: usize, dt_ns: f64) -> Option<Self> {
+        if dt_ns <= 0.0 {
+            return None;
+        }
+        let mut step = DampingStep {
+            lambda: LevelTable::zeros(dim),
+            keep: LevelTable::zeros(dim),
+            lanes: LevelTable::zeros(dim),
+        };
+        for m in 1..dim {
+            step.lambda[m] = model.lambda(m, dt_ns);
+        }
+        if step.lambda[1..].iter().all(|&l| l == 0.0) {
+            return None;
+        }
+        for (k, &l) in step.keep.iter_mut().zip(step.lambda.iter()) {
+            *k = (1.0 - l).sqrt();
+        }
+        Some(step)
+    }
+
+    /// The population lanes, zeroed, for the engine's read pass.
+    pub(crate) fn lanes_mut(&mut self) -> &mut [[f64; POP_LANES]] {
+        &mut self.lanes
+    }
+
+    /// The no-jump amplitude factors `√(1−λ_m)` (1 for the ground level).
+    pub(crate) fn keep(&self) -> &[f64] {
+        &self.keep
+    }
+
+    /// Draws the step's one uniform and picks its branch: `Some(m)` when
+    /// level `m` decays to ground, `None` for no-jump. Level `m` jumps
+    /// with probability `λ_m · scale² · P_m`, where `scale` is the
+    /// deferred normalization factor carried in (1 for a normalized
+    /// state). `scale` is reset to `1/‖ψ‖` of the stored state the branch
+    /// leaves behind (left at 1 when that state is zero), computed from
+    /// the populations without another pass.
+    pub(crate) fn draw<R: Rng + ?Sized>(&self, scale: &mut f64, rng: &mut R) -> Option<usize> {
+        let (lambda, lanes) = (&*self.lambda, &*self.lanes);
+        let pop = |m: usize| {
+            let [a, b, c, d] = lanes[m];
+            (a + b) + (c + d)
+        };
+        let scale2 = *scale * *scale;
+        let jump = |m: usize| lambda[m] * (scale2 * pop(m));
+        let total_jump: f64 = (1..lanes.len()).map(jump).sum();
+        let roll: f64 = rng.gen();
+        let (branch, norm2) = if roll < total_jump {
+            let mut acc = 0.0;
+            let mut level = 1;
+            for m in 1..lanes.len() {
+                acc += jump(m);
+                if roll < acc {
+                    level = m;
+                    break;
+                }
+            }
+            (Some(level), pop(level))
+        } else {
+            let kept = (0..lanes.len()).map(|m| (1.0 - lambda[m]) * pop(m));
+            (None, kept.sum::<f64>())
+        };
+        *scale = if norm2 > 0.0 { 1.0 / norm2.sqrt() } else { 1.0 };
+        branch
+    }
+}
+
+/// The period, in amplitudes, after which both the level of the damped
+/// qudit and the population lane (see [`POP_LANES`]) of an amplitude
+/// repeat — `lcm(stride · dim, POP_LANES)` — when the stride divides
+/// `POP_LANES` and the period is one the unrolled paths handle. Within
+/// such a period every (level, lane) pair occurs at most once.
+fn short_period(stride: usize, dim: usize) -> Option<usize> {
+    // With a stride of 1, 2 or 4 that lcm is 4, 8 or 16 exactly when the
+    // span is a power of two up to 16; no division on this per-step path.
+    let span = stride * dim;
+    (matches!(stride, 1 | 2 | 4) && span.is_power_of_two() && span <= 16)
+        .then(|| span.max(POP_LANES))
+}
+
+/// The damped qudit's level at each amplitude index from 0 on.
+fn levels(stride: usize, dim: usize) -> impl Iterator<Item = usize> {
+    (0..dim)
+        .flat_map(move |level| std::iter::repeat_n(level, stride))
+        .cycle()
+}
+
+/// The damping step's read pass: adds each amplitude's `|a|²` into lane
+/// `i % POP_LANES` of its level, each lane in ascending index order.
+/// Three loops produce that one order: per-position sums over a short
+/// period for small strides, lane quads along each level slice for
+/// strides that are multiples of `POP_LANES`, one amplitude at a time
+/// otherwise.
+fn add_level_populations(amps: &[C64], stride: usize, dim: usize, lanes: &mut [[f64; POP_LANES]]) {
+    match short_period(stride, dim) {
+        Some(4) => add_periodic_populations::<4>(amps, stride, dim, lanes),
+        Some(8) => add_periodic_populations::<8>(amps, stride, dim, lanes),
+        Some(16) => add_periodic_populations::<16>(amps, stride, dim, lanes),
+        _ if stride.is_multiple_of(POP_LANES) => {
+            // Every level slice starts on lane 0.
+            for block in amps.chunks_exact(stride * dim) {
+                for (lane, level) in lanes.iter_mut().zip(block.chunks_exact(stride)) {
+                    let mut sums = *lane;
+                    for quad in level.chunks_exact(POP_LANES) {
+                        for (s, a) in sums.iter_mut().zip(quad) {
+                            *s += a.norm_sqr();
+                        }
+                    }
+                    *lane = sums;
+                }
+            }
+        }
+        _ => {
+            for ((i, a), level) in amps.iter().enumerate().zip(levels(stride, dim)) {
+                lanes[level][i % POP_LANES] += a.norm_sqr();
+            }
+        }
+    }
+}
+
+/// [`add_level_populations`] over a period of `C` amplitudes
+/// ([`short_period`]): one running sum per position of the period, each
+/// of which is exactly one (level, lane) sum, in ascending order.
+fn add_periodic_populations<const C: usize>(
+    amps: &[C64],
+    stride: usize,
+    dim: usize,
+    lanes: &mut [[f64; POP_LANES]],
+) {
+    let mut sums = [0.0f64; C];
+    let periods = amps.chunks_exact(C);
+    let tail = periods.remainder();
+    for period in periods {
+        for (s, a) in sums.iter_mut().zip(period) {
+            *s += a.norm_sqr();
+        }
+    }
+    for (s, a) in sums.iter_mut().zip(tail) {
+        *s += a.norm_sqr();
+    }
+    for ((p, s), level) in sums.into_iter().enumerate().zip(levels(stride, dim)) {
+        lanes[level][p % POP_LANES] += s;
+    }
+}
+
+/// Multiplies each amplitude by `factors[level]`, `level` being its
+/// digit on the qudit with this stride (`factors[0]` must be 1; the
+/// ground level is skipped or multiplied by exactly 1).
+fn scale_levels(amps: &mut [C64], stride: usize, factors: &[f64]) {
+    let dim = factors.len();
+    match short_period(stride, dim) {
+        Some(4) => scale_periodic::<4>(amps, stride, factors),
+        Some(8) => scale_periodic::<8>(amps, stride, factors),
+        Some(16) => scale_periodic::<16>(amps, stride, factors),
+        _ => {
+            for block in amps.chunks_exact_mut(stride * dim) {
+                for (level, &f) in block.chunks_exact_mut(stride).zip(factors).skip(1) {
+                    for a in level {
+                        *a *= f;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`scale_levels`] through a per-position factor pattern of one period
+/// of `C` amplitudes.
+fn scale_periodic<const C: usize>(amps: &mut [C64], stride: usize, factors: &[f64]) {
+    let mut pattern = [0.0f64; C];
+    for (f, level) in pattern.iter_mut().zip(levels(stride, factors.len())) {
+        *f = factors[level];
+    }
+    let mut periods = amps.chunks_exact_mut(C);
+    for period in &mut periods {
+        for (a, &f) in period.iter_mut().zip(&pattern) {
+            *a *= f;
+        }
+    }
+    for (a, &f) in periods.into_remainder().iter_mut().zip(&pattern) {
+        *a *= f;
     }
 }
 

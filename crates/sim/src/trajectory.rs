@@ -6,6 +6,23 @@
 //! qudit decoheres from. After each gate a generalized-Pauli error is
 //! drawn with probability `1 - F_gate` over the gate's calibrated error
 //! dimensions (mixed-radix gates draw from `P_2 (x) P_4`, §6.5).
+//!
+//! # Cost of a damping step
+//!
+//! A damping step reads the state once, to sum the damped qudit's level
+//! populations, draws one uniform, and writes only what its branch
+//! changes: the excited levels on no-jump (scaled by `√(1−λ_m)`, computed
+//! once per step), every level on a jump. It does not normalize. The
+//! runners carry the normalizing factor in the workspace next to the
+//! per-device busy times: the true state is that factor times the
+//! stored amplitudes. Each step takes its jump probabilities from the
+//! factor squared times the stored populations and resets the factor to
+//! `1/‖ψ‖` of the state it leaves; gates, Pauli draws and reshapes are
+//! linear and carry it unchanged. The runner applies the factor once,
+//! after the trailing idle damping, so a trajectory makes one
+//! normalization pass instead of one per step. The RNG stream and the
+//! early returns (`dt <= 0`, every `λ_m == 0`) are those of a step that
+//! normalizes, and the dense and sparse engines do identical arithmetic.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -24,13 +41,15 @@ use crate::{ideal, SegmentedCircuit, State, TimedCircuit, TimedOp};
 /// against. Dense [`State`] and the density-adaptive
 /// [`AdaptiveState`] both implement it, so the noise accounting — idle
 /// and busy damping windows, depolarizing draws, the order of every RNG
-/// consumption — is *the same code* for both representations, which is
-/// what makes adaptive estimates bit-compatible with dense ones for a
-/// fixed seed.
+/// consumption, the deferred damping normalization — is *the same code*
+/// for both representations, which is what makes adaptive estimates
+/// bit-compatible with dense ones for a fixed seed.
 pub(crate) trait NoisyTarget {
     fn apply_op(&mut self, op: &TimedOp, ws: &mut Workspace);
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize);
-    fn damping_step_with<R: Rng + ?Sized>(
+    /// One damping step with its normalization deferred into
+    /// `ws.norm_scale`.
+    fn damp_deferred<R: Rng + ?Sized>(
         &mut self,
         model: &CoherenceModel,
         qudit: usize,
@@ -38,6 +57,7 @@ pub(crate) trait NoisyTarget {
         rng: &mut R,
         ws: &mut Workspace,
     );
+    fn scale_amplitudes(&mut self, factor: f64);
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self);
 }
@@ -49,7 +69,7 @@ impl NoisyTarget for State {
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize) {
         State::apply_pauli(self, op, qudit);
     }
-    fn damping_step_with<R: Rng + ?Sized>(
+    fn damp_deferred<R: Rng + ?Sized>(
         &mut self,
         model: &CoherenceModel,
         qudit: usize,
@@ -57,7 +77,10 @@ impl NoisyTarget for State {
         rng: &mut R,
         ws: &mut Workspace,
     ) {
-        State::damping_step_with(self, model, qudit, dt_ns, rng, ws);
+        State::damping_step_deferred(self, model, qudit, dt_ns, rng, &mut ws.norm_scale);
+    }
+    fn scale_amplitudes(&mut self, factor: f64) {
+        State::scale_amplitudes(self, factor);
     }
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self) {
@@ -72,7 +95,7 @@ impl NoisyTarget for AdaptiveState {
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize) {
         AdaptiveState::apply_pauli(self, op, qudit);
     }
-    fn damping_step_with<R: Rng + ?Sized>(
+    fn damp_deferred<R: Rng + ?Sized>(
         &mut self,
         model: &CoherenceModel,
         qudit: usize,
@@ -80,7 +103,10 @@ impl NoisyTarget for AdaptiveState {
         rng: &mut R,
         ws: &mut Workspace,
     ) {
-        AdaptiveState::damping_step_with(self, model, qudit, dt_ns, rng, ws);
+        AdaptiveState::damping_step_deferred(self, model, qudit, dt_ns, rng, &mut ws.norm_scale);
+    }
+    fn scale_amplitudes(&mut self, factor: f64) {
+        AdaptiveState::scale_amplitudes(self, factor);
     }
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self) {
@@ -128,18 +154,9 @@ pub fn run_trajectory_into<R: Rng + ?Sized>(
         "state register does not match circuit register"
     );
     out.copy_from(initial);
-    ws.free_at.clear();
-    ws.free_at.resize(circuit.register.n_qudits(), 0.0);
+    ws.begin_trajectory(circuit.register.n_qudits());
     run_ops(circuit, noise, rng, out, ws);
-    // Trailing idle until the circuit's wall-clock end.
-    if noise.damping {
-        for q in 0..circuit.register.n_qudits() {
-            let idle = circuit.total_duration_ns - ws.free_at[q];
-            if idle > 0.0 {
-                out.damping_step_with(&noise.coherence, q, idle, rng, ws);
-            }
-        }
-    }
+    finish_trajectory(circuit.total_duration_ns, noise, rng, out, ws);
 }
 
 /// The per-op noise/apply loop shared by the whole-program and segmented
@@ -162,7 +179,7 @@ fn run_ops<S: NoisyTarget, R: Rng + ?Sized>(
                     for &q in &op.operands {
                         let idle = op.start_ns - ws.free_at[q];
                         if idle > 0.0 {
-                            out.damping_step_with(&noise.coherence, q, idle, rng, ws);
+                            out.damp_deferred(&noise.coherence, q, idle, rng, ws);
                         }
                     }
                 }
@@ -172,7 +189,7 @@ fn run_ops<S: NoisyTarget, R: Rng + ?Sized>(
                 // Busy-time damping: decoherence during the pulse itself.
                 if noise.damping && noise.busy_time_damping {
                     for &q in &op.operands {
-                        out.damping_step_with(&noise.coherence, q, op.duration_ns, rng, ws);
+                        out.damp_deferred(&noise.coherence, q, op.duration_ns, rng, ws);
                     }
                 }
                 // Depolarizing draw with probability 1 - F (§6.5).
@@ -198,7 +215,7 @@ fn run_ops<S: NoisyTarget, R: Rng + ?Sized>(
                         for &q in &ev.operands {
                             let idle = ev.start_ns - ws.free_at[q];
                             if idle > 0.0 {
-                                out.damping_step_with(&noise.coherence, q, idle, rng, ws);
+                                out.damp_deferred(&noise.coherence, q, idle, rng, ws);
                             }
                             ws.free_at[q] = ev.end_ns();
                         }
@@ -216,7 +233,7 @@ fn run_ops<S: NoisyTarget, R: Rng + ?Sized>(
                 for ev in events {
                     if noise.damping && noise.busy_time_damping {
                         for &q in &ev.operands {
-                            out.damping_step_with(&noise.coherence, q, ev.duration_ns, rng, ws);
+                            out.damp_deferred(&noise.coherence, q, ev.duration_ns, rng, ws);
                         }
                     }
                     if noise.depolarizing && ev.fidelity < 1.0 && rng.gen::<f64>() > ev.fidelity {
@@ -229,6 +246,28 @@ fn run_ops<S: NoisyTarget, R: Rng + ?Sized>(
             }
         }
     }
+}
+
+/// Closes a trajectory: damps each device's trailing idle time up to
+/// the program's wall-clock end `total_ns`, then applies the deferred
+/// damping normalization `ws.norm_scale` to the final state — the one
+/// normalization pass of the whole trajectory.
+fn finish_trajectory<S: NoisyTarget, R: Rng + ?Sized>(
+    total_ns: f64,
+    noise: &NoiseModel,
+    rng: &mut R,
+    out: &mut S,
+    ws: &mut Workspace,
+) {
+    if noise.damping {
+        for q in 0..ws.free_at.len() {
+            let idle = total_ns - ws.free_at[q];
+            if idle > 0.0 {
+                out.damp_deferred(&noise.coherence, q, idle, rng, ws);
+            }
+        }
+    }
+    out.scale_amplitudes(ws.norm_scale);
 }
 
 /// Runs one noisy trajectory of a windowed-register schedule, returning
@@ -291,34 +330,24 @@ pub fn run_trajectory_segmented_into<R: Rng + ?Sized>(
         circuit.first_register(),
         "state register does not match the first segment"
     );
-    let n_qudits = circuit.first_register().n_qudits();
-    ws.free_at.clear();
-    ws.free_at.resize(n_qudits, 0.0);
+    ws.begin_trajectory(circuit.first_register().n_qudits());
     out.remap(circuit.first_register());
     out.copy_from(initial);
     for (k, segment) in circuit.segments.iter().enumerate() {
         if k > 0 {
             // Lossy: an error draw may have populated levels the
-            // noiseless occupancy analysis proved empty; dropping them
-            // un-renormalized matches the whole-program engine's
-            // fidelity contribution to first order in the leaked
-            // probability (see `State::reshape_into_lossy`).
+            // noiseless occupancy analysis proved empty. The reshape
+            // drops them and leaves a sub-unit norm, which the next
+            // damping step normalizes away (see
+            // `State::reshape_into_lossy`). The stored amplitudes carry
+            // the deferred factor `ws.norm_scale` across the boundary.
             scratch.remap(&segment.register);
             let _leaked = out.reshape_into_lossy(scratch);
             std::mem::swap(out, scratch);
         }
         run_ops(segment, noise, rng, out, ws);
     }
-    // Trailing idle until the program's wall-clock end, on the final
-    // register.
-    if noise.damping {
-        for q in 0..n_qudits {
-            let idle = circuit.total_duration_ns - ws.free_at[q];
-            if idle > 0.0 {
-                out.damping_step_with(&noise.coherence, q, idle, rng, ws);
-            }
-        }
-    }
+    finish_trajectory(circuit.total_duration_ns, noise, rng, out, ws);
 }
 
 /// Result of a Monte-Carlo fidelity estimate.
@@ -1085,18 +1114,9 @@ pub fn run_trajectory_adaptive_into<R: Rng + ?Sized>(
         "state register does not match circuit register"
     );
     out.reset_from_sparse(initial, ws);
-    ws.free_at.clear();
-    ws.free_at.resize(circuit.register.n_qudits(), 0.0);
+    ws.begin_trajectory(circuit.register.n_qudits());
     run_ops(circuit, noise, rng, out, ws);
-    // Trailing idle until the circuit's wall-clock end.
-    if noise.damping {
-        for q in 0..circuit.register.n_qudits() {
-            let idle = circuit.total_duration_ns - ws.free_at[q];
-            if idle > 0.0 {
-                out.damping_step_with(&noise.coherence, q, idle, rng, ws);
-            }
-        }
-    }
+    finish_trajectory(circuit.total_duration_ns, noise, rng, out, ws);
 }
 
 /// [`run_trajectory_segmented_into`] on density-adaptive rolling
@@ -1123,9 +1143,7 @@ pub fn run_trajectory_segmented_adaptive_into<R: Rng + ?Sized>(
         circuit.first_register(),
         "state register does not match the first segment"
     );
-    let n_qudits = circuit.first_register().n_qudits();
-    ws.free_at.clear();
-    ws.free_at.resize(n_qudits, 0.0);
+    ws.begin_trajectory(circuit.first_register().n_qudits());
     out.reset_from_sparse(initial, ws);
     for (k, segment) in circuit.segments.iter().enumerate() {
         if k > 0 {
@@ -1138,16 +1156,7 @@ pub fn run_trajectory_segmented_adaptive_into<R: Rng + ?Sized>(
         }
         run_ops(segment, noise, rng, out, ws);
     }
-    // Trailing idle until the program's wall-clock end, on the final
-    // register.
-    if noise.damping {
-        for q in 0..n_qudits {
-            let idle = circuit.total_duration_ns - ws.free_at[q];
-            if idle > 0.0 {
-                out.damping_step_with(&noise.coherence, q, idle, rng, ws);
-            }
-        }
-    }
+    finish_trajectory(circuit.total_duration_ns, noise, rng, out, ws);
 }
 
 /// Applies a [`SparsePolicy`] to a fresh worker workspace.

@@ -16,7 +16,7 @@ use waltz_circuit::Circuit;
 use waltz_circuits::{generalized_toffoli, qram};
 use waltz_core::{CompileArtifact, CompileOptions, Compiler, Strategy, Target};
 use waltz_math::C64;
-use waltz_sim::{ideal, trajectory, State, Workspace};
+use waltz_sim::{ideal, trajectory, Register, State, Workspace};
 
 const TOL: f64 = 1e-12;
 
@@ -296,6 +296,42 @@ fn random_logical_circuit(n: usize, ops: usize, seed: u64) -> Circuit {
     c
 }
 
+/// The digit-wise form of `State::reshape_into_lossy`, the reference for
+/// its run copies: every amplitude decomposed into digits and re-indexed
+/// on its own, clipped probability summed in ascending source order.
+/// Returns the reshaped amplitudes and the clipped probability.
+fn reshape_digitwise(src: &State, dst: &Register) -> (Vec<C64>, f64) {
+    let reg = src.register();
+    let mut out = vec![C64::ZERO; dst.total_dim()];
+    let mut leaked = 0.0f64;
+    for (idx, &amp) in src.amplitudes().iter().enumerate() {
+        let digits = reg.digits_of(idx);
+        if digits.iter().enumerate().all(|(q, &d)| d < dst.dim(q)) {
+            out[dst.index_of(&digits)] = amp;
+        } else {
+            leaked += amp.norm_sqr();
+        }
+    }
+    (out, leaked)
+}
+
+/// A register pair for a reshape: the same qudit count, dimensions 2-5
+/// on each side. `mode` 0 only grows qudits, 1 only shrinks them, 2
+/// draws each side independently (grow, shrink and keep mixed).
+fn reshape_pair(seed: u64, n: usize, mode: usize) -> (Register, Register) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let src: Vec<u8> = (0..n).map(|_| rng.gen_range(2..=5u8)).collect();
+    let dst: Vec<u8> = src
+        .iter()
+        .map(|&d| match mode {
+            0 => rng.gen_range(d..=5),
+            1 => rng.gen_range(2..=d),
+            _ => rng.gen_range(2..=5),
+        })
+        .collect();
+    (Register::new(src), Register::new(dst))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -347,6 +383,46 @@ proptest! {
                 }
             }
             prop_assert!((state.norm() - 1.0).abs() < 1e-9);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // The run-copy reshape reproduces the digit-wise loop to the bit:
+    // every output amplitude and the clipped probability.
+    #[test]
+    fn run_copy_reshape_matches_digitwise_reference(
+        seed in 0u64..100_000,
+        n in 1usize..=5,
+        mode in 0usize..3,
+    ) {
+        let (src_reg, dst_reg) = reshape_pair(seed, n, mode);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let src = State::from_amplitudes(
+            &src_reg,
+            waltz_math::linalg::haar_state(src_reg.total_dim(), &mut rng),
+        );
+        let (want, want_leaked) = reshape_digitwise(&src, &dst_reg);
+        // A stale buffer on the destination register: the reshape must
+        // overwrite every amplitude.
+        let mut out = State::from_amplitudes(
+            &dst_reg,
+            waltz_math::linalg::haar_state(dst_reg.total_dim(), &mut rng),
+        );
+        let leaked = src.reshape_into_lossy(&mut out);
+        prop_assert_eq!(leaked.to_bits(), want_leaked.to_bits());
+        for (idx, (got, want)) in out.amplitudes().iter().zip(&want).enumerate() {
+            prop_assert!(
+                got.re.to_bits() == want.re.to_bits() && got.im.to_bits() == want.im.to_bits(),
+                "amplitude {} differs ({:?} -> {:?}): {} vs {}",
+                idx,
+                src_reg.dims(),
+                dst_reg.dims(),
+                got,
+                want
+            );
         }
     }
 }
