@@ -7,7 +7,9 @@
 //! sparse throughput on basis inputs with the sparse support trajectory
 //! (peak nnz, densities, final representation), per-strategy state bytes
 //! with per-segment occupancy and reshape counts, compile times, and
-//! per-pass pipeline wall times (schema `bench_sim/v8`).
+//! per-pass pipeline wall times (schema `bench_sim/v9`). Each
+//! `trajectory_cnu6q` rate is the median of [`RATE_ROUNDS`] interleaved
+//! rounds of [`RATE_TRAJECTORIES`] trajectories.
 //!
 //! Usage: `cargo run --release -p waltz-bench --bin bench_sim [--out PATH]
 //! [--budget-ms N]`.
@@ -28,6 +30,19 @@ use waltz_sim::{
     ideal, trajectory, AdaptiveState, GateKernel, Register, SimdLevel, SparsePolicy, SparseState,
     State, TrajectoryPool, Workspace,
 };
+
+/// Interleaved rounds behind each `trajectory_cnu6q` rate column.
+const RATE_ROUNDS: usize = 5;
+
+/// Trajectories per round of a `trajectory_cnu6q` rate.
+const RATE_TRAJECTORIES: usize = 2000;
+
+/// The median of `values` (sorted in place; the upper middle one for an
+/// even count).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
 
 /// One gate-apply comparison: the specialized kernel at the detected
 /// SIMD tier against the same kernel pinned to the scalar sweep body and
@@ -182,54 +197,42 @@ fn main() {
         )
         .compile(&circuit)
         .unwrap();
-        let trajectories = 400;
         let mut dense = unfused.compiled().clone();
         for op in &mut dense.timed.ops {
             op.kernel = GateKernel::GeneralDense;
         }
-        // Interleave the variants over several rounds and keep each
-        // one's best rate, so slow drift on a shared host cannot skew the
-        // ratios. `compiled` (the default) runs the windowed segmented
-        // schedule when the analysis split the program.
-        let (mut rate, mut whole_rate, mut unfused_rate, mut dense_rate, mut padded_rate) =
-            (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        // Interleave the variants over RATE_ROUNDS rounds of
+        // RATE_TRAJECTORIES each and report each one's median rate, so
+        // slow drift on a shared host moves every variant alike and one
+        // lucky or unlucky run cannot carry a column. `compiled` (the
+        // default) runs the windowed segmented schedule when the
+        // analysis split the program.
+        let mut rates: [Vec<f64>; 5] = Default::default();
         let (mut est, mut est_unfused) = (None, None);
-        for _ in 0..3 {
-            let (e, r) = runner::simulate_timed(&compiled, &noise, trajectories, 7);
-            rate = rate.max(r);
+        for _ in 0..RATE_ROUNDS {
+            let (e, r) = runner::simulate_timed(&compiled, &noise, RATE_TRAJECTORIES, 7);
+            rates[0].push(r);
             est = Some(e);
-            let (_, r) = runner::simulate_timed(&whole, &noise, trajectories, 7);
-            whole_rate = whole_rate.max(r);
-            let (e, r) = runner::simulate_timed(&unfused, &noise, trajectories, 7);
-            unfused_rate = unfused_rate.max(r);
+            let (_, r) = runner::simulate_timed(&whole, &noise, RATE_TRAJECTORIES, 7);
+            rates[1].push(r);
+            let (e, r) = runner::simulate_timed(&unfused, &noise, RATE_TRAJECTORIES, 7);
+            rates[2].push(r);
             est_unfused = Some(e);
-            let (_, r) = runner::simulate_timed(&dense, &noise, trajectories, 7);
-            dense_rate = dense_rate.max(r);
-            let (_, r) = runner::simulate_timed(&padded, &noise, trajectories, 7);
-            padded_rate = padded_rate.max(r);
+            let (_, r) = runner::simulate_timed(&dense, &noise, RATE_TRAJECTORIES, 7);
+            rates[3].push(r);
+            let (_, r) = runner::simulate_timed(&padded, &noise, RATE_TRAJECTORIES, 7);
+            rates[4].push(r);
         }
+        let [rate, whole_rate, unfused_rate, dense_rate, padded_rate] =
+            rates.map(|mut r| median(&mut r));
         let (est, est_unfused) = (est.expect("measured"), est_unfused.expect("measured"));
-        // Honesty guards on the headline windowed-vs-whole column. When
+        // Honesty guard on the headline windowed-vs-whole column. When
         // the analysis produced no segmented schedule the "windowed" run
         // executes the identical whole-register code path, so (as in
         // `apply_case`) the column reports the whole-register rate
         // instead of presenting timer noise as a speedup or regression.
-        // When it did split, the pair gets two extra interleaved
-        // best-of-N rounds: on a single-core host best-of-3 still lets
-        // timer jitter read as a sub-1.0 "regression" (0.992 on
-        // mixed-radix), and best-of-5 converges both sides onto their
-        // true best rate.
         let windowed_split = compiled.sim_segments().is_some();
-        if windowed_split {
-            for _ in 0..2 {
-                let (_, r) = runner::simulate_timed(&compiled, &noise, trajectories, 7);
-                rate = rate.max(r);
-                let (_, r) = runner::simulate_timed(&whole, &noise, trajectories, 7);
-                whole_rate = whole_rate.max(r);
-            }
-        } else {
-            rate = whole_rate;
-        }
+        let rate = if windowed_split { rate } else { whole_rate };
         let register = &whole.timed.register;
         let mut occupancy = JsonObject::new();
         for dim in [2u8, 4u8] {
@@ -284,15 +287,18 @@ fn main() {
         let basis_sparse = |_reg: &Register, _rng: &mut StdRng, out: &mut SparseState| {
             out.fill_basis(0);
         };
-        let (mut dense_basis_rate, mut adaptive_basis_rate) = (0.0f64, 0.0f64);
-        for _ in 0..3 {
+        let (mut dense_basis_rates, mut adaptive_basis_rates) = (Vec::new(), Vec::new());
+        let rate_of = |t0: std::time::Instant| {
+            RATE_TRAJECTORIES as f64 / t0.elapsed().as_secs_f64().max(1e-9)
+        };
+        for _ in 0..RATE_ROUNDS {
             let t0 = std::time::Instant::now();
             match compiled.sim_segments() {
                 Some(seg) => {
                     trajectory::average_fidelity_segmented_with(
                         seg,
                         &noise,
-                        trajectories,
+                        RATE_TRAJECTORIES,
                         7,
                         basis_dense,
                     );
@@ -301,21 +307,20 @@ fn main() {
                     trajectory::average_fidelity_with(
                         compiled.sim_circuit(),
                         &noise,
-                        trajectories,
+                        RATE_TRAJECTORIES,
                         7,
                         basis_dense,
                     );
                 }
             }
-            dense_basis_rate =
-                dense_basis_rate.max(trajectories as f64 / t0.elapsed().as_secs_f64().max(1e-9));
+            dense_basis_rates.push(rate_of(t0));
             let t0 = std::time::Instant::now();
             match compiled.sim_segments() {
                 Some(seg) => {
                     trajectory::average_fidelity_segmented_adaptive_with(
                         seg,
                         &noise,
-                        trajectories,
+                        RATE_TRAJECTORIES,
                         7,
                         &policy,
                         basis_sparse,
@@ -325,16 +330,17 @@ fn main() {
                     trajectory::average_fidelity_adaptive_with(
                         compiled.sim_circuit(),
                         &noise,
-                        trajectories,
+                        RATE_TRAJECTORIES,
                         7,
                         &policy,
                         basis_sparse,
                     );
                 }
             }
-            adaptive_basis_rate =
-                adaptive_basis_rate.max(trajectories as f64 / t0.elapsed().as_secs_f64().max(1e-9));
+            adaptive_basis_rates.push(rate_of(t0));
         }
+        let dense_basis_rate = median(&mut dense_basis_rates);
+        let adaptive_basis_rate = median(&mut adaptive_basis_rates);
         // One noiseless adaptive run traces the support: peak nnz, the
         // density it implies against the dense amplitude count, and
         // which representation the state ended in.
@@ -417,7 +423,8 @@ fn main() {
             .obj("occupancy", &occupancy)
             .int("hw_ops", compiled.timed.len() as u64)
             .int("fused_ops", compiled.sim_circuit().len() as u64)
-            .int("trajectories", trajectories as u64)
+            .int("trajectories", RATE_TRAJECTORIES as u64)
+            .int("rate_rounds", RATE_ROUNDS as u64)
             .num("mean_fidelity", est.mean)
             .num("mean_fidelity_unfused", est_unfused.mean)
             .num("std_error", est.std_error);
@@ -500,7 +507,7 @@ fn main() {
     let threads = host_cores;
     let mut report = JsonObject::new();
     report
-        .str("schema", "bench_sim/v8")
+        .str("schema", "bench_sim/v9")
         .str(
             "bench",
             "SIMD-vectorized kernel-specialized state-vector engine + gate fusion + \

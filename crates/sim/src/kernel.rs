@@ -25,6 +25,7 @@
 use waltz_math::structure::{self, MatrixStructure};
 use waltz_math::{Matrix, C64};
 
+use crate::damping::{Pending, StepTables};
 use crate::simd::{self, SimdLevel};
 use crate::Register;
 
@@ -146,10 +147,12 @@ pub struct Workspace {
     pub(crate) others: Vec<usize>,
     /// Per-qudit busy-until times (trajectory runner).
     pub(crate) free_at: Vec<f64>,
-    /// Deferred damping normalization of the running trajectory: the
-    /// trajectory's state is `norm_scale ×` the stored amplitudes
-    /// (trajectory runner).
-    pub(crate) norm_scale: f64,
+    /// No-jump damping factors the running trajectory has not applied
+    /// yet (trajectory runner).
+    pub(crate) pending: Pending,
+    /// Step tables of the single-trajectory entry points, rebuilt per
+    /// call; estimates build theirs once and share them.
+    pub(crate) steps: StepTables,
     /// The SIMD tier the sweep bodies run at.
     pub(crate) simd: SimdLevel,
     /// nnz/amps ratio above which an adaptive state switches sparse →
@@ -171,7 +174,8 @@ impl Workspace {
             offsets: Vec::new(),
             others: Vec::new(),
             free_at: Vec::new(),
-            norm_scale: 1.0,
+            pending: Pending::default(),
+            steps: StepTables::default(),
             simd: SimdLevel::detect(),
             sparse_density_threshold: crate::sparse::DEFAULT_SPARSE_DENSITY_THRESHOLD,
             sparse_epsilon: 0.0,
@@ -180,12 +184,12 @@ impl Workspace {
         }
     }
 
-    /// Starts a trajectory over `n_qudits` devices: every device free at
-    /// time 0 and no deferred damping normalization.
-    pub(crate) fn begin_trajectory(&mut self, n_qudits: usize) {
+    /// Starts a trajectory on `register`: every device free at time 0
+    /// and no pending damping factor.
+    pub(crate) fn begin_trajectory(&mut self, register: &Register) {
         self.free_at.clear();
-        self.free_at.resize(n_qudits, 0.0);
-        self.norm_scale = 1.0;
+        self.free_at.resize(register.n_qudits(), 0.0);
+        self.pending.begin(register.dims());
     }
 
     /// The same workspace as [`Workspace::new`] (sweeps never split

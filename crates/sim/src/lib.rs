@@ -12,11 +12,12 @@
 //! * [`trajectory`] — the paper's modified trajectory method (§6.4):
 //!   before each gate, each operand is amplitude-damped for the *exact*
 //!   time it has been idle; after each gate a generalized-Pauli error is
-//!   drawn with probability `1 - F_gate` (§6.5). A damping step reads
-//!   the state once (the damped qudit's level populations) and writes
-//!   only the levels its branch changes; its normalization is deferred
-//!   into one factor per trajectory, applied after the last step (see
-//!   the [`trajectory`] module docs).
+//!   drawn with probability `1 - F_gate` (§6.5). A damping step draws
+//!   its uniform first and reads the state only when that roll could
+//!   be a jump; otherwise it folds its no-jump factors into per-qudit
+//!   factors that are applied once, when an op next touches the qudit,
+//!   and the trajectory normalizes once at its end (see the
+//!   [`trajectory`] module docs).
 //!
 //! # The kernel layer
 //!
@@ -154,6 +155,7 @@
 
 #![warn(missing_docs)]
 
+mod damping;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod register;

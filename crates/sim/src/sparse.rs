@@ -31,8 +31,8 @@ use rand::Rng;
 use waltz_math::{Matrix, C64};
 use waltz_noise::{CoherenceModel, PauliOp};
 
+use crate::damping::{self, DampingTarget, POP_LANES};
 use crate::kernel::{self, GateKernel, Workspace};
-use crate::state::{DampingStep, POP_LANES};
 use crate::{Register, State, TimedOp};
 
 /// Default nnz/amps ratio above which an [`AdaptiveState`] abandons the
@@ -570,8 +570,9 @@ impl SparseState {
 
     /// One stochastic amplitude-damping step, normalized — the sparse
     /// counterpart of [`State::damping_step_with`], consuming the
-    /// identical RNG stream. The workspace is not used; the parameter
-    /// stays for existing callers.
+    /// identical RNG stream and taking the same branch from the same
+    /// bits. The workspace is not used; the parameter stays for existing
+    /// callers.
     pub fn damping_step_with<R: Rng + ?Sized>(
         &mut self,
         model: &CoherenceModel,
@@ -580,79 +581,14 @@ impl SparseState {
         rng: &mut R,
         _ws: &mut Workspace,
     ) {
-        let mut scale = 1.0;
-        self.damping_step_deferred(model, qudit, dt_ns, rng, &mut scale);
-        self.scale_amplitudes(scale);
-    }
-
-    /// The sparse mirror of `State::damping_step_deferred`: the same two
-    /// pre-RNG early returns, level populations accumulated into the same
-    /// lanes in the same order (absent amplitudes would add exact zeros),
-    /// the same draw, and the same collapse/no-jump arithmetic, leaving
-    /// normalization to `scale`.
-    pub(crate) fn damping_step_deferred<R: Rng + ?Sized>(
-        &mut self,
-        model: &CoherenceModel,
-        qudit: usize,
-        dt_ns: f64,
-        rng: &mut R,
-        scale: &mut f64,
-    ) {
-        let dim = self.register.dim(qudit);
-        let Some(mut step) = DampingStep::new(model, dim, dt_ns) else {
-            return;
-        };
-        let stride = self.register.stride(qudit);
-        // The dense lane order (`POP_LANES`): each stored amplitude into
-        // lane `idx % POP_LANES` of its level, in ascending index order.
-        let lanes = step.lanes_mut();
-        for &(idx, amp) in &self.entries {
-            let idx = idx as usize;
-            lanes[(idx / stride) % dim][idx % POP_LANES] += amp.norm_sqr();
-        }
-        match step.draw(scale, rng) {
-            // Jump: entries on `level` move to ground (subtracting the
-            // same `level * stride` keeps them sorted), every other entry
-            // is dropped.
-            Some(level) => {
-                let shift = (level * stride) as u64;
-                self.entries.retain_mut(|(idx, _)| {
-                    if (*idx as usize / stride) % dim == level {
-                        *idx -= shift;
-                        true
-                    } else {
-                        false
-                    }
-                });
-            }
-            None => {
-                let keep = step.keep();
-                for (idx, amp) in &mut self.entries {
-                    let lvl = (*idx as usize / stride) % dim;
-                    if lvl >= 1 {
-                        *amp *= keep[lvl];
-                    }
-                }
-                self.truncate();
-            }
-        }
-    }
-
-    /// Multiplies every stored amplitude by `factor` (a no-op for `1.0`)
-    /// — the same multiply as `State::scale_amplitudes`.
-    pub(crate) fn scale_amplitudes(&mut self, factor: f64) {
-        if factor != 1.0 {
-            for (_, a) in &mut self.entries {
-                *a *= factor;
-            }
-        }
+        damping::normalized_step(self, model, qudit, dt_ns, rng);
     }
 
     /// Drops entries at or below the truncation epsilon. With epsilon
     /// `0` only exact zeros are dropped, which never changes any dense
     /// sum the entries feed into. Like every rebuild arm it compares the
-    /// stored amplitudes, which inside a trajectory carry the deferred
-    /// damping normalization (see [`crate::trajectory`]).
+    /// stored amplitudes, which inside a trajectory are unnormalized (see
+    /// [`crate::trajectory`]).
     fn truncate(&mut self) {
         let eps2 = self.epsilon * self.epsilon;
         self.entries.retain(|(_, a)| a.norm_sqr() > eps2);
@@ -701,6 +637,66 @@ impl SparseState {
         // dimension changes.
         out.entries.sort_unstable_by_key(|&(i, _)| i);
         leaked
+    }
+}
+
+/// The dense primitives entry by entry: absent amplitudes would add
+/// exact zeros to a population lane and stay zero under a scale.
+impl DampingTarget for SparseState {
+    fn dim(&self, qudit: usize) -> usize {
+        self.register.dim(qudit)
+    }
+
+    fn add_level_populations(&self, qudit: usize, lanes: &mut [[f64; POP_LANES]]) {
+        let (stride, dim) = (self.register.stride(qudit), self.register.dim(qudit));
+        for &(idx, amp) in &self.entries {
+            let idx = idx as usize;
+            lanes[(idx / stride) % dim][idx % POP_LANES] += amp.norm_sqr();
+        }
+    }
+
+    /// Scales the excited entries, then drops those at or below the
+    /// truncation epsilon.
+    fn scale_levels(&mut self, qudit: usize, factors: &[f64]) {
+        let (stride, dim) = (self.register.stride(qudit), factors.len());
+        for (idx, amp) in &mut self.entries {
+            let level = (*idx as usize / stride) % dim;
+            if level >= 1 {
+                *amp *= factors[level];
+            }
+        }
+        self.truncate();
+    }
+
+    /// Entries on `level` move to ground (subtracting the same
+    /// `level * stride` keeps them sorted); every other entry is dropped.
+    fn collapse(&mut self, qudit: usize, level: usize) {
+        let (stride, dim) = (self.register.stride(qudit), self.register.dim(qudit));
+        let shift = (level * stride) as u64;
+        self.entries.retain_mut(|(idx, _)| {
+            if (*idx as usize / stride) % dim == level {
+                *idx -= shift;
+                true
+            } else {
+                false
+            }
+        });
+    }
+
+    fn norm_sqr(&self) -> f64 {
+        let mut lanes = [0.0f64; POP_LANES];
+        for &(idx, amp) in &self.entries {
+            lanes[idx as usize % POP_LANES] += amp.norm_sqr();
+        }
+        damping::lane_sum(lanes)
+    }
+
+    fn scale_amplitudes(&mut self, factor: f64) {
+        if factor != 1.0 {
+            for (_, a) in &mut self.entries {
+                *a *= factor;
+            }
+        }
     }
 }
 
@@ -930,7 +926,7 @@ impl AdaptiveState {
     }
 
     /// One stochastic amplitude-damping step, normalized (same RNG
-    /// stream in either representation).
+    /// stream and bits in either representation).
     pub fn damping_step_with<R: Rng + ?Sized>(
         &mut self,
         model: &CoherenceModel,
@@ -939,42 +935,24 @@ impl AdaptiveState {
         rng: &mut R,
         _ws: &mut Workspace,
     ) {
-        let mut scale = 1.0;
-        self.damping_step_deferred(model, qudit, dt_ns, rng, &mut scale);
-        self.scale_amplitudes(scale);
+        damping::normalized_step(self, model, qudit, dt_ns, rng);
     }
 
-    /// The damping step with normalization deferred into `scale`, in
-    /// whichever representation the state is in.
-    pub(crate) fn damping_step_deferred<R: Rng + ?Sized>(
-        &mut self,
-        model: &CoherenceModel,
-        qudit: usize,
-        dt_ns: f64,
-        rng: &mut R,
-        scale: &mut f64,
-    ) {
+    /// The representation the state is in, for the damping primitives.
+    fn engine(&self) -> &dyn DampingTarget {
         if self.is_dense {
-            self.dense
-                .as_mut()
-                .expect("dense buffer")
-                .damping_step_deferred(model, qudit, dt_ns, rng, scale);
+            self.dense.as_ref().expect("dense buffer")
         } else {
-            self.sparse
-                .damping_step_deferred(model, qudit, dt_ns, rng, scale);
+            &self.sparse
         }
-        self.note_peak();
     }
 
-    /// Multiplies every amplitude by `factor` (a no-op for `1.0`).
-    pub(crate) fn scale_amplitudes(&mut self, factor: f64) {
+    /// [`AdaptiveState::engine`], mutably.
+    fn engine_mut(&mut self) -> &mut dyn DampingTarget {
         if self.is_dense {
-            self.dense
-                .as_mut()
-                .expect("dense buffer")
-                .scale_amplitudes(factor);
+            self.dense.as_mut().expect("dense buffer")
         } else {
-            self.sparse.scale_amplitudes(factor);
+            &mut self.sparse
         }
     }
 
@@ -1092,5 +1070,27 @@ impl AdaptiveState {
         } else {
             self.sparse.entries.push((0, nan));
         }
+    }
+}
+
+/// Damping never adds entries, so the peak counters need no update.
+impl DampingTarget for AdaptiveState {
+    fn dim(&self, qudit: usize) -> usize {
+        self.engine().dim(qudit)
+    }
+    fn add_level_populations(&self, qudit: usize, lanes: &mut [[f64; POP_LANES]]) {
+        self.engine().add_level_populations(qudit, lanes);
+    }
+    fn scale_levels(&mut self, qudit: usize, factors: &[f64]) {
+        self.engine_mut().scale_levels(qudit, factors);
+    }
+    fn collapse(&mut self, qudit: usize, level: usize) {
+        self.engine_mut().collapse(qudit, level);
+    }
+    fn norm_sqr(&self) -> f64 {
+        self.engine().norm_sqr()
+    }
+    fn scale_amplitudes(&mut self, factor: f64) {
+        self.engine_mut().scale_amplitudes(factor);
     }
 }

@@ -5,6 +5,7 @@ use rand::Rng;
 use waltz_math::{vector, Matrix, C64};
 use waltz_noise::{CoherenceModel, PauliOp};
 
+use crate::damping::{self, DampingTarget, POP_LANES};
 use crate::kernel::{self, GateKernel, Workspace};
 use crate::{Register, TimedOp};
 
@@ -504,11 +505,11 @@ impl State {
     /// jump operator `K_m`; otherwise the no-jump Kraus `K_0` is applied.
     /// Either way the result is normalized.
     ///
-    /// The step reads the state once (the level populations) and, on
-    /// no-jump, rescales only the excited levels; normalization is one
-    /// multiply pass at the end. The trajectory runners skip even that
-    /// pass: they carry the normalizing factor across steps and apply it
-    /// once per trajectory (see [`crate::trajectory`]).
+    /// The step reads the state once (the level populations), writes the
+    /// excited levels (no-jump) or every level (jump), and normalizes in
+    /// one multiply pass. The trajectory runners take a cheaper path to
+    /// the same draws and branches: most of their steps never read the
+    /// state (see [`crate::trajectory`]).
     pub fn damping_step<R: Rng + ?Sized>(
         &mut self,
         model: &CoherenceModel,
@@ -516,18 +517,12 @@ impl State {
         dt_ns: f64,
         rng: &mut R,
     ) {
-        let mut scale = 1.0;
-        self.damping_step_deferred(model, qudit, dt_ns, rng, &mut scale);
-        self.scale_amplitudes(scale);
+        damping::normalized_step(self, model, qudit, dt_ns, rng);
     }
 
-    /// [`State::damping_step`], at the same cost: one read pass for the
-    /// level populations, a write of the excited levels (no-jump) or of
-    /// every level (jump), and one multiply pass that normalizes. Inside
-    /// a trajectory the runners use the step without that last pass and
-    /// apply one deferred factor per trajectory instead. The workspace
-    /// is not used (the step's per-level tables live on the stack); the
-    /// parameter stays for existing callers.
+    /// [`State::damping_step`]. The workspace is not used (the step's
+    /// per-level tables live on the stack); the parameter stays for
+    /// existing callers.
     pub fn damping_step_with<R: Rng + ?Sized>(
         &mut self,
         model: &CoherenceModel,
@@ -537,52 +532,6 @@ impl State {
         _ws: &mut Workspace,
     ) {
         self.damping_step(model, qudit, dt_ns, rng);
-    }
-
-    /// The damping step with normalization deferred. On entry the true
-    /// state is `scale ×` the stored amplitudes, which may have any norm;
-    /// jump probabilities are taken from `scale²` times the stored
-    /// populations, so a sub-unit true norm (after a lossy reshape)
-    /// weighs them exactly as it would unscaled. On return the stored
-    /// amplitudes hold the unnormalized post-step state and `scale` is
-    /// reset to the factor that normalizes it. `dt_ns <= 0` or all
-    /// `λ_m == 0` return before drawing, leaving both untouched.
-    pub(crate) fn damping_step_deferred<R: Rng + ?Sized>(
-        &mut self,
-        model: &CoherenceModel,
-        qudit: usize,
-        dt_ns: f64,
-        rng: &mut R,
-        scale: &mut f64,
-    ) {
-        let dim = self.register.dim(qudit);
-        let Some(mut step) = DampingStep::new(model, dim, dt_ns) else {
-            return;
-        };
-        let stride = self.register.stride(qudit);
-        add_level_populations(&self.amps, stride, dim, step.lanes_mut());
-        match step.draw(scale, rng) {
-            // Jump `K_m`: the decayed level's slice moves to ground and
-            // every other level is zeroed.
-            Some(level) => {
-                for block in self.amps.chunks_exact_mut(stride * dim) {
-                    block.copy_within(level * stride..(level + 1) * stride, 0);
-                    block[stride..].fill(C64::ZERO);
-                }
-            }
-            // No-jump `K_0`: scale each excited level by `√(1−λ_m)`.
-            None => scale_levels(&mut self.amps, stride, step.keep()),
-        }
-    }
-
-    /// Multiplies every amplitude by `factor` (a no-op for `1.0`) — how
-    /// a deferred damping normalization is applied.
-    pub(crate) fn scale_amplitudes(&mut self, factor: f64) {
-        if factor != 1.0 {
-            for a in &mut self.amps {
-                *a *= factor;
-            }
-        }
     }
 
     /// Samples a computational basis outcome.
@@ -599,143 +548,51 @@ impl State {
     }
 }
 
-/// Qudit dimensions whose damping tables live on the stack. A register
-/// admits up to 255 levels, so taller qudits spill to the heap.
-const STACK_LEVELS: usize = 8;
-
-/// Independent partial sums per level population: amplitude `i` adds
-/// its `|a|²` into lane `i % POP_LANES` of its level, each lane in
-/// ascending index order, and a level's lanes combine as
-/// `(l0 + l1) + (l2 + l3)`. Four lanes keep four additions in flight
-/// instead of waiting on one chain. The order depends only on amplitude
-/// indices, so the sparse engine, adding its stored amplitudes into the
-/// same lanes (absent ones would add exact zeros), gets the same bits.
-pub(crate) const POP_LANES: usize = 4;
-
-/// One value of `T` per level of a damping step, on the stack up to
-/// [`STACK_LEVELS`] levels.
-struct LevelTable<T> {
-    stack: [T; STACK_LEVELS],
-    heap: Vec<T>,
-    dim: usize,
-}
-
-impl<T: Copy + Default> LevelTable<T> {
-    fn zeros(dim: usize) -> Self {
-        LevelTable {
-            stack: [T::default(); STACK_LEVELS],
-            heap: if dim > STACK_LEVELS {
-                vec![T::default(); dim]
-            } else {
-                Vec::new()
-            },
-            dim,
-        }
-    }
-}
-
-impl<T> std::ops::Deref for LevelTable<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        if self.dim > STACK_LEVELS {
-            &self.heap
-        } else {
-            &self.stack[..self.dim]
-        }
-    }
-}
-
-impl<T> std::ops::DerefMut for LevelTable<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        if self.dim > STACK_LEVELS {
-            &mut self.heap
-        } else {
-            &mut self.stack[..self.dim]
-        }
-    }
-}
-
-/// The per-level numbers of one amplitude-damping step: `λ_m` and
-/// `√(1−λ_m)`, computed once per step, and the [`POP_LANES`] partial
-/// sums of each level population `P_m` of the stored amplitudes, which
-/// the engine fills in one read pass. The dense and sparse engines fill
-/// the lanes alike and both draw through [`DampingStep::draw`], so they
-/// take the same branch from the same bits.
-pub(crate) struct DampingStep {
-    lambda: LevelTable<f64>,
-    keep: LevelTable<f64>,
-    lanes: LevelTable<[f64; POP_LANES]>,
-}
-
-impl DampingStep {
-    /// The tables for a `dim`-level qudit damped for `dt_ns`, or `None`
-    /// when the step must return before drawing: `dt_ns <= 0` or every
-    /// `λ_m == 0`.
-    pub(crate) fn new(model: &CoherenceModel, dim: usize, dt_ns: f64) -> Option<Self> {
-        if dt_ns <= 0.0 {
-            return None;
-        }
-        let mut step = DampingStep {
-            lambda: LevelTable::zeros(dim),
-            keep: LevelTable::zeros(dim),
-            lanes: LevelTable::zeros(dim),
-        };
-        for m in 1..dim {
-            step.lambda[m] = model.lambda(m, dt_ns);
-        }
-        if step.lambda[1..].iter().all(|&l| l == 0.0) {
-            return None;
-        }
-        for (k, &l) in step.keep.iter_mut().zip(step.lambda.iter()) {
-            *k = (1.0 - l).sqrt();
-        }
-        Some(step)
+impl DampingTarget for State {
+    fn dim(&self, qudit: usize) -> usize {
+        self.register.dim(qudit)
     }
 
-    /// The population lanes, zeroed, for the engine's read pass.
-    pub(crate) fn lanes_mut(&mut self) -> &mut [[f64; POP_LANES]] {
-        &mut self.lanes
+    fn add_level_populations(&self, qudit: usize, lanes: &mut [[f64; POP_LANES]]) {
+        let (stride, dim) = (self.register.stride(qudit), self.register.dim(qudit));
+        add_level_populations(&self.amps, stride, dim, lanes);
     }
 
-    /// The no-jump amplitude factors `√(1−λ_m)` (1 for the ground level).
-    pub(crate) fn keep(&self) -> &[f64] {
-        &self.keep
+    fn scale_levels(&mut self, qudit: usize, factors: &[f64]) {
+        scale_levels(&mut self.amps, self.register.stride(qudit), factors);
     }
 
-    /// Draws the step's one uniform and picks its branch: `Some(m)` when
-    /// level `m` decays to ground, `None` for no-jump. Level `m` jumps
-    /// with probability `λ_m · scale² · P_m`, where `scale` is the
-    /// deferred normalization factor carried in (1 for a normalized
-    /// state). `scale` is reset to `1/‖ψ‖` of the stored state the branch
-    /// leaves behind (left at 1 when that state is zero), computed from
-    /// the populations without another pass.
-    pub(crate) fn draw<R: Rng + ?Sized>(&self, scale: &mut f64, rng: &mut R) -> Option<usize> {
-        let (lambda, lanes) = (&*self.lambda, &*self.lanes);
-        let pop = |m: usize| {
-            let [a, b, c, d] = lanes[m];
-            (a + b) + (c + d)
-        };
-        let scale2 = *scale * *scale;
-        let jump = |m: usize| lambda[m] * (scale2 * pop(m));
-        let total_jump: f64 = (1..lanes.len()).map(jump).sum();
-        let roll: f64 = rng.gen();
-        let (branch, norm2) = if roll < total_jump {
-            let mut acc = 0.0;
-            let mut level = 1;
-            for m in 1..lanes.len() {
-                acc += jump(m);
-                if roll < acc {
-                    level = m;
-                    break;
-                }
+    fn collapse(&mut self, qudit: usize, level: usize) {
+        let stride = self.register.stride(qudit);
+        for block in self
+            .amps
+            .chunks_exact_mut(stride * self.register.dim(qudit))
+        {
+            block.copy_within(level * stride..(level + 1) * stride, 0);
+            block[stride..].fill(C64::ZERO);
+        }
+    }
+
+    fn norm_sqr(&self) -> f64 {
+        let mut lanes = [0.0f64; POP_LANES];
+        let mut quads = self.amps.chunks_exact(POP_LANES);
+        for quad in &mut quads {
+            for (l, a) in lanes.iter_mut().zip(quad) {
+                *l += a.norm_sqr();
             }
-            (Some(level), pop(level))
-        } else {
-            let kept = (0..lanes.len()).map(|m| (1.0 - lambda[m]) * pop(m));
-            (None, kept.sum::<f64>())
-        };
-        *scale = if norm2 > 0.0 { 1.0 / norm2.sqrt() } else { 1.0 };
-        branch
+        }
+        for (l, a) in lanes.iter_mut().zip(quads.remainder()) {
+            *l += a.norm_sqr();
+        }
+        damping::lane_sum(lanes)
+    }
+
+    fn scale_amplitudes(&mut self, factor: f64) {
+        if factor != 1.0 {
+            for a in &mut self.amps {
+                *a *= factor;
+            }
+        }
     }
 }
 
@@ -764,7 +621,9 @@ fn levels(stride: usize, dim: usize) -> impl Iterator<Item = usize> {
 /// Three loops produce that one order: per-position sums over a short
 /// period for small strides, lane quads along each level slice for
 /// strides that are multiples of `POP_LANES`, one amplitude at a time
-/// otherwise.
+/// otherwise. The runners read on about 1% of their steps, but at 2^14
+/// amplitudes the last loop alone runs ~5x slower than the first two,
+/// which showed in windowed-ladder throughput.
 fn add_level_populations(amps: &[C64], stride: usize, dim: usize, lanes: &mut [[f64; POP_LANES]]) {
     match short_period(stride, dim) {
         Some(4) => add_periodic_populations::<4>(amps, stride, dim, lanes),

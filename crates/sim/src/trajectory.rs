@@ -9,20 +9,36 @@
 //!
 //! # Cost of a damping step
 //!
-//! A damping step reads the state once, to sum the damped qudit's level
-//! populations, draws one uniform, and writes only what its branch
-//! changes: the excited levels on no-jump (scaled by `√(1−λ_m)`, computed
-//! once per step), every level on a jump. It does not normalize. The
-//! runners carry the normalizing factor in the workspace next to the
-//! per-device busy times: the true state is that factor times the
-//! stored amplitudes. Each step takes its jump probabilities from the
-//! factor squared times the stored populations and resets the factor to
-//! `1/‖ψ‖` of the state it leaves; gates, Pauli draws and reshapes are
-//! linear and carry it unchanged. The runner applies the factor once,
-//! after the trailing idle damping, so a trajectory makes one
-//! normalization pass instead of one per step. The RNG stream and the
-//! early returns (`dt <= 0`, every `λ_m == 0`) are those of a step that
-//! normalizes, and the dense and sparse engines do identical arithmetic.
+//! Which qudit each damping step damps, and for how long, depends only
+//! on the schedule; its `λ_m`, `√(1−λ_m)` and `λ_max` depend on that and
+//! the noise model. An estimate compiles them once into step tables, in
+//! the order the runner calls them, and its pool workers share them.
+//! Single-trajectory entry points build them per call into the
+//! workspace. The builder and the runner walk the schedule through the
+//! same code, and the runner checks each call's qudit against its entry.
+//!
+//! A step then draws its uniform first. The normalized jump probability
+//! is `Σ λ_m P_m ≤ λ_max`, so a roll at or above `λ_max · (1 + 1e-9)`
+//! cannot jump: the step multiplies the qudit's pending per-level
+//! factors by `√(1−λ_m)` and touches no amplitude. At the paper's T1
+//! that is 98.6–99.8% of the steps of cnu-6q to cnu-12q trajectories.
+//! Only a smaller roll applies every pending factor, reads the
+//! populations once and takes the branch a normalizing step would: a
+//! collapse on a jump, the no-jump factors pended again otherwise.
+//!
+//! A qudit's pending factors are applied in one pass when an op or a
+//! Pauli touches it, before a reshape or a population read, and at the
+//! trajectory end: 0.22–0.24 passes per drawn step for qubit-only
+//! schedules, 0.62–0.75 for mixed-radix and full-ququart. Gates on
+//! other qudits commute with them. The stored amplitudes are never
+//! normalized inside a trajectory: a read weighs jump probabilities by
+//! the stored norm, and the end divides by it once. A lossy reshape
+//! keeps the rule that the next drawn step weighs them by the sub-unit
+//! norm that survived: the reshape records the norm² before the clip as
+//! the reference. The RNG stream, the early returns (`dt <= 0`, every
+//! `λ_m == 0`) and every branch are those of a step that reads and
+//! normalizes each time, and the dense and sparse engines do identical
+//! arithmetic.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -30,57 +46,63 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use waltz_noise::{pauli, CoherenceModel, NoiseModel, PauliOp};
+use waltz_noise::{pauli, NoiseModel, PauliOp};
 
+use crate::damping::{DampingTarget, StepTables};
 use crate::kernel::Workspace;
 use crate::pool::TrajectoryPool;
 use crate::sparse::{AdaptiveState, SparsePolicy, SparseState};
-use crate::{ideal, SegmentedCircuit, State, TimedCircuit, TimedOp};
+use crate::{ideal, Register, SegmentedCircuit, State, TimedCircuit, TimedOp};
+
+/// Panic message of a runner whose initial state is on another register
+/// than the schedule's first segment.
+const REGISTER_MISMATCH: &str = "state register does not match circuit register";
 
 /// The state-representation interface the shared per-op noise loop runs
 /// against. Dense [`State`] and the density-adaptive
 /// [`AdaptiveState`] both implement it, so the noise accounting — idle
 /// and busy damping windows, depolarizing draws, the order of every RNG
-/// consumption, the deferred damping normalization — is *the same code*
-/// for both representations, which is what makes adaptive estimates
+/// consumption, the pending damping factors — is *the same code* for
+/// both representations, which is what makes adaptive estimates
 /// bit-compatible with dense ones for a fixed seed.
-pub(crate) trait NoisyTarget {
+pub(crate) trait NoisyTarget: DampingTarget {
+    /// The initial-state type a trajectory in this representation starts
+    /// from.
+    type Input;
+    /// Overwrites this buffer with `input`, re-targeted onto `register`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input`'s register differs from `register`.
+    fn load(&mut self, input: &Self::Input, register: &Register, ws: &mut Workspace);
     fn apply_op(&mut self, op: &TimedOp, ws: &mut Workspace);
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize);
-    /// One damping step with its normalization deferred into
-    /// `ws.norm_scale`.
-    fn damp_deferred<R: Rng + ?Sized>(
-        &mut self,
-        model: &CoherenceModel,
-        qudit: usize,
-        dt_ns: f64,
-        rng: &mut R,
-        ws: &mut Workspace,
-    );
-    fn scale_amplitudes(&mut self, factor: f64);
+    /// Re-targets the buffer onto `register` (contents unspecified).
+    fn remap(&mut self, register: &Register);
+    /// Reshapes onto `out`'s register, returning the clipped probability.
+    fn reshape_lossy(&self, out: &mut Self, ws: &mut Workspace) -> f64;
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self);
 }
 
 impl NoisyTarget for State {
+    type Input = State;
+    fn load(&mut self, input: &State, register: &Register, _ws: &mut Workspace) {
+        assert_eq!(input.register(), register, "{REGISTER_MISMATCH}");
+        State::remap(self, register);
+        self.copy_from(input);
+    }
     fn apply_op(&mut self, op: &TimedOp, ws: &mut Workspace) {
         State::apply_op(self, op, ws);
     }
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize) {
         State::apply_pauli(self, op, qudit);
     }
-    fn damp_deferred<R: Rng + ?Sized>(
-        &mut self,
-        model: &CoherenceModel,
-        qudit: usize,
-        dt_ns: f64,
-        rng: &mut R,
-        ws: &mut Workspace,
-    ) {
-        State::damping_step_deferred(self, model, qudit, dt_ns, rng, &mut ws.norm_scale);
+    fn remap(&mut self, register: &Register) {
+        State::remap(self, register);
     }
-    fn scale_amplitudes(&mut self, factor: f64) {
-        State::scale_amplitudes(self, factor);
+    fn reshape_lossy(&self, out: &mut Self, _ws: &mut Workspace) -> f64 {
+        self.reshape_into_lossy(out)
     }
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self) {
@@ -89,29 +111,307 @@ impl NoisyTarget for State {
 }
 
 impl NoisyTarget for AdaptiveState {
+    type Input = SparseState;
+    fn load(&mut self, input: &SparseState, register: &Register, ws: &mut Workspace) {
+        assert_eq!(input.register(), register, "{REGISTER_MISMATCH}");
+        self.reset_from_sparse(input, ws);
+    }
     fn apply_op(&mut self, op: &TimedOp, ws: &mut Workspace) {
         AdaptiveState::apply_op(self, op, ws);
     }
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize) {
         AdaptiveState::apply_pauli(self, op, qudit);
     }
-    fn damp_deferred<R: Rng + ?Sized>(
-        &mut self,
-        model: &CoherenceModel,
-        qudit: usize,
-        dt_ns: f64,
-        rng: &mut R,
-        ws: &mut Workspace,
-    ) {
-        AdaptiveState::damping_step_deferred(self, model, qudit, dt_ns, rng, &mut ws.norm_scale);
+    fn remap(&mut self, register: &Register) {
+        AdaptiveState::remap(self, register);
     }
-    fn scale_amplitudes(&mut self, factor: f64) {
-        AdaptiveState::scale_amplitudes(self, factor);
+    fn reshape_lossy(&self, out: &mut Self, ws: &mut Workspace) -> f64 {
+        self.reshape_into_lossy(out, ws)
     }
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self) {
         crate::fault::tick_op_with(|| self.poison_first_amplitude());
     }
+}
+
+/// The noise calls of one trajectory, in the order the runner makes
+/// them. The step-table builder and the runner both go through
+/// [`walk_segment`] and [`walk_trailing`].
+trait NoiseCalls {
+    /// Damps `qudit` for `dt_ns`.
+    fn damp(&mut self, qudit: usize, dt_ns: f64);
+    /// Applies `op`'s unitary.
+    fn apply(&mut self, op: &TimedOp);
+    /// Draws a Pauli error on `operands` with probability `1 - fidelity`
+    /// (called only when noise is on and `fidelity < 1`).
+    fn depolarize(&mut self, fidelity: f64, error_dims: &[u8], operands: &[usize]);
+}
+
+/// The per-op noise walk of one segment: damps exact idle time, applies
+/// each op, replays fused-block noise events and draws depolarizing
+/// errors, continuing from (and updating) the per-device busy times
+/// `free_at`, which the caller owns across segments.
+fn walk_segment(
+    circuit: &TimedCircuit,
+    noise: &NoiseModel,
+    free_at: &mut [f64],
+    calls: &mut impl NoiseCalls,
+) {
+    let busy = noise.damping && noise.busy_time_damping;
+    for op in &circuit.ops {
+        match &op.noise_events {
+            None => {
+                // Exact-idle-time damping on each operand (§6.4).
+                if noise.damping {
+                    for &q in &op.operands {
+                        let idle = op.start_ns - free_at[q];
+                        if idle > 0.0 {
+                            calls.damp(q, idle);
+                        }
+                    }
+                }
+                calls.apply(op);
+                // Busy-time damping: decoherence during the pulse itself.
+                if busy {
+                    for &q in &op.operands {
+                        calls.damp(q, op.duration_ns);
+                    }
+                }
+                // Depolarizing draw with probability 1 - F (§6.5).
+                if noise.depolarizing && op.fidelity < 1.0 {
+                    calls.depolarize(op.fidelity, &op.error_dims, &op.operands);
+                }
+                for &q in &op.operands {
+                    free_at[q] = op.end_ns();
+                }
+            }
+            Some(events) => {
+                // A fused block: the unitary is applied once, but idle
+                // damping, busy damping and depolarizing draws replay per
+                // constituent pulse so each device still accumulates its
+                // exact idle/busy time and each pulse keeps its calibrated
+                // error channel. Only the interleaving of noise with the
+                // block's interior unitaries is approximated.
+                for ev in events {
+                    for &q in &ev.operands {
+                        let idle = ev.start_ns - free_at[q];
+                        if noise.damping && idle > 0.0 {
+                            calls.damp(q, idle);
+                        }
+                        free_at[q] = ev.end_ns();
+                    }
+                }
+                calls.apply(op);
+                for ev in events {
+                    if busy {
+                        for &q in &ev.operands {
+                            calls.damp(q, ev.duration_ns);
+                        }
+                    }
+                    if noise.depolarizing && ev.fidelity < 1.0 {
+                        calls.depolarize(ev.fidelity, &ev.error_dims, &ev.operands);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Damps each device's trailing idle time up to the program's
+/// wall-clock end `total_ns`.
+fn walk_trailing(total_ns: f64, noise: &NoiseModel, free_at: &[f64], calls: &mut impl NoiseCalls) {
+    if noise.damping {
+        for (q, &t) in free_at.iter().enumerate() {
+            let idle = total_ns - t;
+            if idle > 0.0 {
+                calls.damp(q, idle);
+            }
+        }
+    }
+}
+
+/// Records each damping call into step tables.
+struct TableBuilder<'a> {
+    steps: &'a mut StepTables,
+    noise: &'a NoiseModel,
+    register: &'a Register,
+}
+
+impl NoiseCalls for TableBuilder<'_> {
+    fn damp(&mut self, qudit: usize, dt_ns: f64) {
+        let dim = self.register.dim(qudit);
+        self.steps.push(&self.noise.coherence, qudit, dim, dt_ns);
+    }
+    fn apply(&mut self, _op: &TimedOp) {}
+    fn depolarize(&mut self, _fidelity: f64, _error_dims: &[u8], _operands: &[usize]) {}
+}
+
+/// The segments a trajectory runs through (one for an unsplit schedule)
+/// and its wall-clock end.
+#[derive(Clone, Copy)]
+struct Schedule<'a> {
+    segments: &'a [TimedCircuit],
+    total_ns: f64,
+}
+
+impl<'a> Schedule<'a> {
+    fn whole(circuit: &'a TimedCircuit) -> Self {
+        Schedule {
+            segments: std::slice::from_ref(circuit),
+            total_ns: circuit.total_duration_ns,
+        }
+    }
+
+    fn segmented(circuit: &'a SegmentedCircuit) -> Self {
+        Schedule {
+            segments: &circuit.segments,
+            total_ns: circuit.total_duration_ns,
+        }
+    }
+}
+
+impl StepTables {
+    /// The step tables of a trajectory through `schedule`.
+    fn of(schedule: Schedule, noise: &NoiseModel) -> Self {
+        let mut steps = StepTables::default();
+        steps.build(schedule, noise, &mut Vec::new());
+        steps
+    }
+
+    /// [`StepTables::of`] into this storage; `free_at` is scratch.
+    fn build(&mut self, schedule: Schedule, noise: &NoiseModel, free_at: &mut Vec<f64>) {
+        self.clear();
+        free_at.clear();
+        free_at.resize(schedule.segments[0].register.n_qudits(), 0.0);
+        let mut builder = TableBuilder {
+            steps: self,
+            noise,
+            register: &schedule.segments[0].register,
+        };
+        for segment in schedule.segments {
+            builder.register = &segment.register;
+            walk_segment(segment, noise, free_at, &mut builder);
+        }
+        walk_trailing(schedule.total_ns, noise, free_at, &mut builder);
+    }
+}
+
+/// Runs the noise calls of one trajectory against a state.
+struct Runner<'a, S, R: ?Sized> {
+    state: &'a mut S,
+    rng: &'a mut R,
+    ws: &'a mut Workspace,
+    steps: &'a StepTables,
+    /// Index of the next damping call in `steps`.
+    next: usize,
+}
+
+impl<S: NoisyTarget, R: Rng + ?Sized> NoiseCalls for Runner<'_, S, R> {
+    fn damp(&mut self, qudit: usize, _dt_ns: f64) {
+        let k = self.next;
+        self.steps
+            .run(k, qudit, self.state, &mut self.ws.pending, self.rng);
+        self.next += 1;
+    }
+
+    fn apply(&mut self, op: &TimedOp) {
+        for &q in &op.operands {
+            self.ws.pending.flush(q, self.state);
+        }
+        self.state.apply_op(op, self.ws);
+        #[cfg(feature = "fault-inject")]
+        self.state.fault_tick();
+    }
+
+    fn depolarize(&mut self, fidelity: f64, error_dims: &[u8], operands: &[usize]) {
+        if self.rng.gen::<f64>() > fidelity {
+            let err = pauli::sample_error(error_dims, self.rng);
+            for (p, &q) in err.iter().zip(operands) {
+                if !p.is_identity() {
+                    self.ws.pending.flush(q, self.state);
+                    self.state.apply_pauli(*p, q);
+                }
+            }
+        }
+    }
+}
+
+impl<S: NoisyTarget, R: Rng + ?Sized> Runner<'_, S, R> {
+    /// Moves the state onto the next segment's `register` through
+    /// `scratch`, with every pending factor applied first.
+    fn reshape(&mut self, register: &Register, scratch: &mut S) {
+        self.ws.pending.flush_all(self.state);
+        // Lossy: an error draw may have populated levels the noiseless
+        // occupancy analysis proved empty. The reshape drops them and
+        // leaves a sub-unit norm (see `State::reshape_into_lossy`).
+        scratch.remap(register);
+        let leaked = self.state.reshape_lossy(scratch, self.ws);
+        self.ws.pending.reshaped(leaked, self.state);
+        std::mem::swap(self.state, scratch);
+        self.ws.pending.layout(register.dims());
+    }
+}
+
+/// The one trajectory runner: runs `schedule` from `initial` into `out`
+/// (with a reshape at each segment boundary, through `scratch`),
+/// damping through `steps`, which must be
+/// [`StepTables::of`]`(schedule, noise)`.
+#[allow(clippy::too_many_arguments)]
+fn run_noisy<S: NoisyTarget, R: Rng + ?Sized>(
+    schedule: Schedule,
+    steps: &StepTables,
+    initial: &S::Input,
+    noise: &NoiseModel,
+    rng: &mut R,
+    out: &mut S,
+    mut scratch: Option<&mut S>,
+    ws: &mut Workspace,
+) {
+    let first = &schedule.segments[0].register;
+    out.load(initial, first, ws);
+    ws.begin_trajectory(first);
+    let mut free_at = std::mem::take(&mut ws.free_at);
+    let mut runner = Runner {
+        state: out,
+        rng,
+        ws,
+        steps,
+        next: 0,
+    };
+    for (k, segment) in schedule.segments.iter().enumerate() {
+        if k > 0 {
+            let scratch = scratch
+                .as_deref_mut()
+                .expect("segmented runs roll two buffers");
+            runner.reshape(&segment.register, scratch);
+        }
+        walk_segment(segment, noise, &mut free_at, &mut runner);
+    }
+    walk_trailing(schedule.total_ns, noise, &free_at, &mut runner);
+    assert_eq!(
+        runner.next,
+        steps.len(),
+        "damping calls differ from the step tables"
+    );
+    runner.ws.pending.finish(runner.state);
+    runner.ws.free_at = free_at;
+}
+
+/// [`run_noisy`] with step tables built into `ws`'s own storage — how
+/// the single-trajectory entry points get theirs.
+fn run_own<S: NoisyTarget, R: Rng + ?Sized>(
+    schedule: Schedule,
+    initial: &S::Input,
+    noise: &NoiseModel,
+    rng: &mut R,
+    out: &mut S,
+    scratch: Option<&mut S>,
+    ws: &mut Workspace,
+) {
+    let mut steps = std::mem::take(&mut ws.steps);
+    steps.build(schedule, noise, &mut ws.free_at);
+    run_noisy(schedule, &steps, initial, noise, rng, out, scratch, ws);
+    ws.steps = steps;
 }
 
 /// Runs one noisy trajectory, returning the final (normalized) state.
@@ -139,7 +439,7 @@ pub fn run_trajectory<R: Rng + ?Sized>(
 ///
 /// # Panics
 ///
-/// Panics if either state's register differs from the circuit's.
+/// Panics if the initial state's register differs from the circuit's.
 pub fn run_trajectory_into<R: Rng + ?Sized>(
     circuit: &TimedCircuit,
     initial: &State,
@@ -148,126 +448,7 @@ pub fn run_trajectory_into<R: Rng + ?Sized>(
     out: &mut State,
     ws: &mut Workspace,
 ) {
-    assert_eq!(
-        initial.register(),
-        &circuit.register,
-        "state register does not match circuit register"
-    );
-    out.copy_from(initial);
-    ws.begin_trajectory(circuit.register.n_qudits());
-    run_ops(circuit, noise, rng, out, ws);
-    finish_trajectory(circuit.total_duration_ns, noise, rng, out, ws);
-}
-
-/// The per-op noise/apply loop shared by the whole-program and segmented
-/// runners: damps exact idle time, applies each op through its kernel,
-/// replays fused-block noise events, and draws depolarizing errors —
-/// continuing from (and updating) the per-device busy times in
-/// `ws.free_at`, which the caller owns across segments.
-fn run_ops<S: NoisyTarget, R: Rng + ?Sized>(
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    rng: &mut R,
-    out: &mut S,
-    ws: &mut Workspace,
-) {
-    for op in &circuit.ops {
-        match &op.noise_events {
-            None => {
-                // Exact-idle-time damping on each operand (§6.4).
-                if noise.damping {
-                    for &q in &op.operands {
-                        let idle = op.start_ns - ws.free_at[q];
-                        if idle > 0.0 {
-                            out.damp_deferred(&noise.coherence, q, idle, rng, ws);
-                        }
-                    }
-                }
-                out.apply_op(op, ws);
-                #[cfg(feature = "fault-inject")]
-                out.fault_tick();
-                // Busy-time damping: decoherence during the pulse itself.
-                if noise.damping && noise.busy_time_damping {
-                    for &q in &op.operands {
-                        out.damp_deferred(&noise.coherence, q, op.duration_ns, rng, ws);
-                    }
-                }
-                // Depolarizing draw with probability 1 - F (§6.5).
-                if noise.depolarizing && op.fidelity < 1.0 && rng.gen::<f64>() > op.fidelity {
-                    let err = pauli::sample_error(&op.error_dims, rng);
-                    for (p, &q) in err.iter().zip(op.operands.iter()) {
-                        out.apply_pauli(*p, q);
-                    }
-                }
-                for &q in &op.operands {
-                    ws.free_at[q] = op.end_ns();
-                }
-            }
-            Some(events) => {
-                // A fused block: the unitary is applied once, but idle
-                // damping, busy damping and depolarizing draws replay per
-                // constituent pulse so each device still accumulates its
-                // exact idle/busy time and each pulse keeps its calibrated
-                // error channel. Only the interleaving of noise with the
-                // block's interior unitaries is approximated.
-                if noise.damping {
-                    for ev in events {
-                        for &q in &ev.operands {
-                            let idle = ev.start_ns - ws.free_at[q];
-                            if idle > 0.0 {
-                                out.damp_deferred(&noise.coherence, q, idle, rng, ws);
-                            }
-                            ws.free_at[q] = ev.end_ns();
-                        }
-                    }
-                } else {
-                    for ev in events {
-                        for &q in &ev.operands {
-                            ws.free_at[q] = ev.end_ns();
-                        }
-                    }
-                }
-                out.apply_op(op, ws);
-                #[cfg(feature = "fault-inject")]
-                out.fault_tick();
-                for ev in events {
-                    if noise.damping && noise.busy_time_damping {
-                        for &q in &ev.operands {
-                            out.damp_deferred(&noise.coherence, q, ev.duration_ns, rng, ws);
-                        }
-                    }
-                    if noise.depolarizing && ev.fidelity < 1.0 && rng.gen::<f64>() > ev.fidelity {
-                        let err = pauli::sample_error(&ev.error_dims, rng);
-                        for (p, &q) in err.iter().zip(ev.operands.iter()) {
-                            out.apply_pauli(*p, q);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Closes a trajectory: damps each device's trailing idle time up to
-/// the program's wall-clock end `total_ns`, then applies the deferred
-/// damping normalization `ws.norm_scale` to the final state — the one
-/// normalization pass of the whole trajectory.
-fn finish_trajectory<S: NoisyTarget, R: Rng + ?Sized>(
-    total_ns: f64,
-    noise: &NoiseModel,
-    rng: &mut R,
-    out: &mut S,
-    ws: &mut Workspace,
-) {
-    if noise.damping {
-        for q in 0..ws.free_at.len() {
-            let idle = total_ns - ws.free_at[q];
-            if idle > 0.0 {
-                out.damp_deferred(&noise.coherence, q, idle, rng, ws);
-            }
-        }
-    }
-    out.scale_amplitudes(ws.norm_scale);
+    run_own(Schedule::whole(circuit), initial, noise, rng, out, None, ws);
 }
 
 /// Runs one noisy trajectory of a windowed-register schedule, returning
@@ -325,29 +506,8 @@ pub fn run_trajectory_segmented_into<R: Rng + ?Sized>(
     scratch: &mut State,
     ws: &mut Workspace,
 ) {
-    assert_eq!(
-        initial.register(),
-        circuit.first_register(),
-        "state register does not match the first segment"
-    );
-    ws.begin_trajectory(circuit.first_register().n_qudits());
-    out.remap(circuit.first_register());
-    out.copy_from(initial);
-    for (k, segment) in circuit.segments.iter().enumerate() {
-        if k > 0 {
-            // Lossy: an error draw may have populated levels the
-            // noiseless occupancy analysis proved empty. The reshape
-            // drops them and leaves a sub-unit norm, which the next
-            // damping step normalizes away (see
-            // `State::reshape_into_lossy`). The stored amplitudes carry
-            // the deferred factor `ws.norm_scale` across the boundary.
-            scratch.remap(&segment.register);
-            let _leaked = out.reshape_into_lossy(scratch);
-            std::mem::swap(out, scratch);
-        }
-        run_ops(segment, noise, rng, out, ws);
-    }
-    finish_trajectory(circuit.total_duration_ns, noise, rng, out, ws);
+    let schedule = Schedule::segmented(circuit);
+    run_own(schedule, initial, noise, rng, out, Some(scratch), ws);
 }
 
 /// Result of a Monte-Carlo fidelity estimate.
@@ -469,6 +629,8 @@ pub fn fidelity_samples_with_on(
     seed: u64,
     write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
 ) -> Vec<f64> {
+    let schedule = Schedule::whole(circuit);
+    let steps = StepTables::of(schedule, noise);
     struct Worker {
         ws: Workspace,
         initial: State,
@@ -496,7 +658,16 @@ pub fn fidelity_samples_with_on(
                 w.cached_initial.copy_from(&w.initial);
                 w.ideal_cached = true;
             }
-            run_trajectory_into(circuit, &w.initial, noise, rng, &mut w.noisy_out, &mut w.ws);
+            run_noisy(
+                schedule,
+                &steps,
+                &w.initial,
+                noise,
+                rng,
+                &mut w.noisy_out,
+                None,
+                &mut w.ws,
+            );
             w.ideal_out.fidelity(&w.noisy_out)
         },
     )
@@ -786,6 +957,8 @@ pub fn average_fidelity_supervised_with_on(
     policy: &HealthPolicy,
     write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
 ) -> (FidelityEstimate, RunHealth) {
+    let schedule = Schedule::whole(circuit);
+    let steps = StepTables::of(schedule, noise);
     struct Worker {
         ws: Workspace,
         initial: State,
@@ -814,7 +987,16 @@ pub fn average_fidelity_supervised_with_on(
                 w.cached_initial.copy_from(&w.initial);
                 w.ideal_cached = true;
             }
-            run_trajectory_into(circuit, &w.initial, noise, rng, &mut w.noisy_out, &mut w.ws);
+            run_noisy(
+                schedule,
+                &steps,
+                &w.initial,
+                noise,
+                rng,
+                &mut w.noisy_out,
+                None,
+                &mut w.ws,
+            );
             (w.ideal_out.fidelity(&w.noisy_out), w.noisy_out.norm())
         },
     )
@@ -893,6 +1075,8 @@ pub fn average_fidelity_segmented_supervised_with_on(
     policy: &HealthPolicy,
     write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
 ) -> (FidelityEstimate, RunHealth) {
+    let schedule = Schedule::segmented(circuit);
+    let steps = StepTables::of(schedule, noise);
     struct Worker {
         ws: Workspace,
         initial: State,
@@ -935,13 +1119,14 @@ pub fn average_fidelity_segmented_supervised_with_on(
                 w.cached_initial.copy_from(&w.initial);
                 w.ideal_cached = true;
             }
-            run_trajectory_segmented_into(
-                circuit,
+            run_noisy(
+                schedule,
+                &steps,
                 &w.initial,
                 noise,
                 rng,
                 &mut w.noisy_out,
-                &mut w.noisy_scratch,
+                Some(&mut w.noisy_scratch),
                 &mut w.ws,
             );
             (w.ideal_out.fidelity(&w.noisy_out), w.noisy_out.norm())
@@ -1035,6 +1220,8 @@ pub fn fidelity_samples_segmented_with_on(
     seed: u64,
     write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
 ) -> Vec<f64> {
+    let schedule = Schedule::segmented(circuit);
+    let steps = StepTables::of(schedule, noise);
     struct Worker {
         ws: Workspace,
         initial: State,
@@ -1076,13 +1263,14 @@ pub fn fidelity_samples_segmented_with_on(
                 w.cached_initial.copy_from(&w.initial);
                 w.ideal_cached = true;
             }
-            run_trajectory_segmented_into(
-                circuit,
+            run_noisy(
+                schedule,
+                &steps,
                 &w.initial,
                 noise,
                 rng,
                 &mut w.noisy_out,
-                &mut w.noisy_scratch,
+                Some(&mut w.noisy_scratch),
                 &mut w.ws,
             );
             w.ideal_out.fidelity(&w.noisy_out)
@@ -1108,15 +1296,7 @@ pub fn run_trajectory_adaptive_into<R: Rng + ?Sized>(
     out: &mut AdaptiveState,
     ws: &mut Workspace,
 ) {
-    assert_eq!(
-        initial.register(),
-        &circuit.register,
-        "state register does not match circuit register"
-    );
-    out.reset_from_sparse(initial, ws);
-    ws.begin_trajectory(circuit.register.n_qudits());
-    run_ops(circuit, noise, rng, out, ws);
-    finish_trajectory(circuit.total_duration_ns, noise, rng, out, ws);
+    run_own(Schedule::whole(circuit), initial, noise, rng, out, None, ws);
 }
 
 /// [`run_trajectory_segmented_into`] on density-adaptive rolling
@@ -1138,25 +1318,8 @@ pub fn run_trajectory_segmented_adaptive_into<R: Rng + ?Sized>(
     scratch: &mut AdaptiveState,
     ws: &mut Workspace,
 ) {
-    assert_eq!(
-        initial.register(),
-        circuit.first_register(),
-        "state register does not match the first segment"
-    );
-    ws.begin_trajectory(circuit.first_register().n_qudits());
-    out.reset_from_sparse(initial, ws);
-    for (k, segment) in circuit.segments.iter().enumerate() {
-        if k > 0 {
-            // Lossy for the same reason as the dense segmented runner:
-            // an error draw may populate levels the noiseless occupancy
-            // analysis proved empty.
-            scratch.remap(&segment.register);
-            let _leaked = out.reshape_into_lossy(scratch, ws);
-            std::mem::swap(out, scratch);
-        }
-        run_ops(segment, noise, rng, out, ws);
-    }
-    finish_trajectory(circuit.total_duration_ns, noise, rng, out, ws);
+    let schedule = Schedule::segmented(circuit);
+    run_own(schedule, initial, noise, rng, out, Some(scratch), ws);
 }
 
 /// Applies a [`SparsePolicy`] to a fresh worker workspace.
@@ -1228,6 +1391,8 @@ pub fn fidelity_samples_adaptive_with_on(
     policy: &SparsePolicy,
     write_initial: impl Fn(&crate::Register, &mut StdRng, &mut SparseState) + Sync,
 ) -> Vec<f64> {
+    let schedule = Schedule::whole(circuit);
+    let steps = StepTables::of(schedule, noise);
     struct Worker {
         ws: Workspace,
         initial: SparseState,
@@ -1255,12 +1420,14 @@ pub fn fidelity_samples_adaptive_with_on(
                 w.cached_initial.copy_from(&w.initial);
                 w.ideal_cached = true;
             }
-            run_trajectory_adaptive_into(
-                circuit,
+            run_noisy(
+                schedule,
+                &steps,
                 &w.initial,
                 noise,
                 rng,
                 &mut w.noisy_out,
+                None,
                 &mut w.ws,
             );
             w.ideal_out.fidelity(&w.noisy_out)
@@ -1301,6 +1468,8 @@ pub fn average_fidelity_segmented_adaptive_with_on(
     policy: &SparsePolicy,
     write_initial: impl Fn(&crate::Register, &mut StdRng, &mut SparseState) + Sync,
 ) -> FidelityEstimate {
+    let schedule = Schedule::segmented(circuit);
+    let steps = StepTables::of(schedule, noise);
     struct Worker {
         ws: Workspace,
         initial: SparseState,
@@ -1338,13 +1507,14 @@ pub fn average_fidelity_segmented_adaptive_with_on(
                 w.cached_initial.copy_from(&w.initial);
                 w.ideal_cached = true;
             }
-            run_trajectory_segmented_adaptive_into(
-                circuit,
+            run_noisy(
+                schedule,
+                &steps,
                 &w.initial,
                 noise,
                 rng,
                 &mut w.noisy_out,
-                &mut w.noisy_scratch,
+                Some(&mut w.noisy_scratch),
                 &mut w.ws,
             );
             w.ideal_out.fidelity(&w.noisy_out)

@@ -18,10 +18,11 @@ use rand::{Rng, SeedableRng};
 
 use waltz_circuits::generalized_toffoli;
 use waltz_core::{Compiler, Strategy, Target};
-use waltz_math::{linalg, vector, C64};
+use waltz_math::{linalg, vector, Matrix, C64};
 use waltz_noise::{pauli, CoherenceModel, NoiseModel};
 use waltz_sim::{
-    trajectory, Register, SegmentedCircuit, SparseState, State, TimedCircuit, Workspace,
+    trajectory, AdaptiveState, Register, SegmentedCircuit, SimdLevel, SparseState, State,
+    TimedCircuit, TimedOp, Workspace,
 };
 
 const TOL: f64 = 1e-12;
@@ -595,4 +596,417 @@ fn windowed_cnu6q_trajectories_match_the_reference_runner() {
         assert_same_trajectory(&out, &want, &mut rng_new, &mut rng_ref);
     }
     assert!(jumps > 0, "no trajectory took a jump branch");
+}
+
+// ---------------------------------------------------------------------
+// The runners' lazy paths: most damping steps never read the state; a
+// step reads only when its roll falls below the step's `λ_max`, applies
+// the pending no-jump factors first, and weighs its jump probabilities
+// by a reference norm that a leaking reshape leaves sub-unit.
+// ---------------------------------------------------------------------
+
+/// The paper's noise with T1 = 2 µs: 13–40% of a cnu-6q trajectory's
+/// steps roll below their `λ_max` and take the read path (0.2–0.8% at
+/// the paper's T1), and a trajectory jumps 3–5 times on average.
+fn short_t1_noise() -> NoiseModel {
+    let mut noise = NoiseModel::paper();
+    noise.coherence = CoherenceModel::with_t1_ns(2_000.0);
+    noise
+}
+
+/// The three strategies' cnu-6q compiles.
+fn cnu6q_artifacts() -> Vec<waltz_core::CompileArtifact> {
+    [
+        Strategy::qubit_only(),
+        Strategy::mixed_radix_ccz(),
+        Strategy::full_ququart(),
+    ]
+    .into_iter()
+    .map(|strategy| {
+        Compiler::new(Target::paper(strategy))
+            .compile(&generalized_toffoli(3))
+            .expect("compile cnu-6q")
+    })
+    .collect()
+}
+
+#[test]
+fn short_t1_cnu6q_trajectories_match_the_reference_runner() {
+    let noise = short_t1_noise();
+    let (mut runs, mut jumped) = (0usize, 0usize);
+    for artifact in cnu6q_artifacts() {
+        let tc = artifact.sim_circuit();
+        let n = tc.register.n_qudits();
+        let mut ws = Workspace::new();
+        let mut out = State::zero(&tc.register);
+        for t in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(3000 + t);
+            let mut initial = State::zero(&tc.register);
+            artifact.write_random_product_initial_state(&mut rng, &mut initial);
+            let mut rng_new = StdRng::seed_from_u64(t);
+            let mut rng_ref = StdRng::seed_from_u64(t);
+            trajectory::run_trajectory_into(tc, &initial, &noise, &mut rng_new, &mut out, &mut ws);
+            let mut want = initial.clone();
+            let mut free_at = vec![0.0; n];
+            let mut jumps = 0usize;
+            reference_ops(
+                tc,
+                &noise,
+                &mut rng_ref,
+                &mut want,
+                &mut free_at,
+                &mut ws,
+                &mut jumps,
+            );
+            reference_trailing(
+                tc.total_duration_ns,
+                &noise,
+                &mut rng_ref,
+                &mut want,
+                &free_at,
+                &mut jumps,
+            );
+            assert_same_trajectory(&out, &want, &mut rng_new, &mut rng_ref);
+            runs += 1;
+            jumped += usize::from(jumps > 0);
+        }
+    }
+    assert!(
+        2 * jumped > runs,
+        "only {jumped} of {runs} trajectories jumped"
+    );
+}
+
+/// The windowed mixed-radix cnu-6q compile.
+fn windowed_cnu6q() -> waltz_core::CompileArtifact {
+    let artifact = Compiler::new(Target::paper(Strategy::mixed_radix_ccz()))
+        .compile(&generalized_toffoli(3))
+        .expect("compile cnu-6q");
+    assert!(
+        artifact.sim_segments().is_some(),
+        "mixed-radix cnu-6q windows"
+    );
+    artifact
+}
+
+#[test]
+fn windowed_runner_matches_the_reference_across_leaking_reshapes() {
+    // A Pauli can leave population on levels the next window clips. The
+    // reference reshapes its normalized state and lets the next step
+    // weigh jump probabilities by the sub-unit norm; the runner reshapes
+    // unnormalized amplitudes with pending factors applied and must
+    // weigh them alike, through the norm it records at the reshape.
+    let artifact = windowed_cnu6q();
+    let seg = artifact.sim_segments().expect("windowed");
+    let n = seg.first_register().n_qudits();
+    let mut ws = Workspace::new();
+    let (mut out, mut scratch) = seg.rolling_buffers();
+    let mut leaks = 0usize;
+    for noise in [short_t1_noise(), NoiseModel::paper()] {
+        for t in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(4000 + t);
+            let mut initial = State::zero(seg.first_register());
+            artifact.write_random_product_initial_state(&mut rng, &mut initial);
+            let mut rng_new = StdRng::seed_from_u64(t);
+            let mut rng_ref = StdRng::seed_from_u64(t);
+            trajectory::run_trajectory_segmented_into(
+                seg,
+                &initial,
+                &noise,
+                &mut rng_new,
+                &mut out,
+                &mut scratch,
+                &mut ws,
+            );
+            let mut want = initial.clone();
+            let mut free_at = vec![0.0; n];
+            let mut jumps = 0usize;
+            for (k, segment) in seg.segments.iter().enumerate() {
+                if k > 0 {
+                    let mut next = State::zero(&segment.register);
+                    if want.reshape_into_lossy(&mut next) > 0.0 {
+                        leaks += 1;
+                    }
+                    want = next;
+                }
+                reference_ops(
+                    segment,
+                    &noise,
+                    &mut rng_ref,
+                    &mut want,
+                    &mut free_at,
+                    &mut ws,
+                    &mut jumps,
+                );
+            }
+            reference_trailing(
+                seg.total_duration_ns,
+                &noise,
+                &mut rng_ref,
+                &mut want,
+                &free_at,
+                &mut jumps,
+            );
+            assert_same_trajectory(&out, &want, &mut rng_new, &mut rng_ref);
+        }
+    }
+    assert!(leaks > 0, "no reshape clipped any population");
+}
+
+#[test]
+fn leaked_population_weighs_the_next_read_by_the_surviving_norm() {
+    // A 4-level device splits |0> over levels 1 and 2, and the next
+    // window keeps two levels, so the reshape clips half the population.
+    // The read after it must weigh level 1's jump by the surviving norm²
+    // (about 1/2) rather than renormalize it away: at T1 = 2 µs, a 1 µs
+    // idle makes the two weightings take different branches on about a
+    // fifth of the rolls.
+    let (o, l) = (C64::ZERO, C64::ONE);
+    let h = C64::real(std::f64::consts::FRAC_1_SQRT_2);
+    let split = Matrix::from_rows(&[
+        vec![o, o, l, o],
+        vec![h, h, o, o],
+        vec![h, C64::real(-h.re), o, o],
+        vec![o, o, o, l],
+    ]);
+    let mut first = TimedCircuit::new(Register::new(vec![4]));
+    first.ops.push(TimedOp::new(
+        "split",
+        split,
+        vec![0],
+        vec![4],
+        0.0,
+        35.0,
+        1.0,
+    ));
+    first.total_duration_ns = 35.0;
+    let mut second = TimedCircuit::new(Register::new(vec![2]));
+    let x = Matrix::permutation(&[1, 0]);
+    second
+        .ops
+        .push(TimedOp::new("x", x, vec![0], vec![2], 1035.0, 35.0, 1.0));
+    second.total_duration_ns = 1070.0;
+    let seg = SegmentedCircuit::new(vec![first, second], 1570.0);
+    let noise = short_t1_noise();
+    let mut ws = Workspace::new();
+    let (mut out, mut scratch) = seg.rolling_buffers();
+    let initial = State::zero(seg.first_register());
+    let mut leaks = 0usize;
+    for t in 0..200u64 {
+        let mut rng_new = StdRng::seed_from_u64(t);
+        let mut rng_ref = StdRng::seed_from_u64(t);
+        trajectory::run_trajectory_segmented_into(
+            &seg,
+            &initial,
+            &noise,
+            &mut rng_new,
+            &mut out,
+            &mut scratch,
+            &mut ws,
+        );
+        let mut want = initial.clone();
+        let mut free_at = vec![0.0];
+        let mut jumps = 0usize;
+        for (k, segment) in seg.segments.iter().enumerate() {
+            if k > 0 {
+                let mut next = State::zero(&segment.register);
+                if want.reshape_into_lossy(&mut next) > 0.0 {
+                    leaks += 1;
+                }
+                want = next;
+            }
+            reference_ops(
+                segment,
+                &noise,
+                &mut rng_ref,
+                &mut want,
+                &mut free_at,
+                &mut ws,
+                &mut jumps,
+            );
+        }
+        reference_trailing(
+            seg.total_duration_ns,
+            &noise,
+            &mut rng_ref,
+            &mut want,
+            &free_at,
+            &mut jumps,
+        );
+        assert_same_trajectory(&out, &want, &mut rng_new, &mut rng_ref);
+    }
+    assert!(
+        leaks > 100,
+        "only {leaks} of 200 reshapes clipped population"
+    );
+}
+
+/// Asserts an adaptive final state holds the dense one's bits on every
+/// nonzero amplitude, in whichever representation it ended.
+fn assert_adaptive_bits(dense: &State, adaptive: &AdaptiveState, context: &str) {
+    match (adaptive.as_dense(), adaptive.as_sparse()) {
+        (Some(d), _) => {
+            for (idx, (a, b)) in dense.amplitudes().iter().zip(d.amplitudes()).enumerate() {
+                assert!(
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                    "{context}, amplitude {idx}: {a} vs {b}"
+                );
+            }
+        }
+        (None, Some(sparse)) => assert_same_bits(dense, sparse, context),
+        (None, None) => unreachable!("an adaptive state is dense or sparse"),
+    }
+}
+
+/// A scalar-pinned workspace at a sparse density threshold: the sparse
+/// arms mirror the scalar dense sweeps, so the bit comparison pins both
+/// engines to the scalar bodies.
+fn scalar_ws(threshold: f64) -> Workspace {
+    let mut ws = Workspace::new();
+    ws.set_simd_level(SimdLevel::Scalar);
+    ws.set_sparse_density_threshold(threshold);
+    ws
+}
+
+#[test]
+fn short_t1_adaptive_runners_equal_the_dense_runners_to_the_bit() {
+    let noise = short_t1_noise();
+    for artifact in cnu6q_artifacts() {
+        let tc = artifact.sim_circuit();
+        let mut dense_ws = scalar_ws(0.0);
+        let mut dense = State::zero(&tc.register);
+        let mut adaptive = AdaptiveState::zero(&tc.register);
+        for threshold in [0.25, 2.0] {
+            let mut ws = scalar_ws(threshold);
+            for t in 0..30u64 {
+                let mut rng = StdRng::seed_from_u64(5000 + t);
+                let mut initial = State::zero(&tc.register);
+                artifact.write_random_product_initial_state(&mut rng, &mut initial);
+                let sparse = SparseState::from_dense(&initial, 0.0);
+                let mut rng_dense = StdRng::seed_from_u64(t);
+                let mut rng_adaptive = StdRng::seed_from_u64(t);
+                trajectory::run_trajectory_into(
+                    tc,
+                    &initial,
+                    &noise,
+                    &mut rng_dense,
+                    &mut dense,
+                    &mut dense_ws,
+                );
+                trajectory::run_trajectory_adaptive_into(
+                    tc,
+                    &sparse,
+                    &noise,
+                    &mut rng_adaptive,
+                    &mut adaptive,
+                    &mut ws,
+                );
+                let context = format!("{}, threshold {threshold}, t {t}", artifact.strategy.name());
+                assert_adaptive_bits(&dense, &adaptive, &context);
+                assert_eq!(
+                    rng_dense.gen::<u64>(),
+                    rng_adaptive.gen::<u64>(),
+                    "{context}"
+                );
+            }
+        }
+    }
+
+    let artifact = windowed_cnu6q();
+    let seg = artifact.sim_segments().expect("windowed");
+    let mut dense_ws = scalar_ws(0.0);
+    let (mut dense, mut dense_scratch) = seg.rolling_buffers();
+    let first = seg.first_register();
+    let (mut adaptive, mut adaptive_scratch) =
+        (AdaptiveState::zero(first), AdaptiveState::zero(first));
+    for threshold in [0.25, 2.0] {
+        let mut ws = scalar_ws(threshold);
+        for t in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(6000 + t);
+            let mut initial = State::zero(first);
+            artifact.write_random_product_initial_state(&mut rng, &mut initial);
+            let sparse = SparseState::from_dense(&initial, 0.0);
+            let mut rng_dense = StdRng::seed_from_u64(t);
+            let mut rng_adaptive = StdRng::seed_from_u64(t);
+            trajectory::run_trajectory_segmented_into(
+                seg,
+                &initial,
+                &noise,
+                &mut rng_dense,
+                &mut dense,
+                &mut dense_scratch,
+                &mut dense_ws,
+            );
+            trajectory::run_trajectory_segmented_adaptive_into(
+                seg,
+                &sparse,
+                &noise,
+                &mut rng_adaptive,
+                &mut adaptive,
+                &mut adaptive_scratch,
+                &mut ws,
+            );
+            let context = format!("windowed, threshold {threshold}, t {t}");
+            assert_adaptive_bits(&dense, &adaptive, &context);
+            assert_eq!(
+                rng_dense.gen::<u64>(),
+                rng_adaptive.gen::<u64>(),
+                "{context}"
+            );
+        }
+    }
+}
+
+/// `Σ λ_m P_m` of the reference step's populations, and `λ_max`.
+fn reference_jump_bound(
+    amps: &[C64],
+    reg: &Register,
+    model: &CoherenceModel,
+    qudit: usize,
+    dt_ns: f64,
+) -> (f64, f64) {
+    let (dim, stride) = (reg.dim(qudit), reg.stride(qudit));
+    let mut level_p = vec![0.0f64; dim];
+    for block in amps.chunks_exact(stride * dim) {
+        for (lvl, p) in level_p.iter_mut().enumerate() {
+            *p += block[lvl * stride..(lvl + 1) * stride]
+                .iter()
+                .map(|a| a.norm_sqr())
+                .sum::<f64>();
+        }
+    }
+    let lambdas: Vec<f64> = (1..dim).map(|m| model.lambda(m, dt_ns)).collect();
+    let total: f64 = lambdas.iter().zip(&level_p[1..]).map(|(l, p)| l * p).sum();
+    (total, lambdas.iter().fold(0.0f64, |a, &b| a.max(b)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The runners skip the population read when the roll is at or above
+    // `λ_max · (1 + 1e-9)`: sound only if no step's total jump
+    // probability can exceed that bound, at any norm up to one.
+    #[test]
+    fn total_jump_probability_never_exceeds_the_skip_bound(
+        seed in 0u64..1_000_000,
+        log_dt in -3.0f64..12.0,
+        sub_unit in 0usize..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=3usize);
+        let reg = Register::new((0..n).map(|_| rng.gen_range(2..=12u8)).collect());
+        let input = random_input(&reg, sub_unit == 1, &mut rng);
+        let dt = 10f64.powf(log_dt);
+        for model in [CoherenceModel::paper(), CoherenceModel::with_t1_ns(2_000.0)] {
+            for qudit in 0..n {
+                let (total, lambda_max) =
+                    reference_jump_bound(input.amplitudes(), &reg, &model, qudit, dt);
+                prop_assert!(
+                    total <= lambda_max * (1.0 + 1e-9),
+                    "dims {:?}, qudit {}, dt {}: jump {} above bound {}",
+                    reg.dims(), qudit, dt, total, lambda_max
+                );
+            }
+        }
+    }
 }
