@@ -9,7 +9,8 @@ use waltz_circuits::generalized_toffoli;
 use waltz_core::{Compiler, Strategy, Target};
 use waltz_math::Matrix;
 use waltz_noise::{CoherenceModel, NoiseModel};
-use waltz_sim::{trajectory, GateKernel, Register, State, Workspace};
+use waltz_sim::trajectory::Estimator;
+use waltz_sim::{GateKernel, Register, State, Workspace};
 
 fn bench_gate_application(c: &mut Criterion) {
     let mut group = c.benchmark_group("state");
@@ -83,9 +84,11 @@ fn bench_trajectories(c: &mut Criterion) {
         for (tag, timed) in [("", &compiled.timed), ("/fused", compiled.sim_circuit())] {
             group.bench_function(format!("cnu-6q/{}{tag}", strategy.name()), |b| {
                 b.iter(|| {
-                    trajectory::average_fidelity_with(timed, &noise, 8, 3, |_, rng, out| {
-                        compiled.write_random_product_initial_state(rng, out)
-                    })
+                    Estimator::new(timed, &noise)
+                        .with_input(|_, rng, out| {
+                            compiled.write_random_product_initial_state(rng, out)
+                        })
+                        .estimate(8, 3)
                 })
             });
         }

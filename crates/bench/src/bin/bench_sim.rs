@@ -26,9 +26,10 @@ use waltz_core::{CompileOptions, Compiler, Strategy};
 use waltz_gates::GateLibrary;
 use waltz_math::{Matrix, C64};
 use waltz_noise::NoiseModel;
+use waltz_sim::trajectory::Estimator;
 use waltz_sim::{
-    ideal, trajectory, AdaptiveState, GateKernel, Register, SimdLevel, SparsePolicy, SparseState,
-    State, TrajectoryPool, Workspace,
+    GateKernel, Register, Session, SimdLevel, SparsePolicy, SparseState, State, TrajectoryPool,
+    Workspace,
 };
 
 /// Interleaved rounds behind each `trajectory_cnu6q` rate column.
@@ -231,7 +232,8 @@ fn main() {
         // executes the identical whole-register code path, so (as in
         // `apply_case`) the column reports the whole-register rate
         // instead of presenting timer noise as a speedup or regression.
-        let windowed_split = compiled.sim_segments().is_some();
+        let schedule = compiled.sim_schedule();
+        let windowed_split = schedule.is_split();
         let rate = if windowed_split { rate } else { whole_rate };
         let register = &whole.timed.register;
         let mut occupancy = JsonObject::new();
@@ -241,39 +243,23 @@ fn main() {
                 register.dims().iter().filter(|&&d| d == dim).count() as u64,
             );
         }
-        let (segments, reshapes, peak_bytes, mean_bytes, segment_dims) =
-            match compiled.sim_segments() {
-                Some(seg) => (
-                    seg.n_segments(),
-                    seg.reshape_count(),
-                    seg.peak_state_bytes(),
-                    seg.mean_state_bytes(),
-                    seg.segments
-                        .iter()
-                        .map(|s| {
-                            s.register
-                                .dims()
-                                .iter()
-                                .map(u8::to_string)
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        })
-                        .collect::<Vec<_>>()
-                        .join("|"),
-                ),
-                None => (
-                    1,
-                    0,
-                    register.state_bytes(),
-                    register.state_bytes() as f64,
-                    register
-                        .dims()
-                        .iter()
-                        .map(u8::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-            };
+        let segments = schedule.segments().len();
+        let reshapes = segments - 1;
+        let peak_bytes = schedule.peak_state_bytes();
+        let mean_bytes = schedule.mean_state_bytes();
+        let segment_dims = schedule
+            .segments()
+            .iter()
+            .map(|s| {
+                s.register
+                    .dims()
+                    .iter()
+                    .map(u8::to_string)
+                    .collect::<Vec<_>>()
+                    .join(",")
+            })
+            .collect::<Vec<_>>()
+            .join("|");
         // --- Dense vs density-adaptive sparse, on basis inputs. ----------
         // Random product inputs are dense from the first op, so the
         // adaptive engine is exercised where it matters: classical
@@ -293,50 +279,13 @@ fn main() {
         };
         for _ in 0..RATE_ROUNDS {
             let t0 = std::time::Instant::now();
-            match compiled.sim_segments() {
-                Some(seg) => {
-                    trajectory::average_fidelity_segmented_with(
-                        seg,
-                        &noise,
-                        RATE_TRAJECTORIES,
-                        7,
-                        basis_dense,
-                    );
-                }
-                None => {
-                    trajectory::average_fidelity_with(
-                        compiled.sim_circuit(),
-                        &noise,
-                        RATE_TRAJECTORIES,
-                        7,
-                        basis_dense,
-                    );
-                }
-            }
+            Estimator::new(schedule, &noise)
+                .with_input(basis_dense)
+                .estimate(RATE_TRAJECTORIES, 7);
             dense_basis_rates.push(rate_of(t0));
             let t0 = std::time::Instant::now();
-            match compiled.sim_segments() {
-                Some(seg) => {
-                    trajectory::average_fidelity_segmented_adaptive_with(
-                        seg,
-                        &noise,
-                        RATE_TRAJECTORIES,
-                        7,
-                        &policy,
-                        basis_sparse,
-                    );
-                }
-                None => {
-                    trajectory::average_fidelity_adaptive_with(
-                        compiled.sim_circuit(),
-                        &noise,
-                        RATE_TRAJECTORIES,
-                        7,
-                        &policy,
-                        basis_sparse,
-                    );
-                }
-            }
+            Estimator::adaptive(schedule, &noise, &policy, basis_sparse)
+                .estimate(RATE_TRAJECTORIES, 7);
             adaptive_basis_rates.push(rate_of(t0));
         }
         let dense_basis_rate = median(&mut dense_basis_rates);
@@ -344,42 +293,12 @@ fn main() {
         // One noiseless adaptive run traces the support: peak nnz, the
         // density it implies against the dense amplitude count, and
         // which representation the state ended in.
-        let mut sparse_ws = Workspace::new();
-        sparse_ws.set_sparse_density_threshold(policy.density_threshold);
-        sparse_ws.set_sparse_epsilon(policy.epsilon);
-        let (nnz_peak, sparse_peak_bytes, density_final, repr_final) = match compiled.sim_segments()
-        {
-            Some(seg) => {
-                let initial = SparseState::basis(seg.first_register(), 0);
-                let mut out = AdaptiveState::zero(seg.first_register());
-                let mut scratch = AdaptiveState::zero(seg.first_register());
-                ideal::run_segmented_adaptive_into(
-                    seg,
-                    &initial,
-                    &mut out,
-                    &mut scratch,
-                    &mut sparse_ws,
-                );
-                (
-                    out.peak_nnz(),
-                    out.peak_state_bytes(),
-                    out.density(),
-                    if out.is_dense() { "dense" } else { "sparse" },
-                )
-            }
-            None => {
-                let tc = compiled.sim_circuit();
-                let initial = SparseState::basis(&tc.register, 0);
-                let mut out = AdaptiveState::zero(&tc.register);
-                ideal::run_adaptive_into(tc, &initial, &mut out, &mut sparse_ws);
-                (
-                    out.peak_nnz(),
-                    out.peak_state_bytes(),
-                    out.density(),
-                    if out.is_dense() { "dense" } else { "sparse" },
-                )
-            }
-        };
+        let mut sparse_session = Session::adaptive(schedule, &policy);
+        let out =
+            sparse_session.run_ideal(schedule, &SparseState::basis(schedule.first_register(), 0));
+        let (nnz_peak, sparse_peak_bytes, density_final) =
+            (out.peak_nnz(), out.peak_state_bytes(), out.density());
+        let repr_final = if out.is_dense() { "dense" } else { "sparse" };
         let dense_peak_amps = (peak_bytes / 16).max(1);
         let mut t = JsonObject::new();
         t.num("trajectories_per_sec", rate)

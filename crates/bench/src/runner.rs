@@ -194,20 +194,16 @@ pub fn try_evaluate(
     }))
 }
 
-/// Trajectory-method fidelity of an already-compiled circuit with the
-/// allocation-free in-place initial-state factory: the windowed
-/// segmented schedule ([`CompiledCircuit::sim_segments`]) when the
-/// compiler produced one, otherwise [`CompiledCircuit::sim_circuit`]
-/// (the fused program when the compile options requested fusion) — one
-/// dispatch rule, shared with `Simulation::average_fidelity` through
-/// [`CompiledCircuit::estimate_average_fidelity`].
+/// Trajectory-method fidelity of an already-compiled circuit:
+/// [`CompiledCircuit::estimator`] over its simulation schedule, the
+/// estimate `Simulation::average_fidelity` runs.
 pub fn simulate(
     compiled: &CompiledCircuit,
     noise: &NoiseModel,
     trajectories: usize,
     seed: u64,
 ) -> FidelityEstimate {
-    compiled.estimate_average_fidelity(noise, trajectories, seed)
+    compiled.estimator(noise).estimate(trajectories, seed)
 }
 
 /// [`simulate`] with wall-clock accounting: returns the estimate plus the
@@ -219,15 +215,13 @@ pub fn simulate_timed(
     trajectories: usize,
     seed: u64,
 ) -> (FidelityEstimate, f64) {
-    let t0 = std::time::Instant::now();
-    let est = simulate(compiled, noise, trajectories, seed);
-    let secs = t0.elapsed().as_secs_f64();
-    let rate = if secs > 0.0 {
-        trajectories as f64 / secs
-    } else {
-        f64::INFINITY
-    };
-    (est, rate)
+    simulate_timed_on(
+        &waltz_sim::TrajectoryPool::global(),
+        compiled,
+        noise,
+        trajectories,
+        seed,
+    )
 }
 
 /// [`simulate_timed`] on a caller-chosen [`waltz_sim::TrajectoryPool`] —
@@ -241,7 +235,10 @@ pub fn simulate_timed_on(
     seed: u64,
 ) -> (FidelityEstimate, f64) {
     let t0 = std::time::Instant::now();
-    let est = compiled.estimate_average_fidelity_on(pool, noise, trajectories, seed);
+    let est = compiled
+        .estimator(noise)
+        .on(pool)
+        .estimate(trajectories, seed);
     let secs = t0.elapsed().as_secs_f64();
     let rate = if secs > 0.0 {
         trajectories as f64 / secs

@@ -8,7 +8,7 @@ use rand::Rng;
 
 use waltz_noise::NoiseModel;
 use waltz_sim::trajectory::{FidelityEstimate, HealthPolicy, RunHealth};
-use waltz_sim::{SegmentedSession, Session, State, TrajectoryPool};
+use waltz_sim::{Schedule, Session, State, TrajectoryPool};
 
 use crate::compile::CompiledCircuit;
 use crate::eps::EpsBreakdown;
@@ -137,8 +137,7 @@ impl CompileArtifact {
 
     /// A simulation session over this artifact: owns the kernel workspace
     /// and state buffers, defaults to the target's noise model, and runs
-    /// the fused simulation schedule
-    /// ([`CompiledCircuit::sim_circuit`]).
+    /// the simulation schedule ([`CompiledCircuit::sim_schedule`]).
     pub fn simulate(&self) -> Simulation<'_> {
         Simulation {
             compiled: &self.compiled,
@@ -151,15 +150,13 @@ impl CompileArtifact {
 }
 
 /// A simulation session bound to one compiled circuit: owns the
-/// [`waltz_sim::Workspace`] and the state buffers that previously had to
-/// be hand-threaded through `run_trajectory_into` and the initial-state
-/// factory closures.
+/// [`waltz_sim::Workspace`] and the state buffers of its serial runs.
 ///
 /// Batch estimation ([`Simulation::average_fidelity`]) fans trajectories
-/// across threads with per-worker buffer reuse; the serial entry points
+/// across the pool with per-worker buffer reuse; the serial entry points
 /// ([`Simulation::run_trajectory`], [`Simulation::run_ideal`]) reuse this
 /// session's own buffers, so shot-by-shot loops allocate nothing per
-/// shot.
+/// shot. Every run goes through [`CompiledCircuit::sim_schedule`].
 #[derive(Debug)]
 pub struct Simulation<'a> {
     compiled: &'a CompiledCircuit,
@@ -171,17 +168,7 @@ pub struct Simulation<'a> {
     /// Created on the first serial run — the batched estimator manages
     /// its own per-worker buffers, so a pure `average_fidelity` call
     /// never allocates a session.
-    session: Option<SessionState>,
-}
-
-/// Which serial engine the session's buffers belong to: the fused
-/// whole-program schedule or the windowed (segmented) one. A
-/// [`Simulation`] lazily builds whichever the next run needs and swaps if
-/// the caller alternates register shapes.
-#[derive(Debug)]
-enum SessionState {
-    Whole(Session),
-    Segmented(SegmentedSession),
+    session: Option<Session>,
 }
 
 impl<'a> Simulation<'a> {
@@ -217,32 +204,36 @@ impl<'a> Simulation<'a> {
 
     /// Trajectory-method average fidelity over random logical product
     /// inputs embedded at the compiler's placement (§6.4): the paper's
-    /// headline simulation, with per-worker buffer reuse. Runs the
-    /// windowed (segmented) schedule when the compiler produced one —
-    /// statistically equivalent to the whole-program engine, pinned by
-    /// the `window_parity` suite — and the fused whole-program schedule
-    /// ([`CompiledCircuit::sim_circuit`]) otherwise
-    /// ([`CompiledCircuit::estimate_average_fidelity`]).
+    /// headline simulation ([`CompiledCircuit::estimator`]). The windowed
+    /// schedule, when the compiler produced one, is statistically
+    /// equivalent to the whole-program one, pinned by the
+    /// `window_parity` suite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trajectories` is zero.
     pub fn average_fidelity(&self, trajectories: usize) -> FidelityEstimate {
-        self.compiled.estimate_average_fidelity_on(
-            &self.active_pool(),
-            &self.noise,
-            trajectories,
-            self.seed,
-        )
+        let pool = self.active_pool();
+        self.compiled
+            .estimator(&self.noise)
+            .on(&pool)
+            .estimate(trajectories, self.seed)
     }
 
     /// The raw per-trajectory fidelity samples behind
     /// [`Simulation::average_fidelity`] — `samples[g]` depends only on
     /// the session seed and the global index `g`, never on the pool
-    /// width ([`CompiledCircuit::sample_fidelities_on`]).
+    /// width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trajectories` is zero.
     pub fn fidelity_samples(&self, trajectories: usize) -> Vec<f64> {
-        self.compiled.sample_fidelities_on(
-            &self.active_pool(),
-            &self.noise,
-            trajectories,
-            self.seed,
-        )
+        let pool = self.active_pool();
+        self.compiled
+            .estimator(&self.noise)
+            .on(&pool)
+            .samples(trajectories, self.seed)
     }
 
     /// [`Simulation::average_fidelity`] under trajectory health
@@ -251,123 +242,82 @@ impl<'a> Simulation<'a> {
     /// the run stops early once the standard error reaches the policy's
     /// target. The [`RunHealth`] report says how many trajectories
     /// completed, were quarantined, and whether the early-stop fired.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trajectories` is zero.
     pub fn average_fidelity_supervised(
         &self,
         trajectories: usize,
         policy: &HealthPolicy,
     ) -> (FidelityEstimate, RunHealth) {
-        self.compiled.estimate_average_fidelity_supervised_on(
-            &self.active_pool(),
-            &self.noise,
-            trajectories,
-            self.seed,
-            policy,
-        )
+        let pool = self.active_pool();
+        self.compiled
+            .estimator(&self.noise)
+            .on(&pool)
+            .supervised(trajectories, self.seed, policy)
+    }
+
+    /// The schedule a serial run from `initial` takes: the simulation
+    /// schedule when `initial` lives on its first register, else the
+    /// fused whole-program schedule ([`CompiledCircuit::sim_circuit`]).
+    fn schedule_for(&self, initial: &State) -> Schedule<'a> {
+        let schedule = self.compiled.sim_schedule();
+        if initial.register() == schedule.first_register() {
+            schedule
+        } else {
+            self.compiled.sim_circuit().into()
+        }
     }
 
     /// Runs one noisy trajectory from `initial` into the session's output
     /// buffer and returns it.
     ///
-    /// Dispatches like the batch estimator: when the compiler produced a
-    /// windowed schedule and `initial` lives on its first segment's
-    /// register (which is what [`Simulation::random_initial_state`]
-    /// returns), the shot runs the segmented engine and the output state
-    /// lives on the **last segment's** register — the measurement decode
-    /// paths ([`CompiledCircuit::sample_decoded`],
+    /// An `initial` on the first register of
+    /// [`CompiledCircuit::sim_schedule`] (which is what
+    /// [`Simulation::random_initial_state`] returns) runs that schedule,
+    /// and the output lives on its **last** register — the measurement
+    /// decode paths ([`CompiledCircuit::sample_decoded`],
     /// [`CompiledCircuit::decode_index_on`]) read any register, so
-    /// shot-sampling loops run segmented end to end. An `initial` on the
-    /// whole-program register always runs the fused whole-program
-    /// schedule ([`CompiledCircuit::sim_circuit`]).
+    /// shot-sampling loops run windowed end to end. An `initial` on the
+    /// whole-program register runs the fused whole-program schedule
+    /// ([`CompiledCircuit::sim_circuit`]).
     ///
     /// # Panics
     ///
-    /// Panics if `initial` lives on neither the compiled circuit's
-    /// whole-program register nor the windowed schedule's first-segment
-    /// register.
+    /// Panics if `initial` lives on neither register.
     pub fn run_trajectory<R: Rng + ?Sized>(&mut self, initial: &State, rng: &mut R) -> &State {
-        let Simulation {
-            compiled,
-            noise,
-            session,
-            ..
-        } = self;
-        if let Some(segments) = compiled.sim_segments() {
-            if initial.register() == segments.first_register() {
-                return segmented_session(session, segments)
-                    .run_trajectory(segments, initial, noise, rng);
-            }
-        }
-        let circuit = compiled.sim_circuit();
-        whole_session(session, circuit).run_trajectory(circuit, initial, noise, rng)
+        let schedule = self.schedule_for(initial);
+        self.session
+            .get_or_insert_with(|| Session::new(schedule))
+            .run_trajectory(schedule, initial, &self.noise, rng)
     }
 
     /// Runs the circuit noiselessly from `initial` into the session's
-    /// output buffer and returns it, with the same engine dispatch as
-    /// [`Simulation::run_trajectory`].
+    /// output buffer and returns it, on the schedule
+    /// [`Simulation::run_trajectory`] would pick.
     ///
     /// # Panics
     ///
     /// Panics if `initial` lives on neither the compiled circuit's
-    /// whole-program register nor the windowed schedule's first-segment
+    /// whole-program register nor the simulation schedule's first
     /// register.
     pub fn run_ideal(&mut self, initial: &State) -> &State {
-        let Simulation {
-            compiled, session, ..
-        } = self;
-        if let Some(segments) = compiled.sim_segments() {
-            if initial.register() == segments.first_register() {
-                return segmented_session(session, segments).run_ideal(segments, initial);
-            }
-        }
-        let circuit = compiled.sim_circuit();
-        whole_session(session, circuit).run_ideal(circuit, initial)
+        let schedule = self.schedule_for(initial);
+        self.session
+            .get_or_insert_with(|| Session::new(schedule))
+            .run_ideal(schedule, initial)
     }
 
     /// A fresh random logical product input at the compiler's placement
-    /// (§6.4) — the matching initial state for
-    /// [`Simulation::run_trajectory`]: on the windowed schedule's
-    /// first-segment register when the compiler produced one, the
-    /// whole-program register otherwise.
+    /// (§6.4), on the first register of
+    /// [`CompiledCircuit::sim_schedule`] — the matching initial state for
+    /// [`Simulation::run_trajectory`].
     pub fn random_initial_state<R: Rng + ?Sized>(&self, rng: &mut R) -> State {
-        match self.compiled.sim_segments() {
-            Some(segments) => {
-                let mut out = State::zero(segments.first_register());
-                self.compiled
-                    .write_random_product_initial_state(rng, &mut out);
-                out
-            }
-            None => self.compiled.random_product_initial_state(rng),
-        }
-    }
-}
-
-/// The cached segmented session, (re)built when the cache holds the
-/// other engine's buffers.
-fn segmented_session<'s>(
-    session: &'s mut Option<SessionState>,
-    segments: &waltz_sim::SegmentedCircuit,
-) -> &'s mut SegmentedSession {
-    if !matches!(session, Some(SessionState::Segmented(_))) {
-        *session = Some(SessionState::Segmented(SegmentedSession::new(segments)));
-    }
-    match session.as_mut() {
-        Some(SessionState::Segmented(s)) => s,
-        _ => unreachable!("just installed the segmented session"),
-    }
-}
-
-/// The cached whole-program session, (re)built when the cache holds the
-/// other engine's buffers.
-fn whole_session<'s>(
-    session: &'s mut Option<SessionState>,
-    circuit: &waltz_sim::TimedCircuit,
-) -> &'s mut Session {
-    if !matches!(session, Some(SessionState::Whole(_))) {
-        *session = Some(SessionState::Whole(Session::new(&circuit.register)));
-    }
-    match session.as_mut() {
-        Some(SessionState::Whole(s)) => s,
-        _ => unreachable!("just installed the whole-program session"),
+        let mut out = State::zero(self.compiled.sim_schedule().first_register());
+        self.compiled
+            .write_random_product_initial_state(rng, &mut out);
+        out
     }
 }
 

@@ -3,10 +3,12 @@
 use std::error::Error;
 use std::fmt;
 
+use rand::rngs::StdRng;
 use waltz_arch::Site;
 use waltz_math::C64;
 use waltz_noise::CoherenceModel;
-use waltz_sim::{Register, SegmentedCircuit, State, TimedCircuit};
+use waltz_sim::trajectory::Estimator;
+use waltz_sim::{Register, Schedule, SegmentedCircuit, State, TimedCircuit};
 
 use crate::eps::{self, CoherenceSpan, EpsBreakdown};
 use crate::lower::LowerOutput;
@@ -231,171 +233,41 @@ impl CompiledCircuit {
         self.windowed.as_ref()
     }
 
+    /// The schedule every simulation of this circuit runs: the windowed
+    /// one when the compiler produced it ([`CompiledCircuit::sim_segments`]),
+    /// else [`CompiledCircuit::sim_circuit`] as one segment. A run starts
+    /// on [`Schedule::first_register`] and ends on
+    /// [`Schedule::last_register`].
+    pub fn sim_schedule(&self) -> Schedule<'_> {
+        match &self.windowed {
+            Some(windowed) => windowed.into(),
+            None => self.sim_circuit().into(),
+        }
+    }
+
     /// Peak state-vector bytes a simulation of this artifact sizes its
-    /// buffers by: the maximum over segments of the windowed schedule
-    /// when present (a segmented run rolls two buffers of at most this
-    /// size), the whole-program register otherwise — the quantity
-    /// simulation byte budgets gate on (`waltz_bench::runner`).
+    /// buffers by ([`Schedule::peak_state_bytes`] of
+    /// [`CompiledCircuit::sim_schedule`]; a split run rolls two buffers
+    /// of at most this size) — the quantity simulation byte budgets gate
+    /// on (`waltz_bench::runner`).
     pub fn sim_state_bytes_peak(&self) -> usize {
-        self.windowed
-            .as_ref()
-            .map(SegmentedCircuit::peak_state_bytes)
-            .unwrap_or_else(|| self.timed.register.state_bytes())
+        self.sim_schedule().peak_state_bytes()
     }
 
-    /// Trajectory-method average fidelity over random logical product
-    /// inputs embedded at the compiler's placement (§6.4), dispatched to
-    /// the windowed segmented engine when the compiler produced one and
-    /// the fused whole-program schedule otherwise — the single
-    /// implementation behind [`crate::Simulation::average_fidelity`] and
-    /// the bench runner, so the dispatch rule cannot drift between them.
-    pub fn estimate_average_fidelity(
-        &self,
-        noise: &waltz_noise::NoiseModel,
-        trajectories: usize,
-        seed: u64,
-    ) -> waltz_sim::trajectory::FidelityEstimate {
-        self.estimate_average_fidelity_on(
-            &waltz_sim::TrajectoryPool::global(),
-            noise,
-            trajectories,
-            seed,
+    /// The trajectory estimator of this circuit under `noise`: its
+    /// simulation schedule ([`CompiledCircuit::sim_schedule`]) from random
+    /// logical product inputs embedded at the compiler's placement
+    /// (§6.4), on the process-wide pool — the one estimate behind
+    /// [`crate::Simulation`] and the bench runner.
+    pub fn estimator<'a>(
+        &'a self,
+        noise: &'a waltz_noise::NoiseModel,
+    ) -> Estimator<'a, State, impl Fn(&Register, &mut StdRng, &mut State) + Sync + 'a> {
+        Estimator::new(self.sim_schedule(), noise).with_input(
+            |_: &Register, rng: &mut StdRng, out: &mut State| {
+                self.write_random_product_initial_state(rng, out)
+            },
         )
-    }
-
-    /// [`CompiledCircuit::estimate_average_fidelity`] on a caller-chosen
-    /// [`waltz_sim::TrajectoryPool`].
-    pub fn estimate_average_fidelity_on(
-        &self,
-        pool: &waltz_sim::TrajectoryPool,
-        noise: &waltz_noise::NoiseModel,
-        trajectories: usize,
-        seed: u64,
-    ) -> waltz_sim::trajectory::FidelityEstimate {
-        use waltz_sim::trajectory;
-        let write = |_: &Register, rng: &mut rand::rngs::StdRng, out: &mut State| {
-            self.write_random_product_initial_state(rng, out)
-        };
-        match self.sim_segments() {
-            Some(segments) => trajectory::average_fidelity_segmented_with_on(
-                pool,
-                segments,
-                noise,
-                trajectories,
-                seed,
-                write,
-            ),
-            None => trajectory::average_fidelity_with_on(
-                pool,
-                self.sim_circuit(),
-                noise,
-                trajectories,
-                seed,
-                write,
-            ),
-        }
-    }
-
-    /// The raw per-trajectory fidelity samples behind
-    /// [`CompiledCircuit::estimate_average_fidelity_on`]: `samples[g]` is
-    /// the fidelity of the trajectory with global index `g`, whose seed
-    /// depends only on `(seed, g)` — bit-identical for any pool width and
-    /// the same engine dispatch (windowed vs. whole-program) as the
-    /// estimator.
-    pub fn sample_fidelities_on(
-        &self,
-        pool: &waltz_sim::TrajectoryPool,
-        noise: &waltz_noise::NoiseModel,
-        trajectories: usize,
-        seed: u64,
-    ) -> Vec<f64> {
-        use waltz_sim::trajectory;
-        let write = |_: &Register, rng: &mut rand::rngs::StdRng, out: &mut State| {
-            self.write_random_product_initial_state(rng, out)
-        };
-        match self.sim_segments() {
-            Some(segments) => trajectory::fidelity_samples_segmented_with_on(
-                pool,
-                segments,
-                noise,
-                trajectories,
-                seed,
-                write,
-            ),
-            None => trajectory::fidelity_samples_with_on(
-                pool,
-                self.sim_circuit(),
-                noise,
-                trajectories,
-                seed,
-                write,
-            ),
-        }
-    }
-
-    /// [`CompiledCircuit::estimate_average_fidelity`] under trajectory
-    /// health supervision: unhealthy trajectories (NaN/Inf fidelity,
-    /// out-of-range fidelity, norm growth) are quarantined instead of
-    /// poisoning the mean, and the run stops early once the standard
-    /// error reaches [`waltz_sim::trajectory::HealthPolicy`]'s target.
-    /// Same engine dispatch and seed stream as the unsupervised
-    /// estimator, so a fully healthy run reproduces it exactly.
-    pub fn estimate_average_fidelity_supervised(
-        &self,
-        noise: &waltz_noise::NoiseModel,
-        trajectories: usize,
-        seed: u64,
-        policy: &waltz_sim::trajectory::HealthPolicy,
-    ) -> (
-        waltz_sim::trajectory::FidelityEstimate,
-        waltz_sim::trajectory::RunHealth,
-    ) {
-        self.estimate_average_fidelity_supervised_on(
-            &waltz_sim::TrajectoryPool::global(),
-            noise,
-            trajectories,
-            seed,
-            policy,
-        )
-    }
-
-    /// [`CompiledCircuit::estimate_average_fidelity_supervised`] on a
-    /// caller-chosen [`waltz_sim::TrajectoryPool`].
-    pub fn estimate_average_fidelity_supervised_on(
-        &self,
-        pool: &waltz_sim::TrajectoryPool,
-        noise: &waltz_noise::NoiseModel,
-        trajectories: usize,
-        seed: u64,
-        policy: &waltz_sim::trajectory::HealthPolicy,
-    ) -> (
-        waltz_sim::trajectory::FidelityEstimate,
-        waltz_sim::trajectory::RunHealth,
-    ) {
-        use waltz_sim::trajectory;
-        let write = |_: &Register, rng: &mut rand::rngs::StdRng, out: &mut State| {
-            self.write_random_product_initial_state(rng, out)
-        };
-        match self.sim_segments() {
-            Some(segments) => trajectory::average_fidelity_segmented_supervised_with_on(
-                pool,
-                segments,
-                noise,
-                trajectories,
-                seed,
-                policy,
-                write,
-            ),
-            None => trajectory::average_fidelity_supervised_with_on(
-                pool,
-                self.sim_circuit(),
-                noise,
-                trajectories,
-                seed,
-                policy,
-                write,
-            ),
-        }
     }
 
     /// Encoded-basis weight of a logical qubit sitting at `site`: its bit
@@ -419,13 +291,12 @@ impl CompiledCircuit {
 
     /// In-place [`CompiledCircuit::random_product_initial_state`]: draws a
     /// fresh random logical input directly into a caller-owned state
-    /// buffer, touching no heap at all — the per-trajectory initial-state
-    /// factory of the steady-state fidelity loop
-    /// ([`waltz_sim::trajectory::average_fidelity_with`]).
+    /// buffer, touching no heap at all — the input writer of
+    /// [`CompiledCircuit::estimator`].
     ///
     /// `out` may live on any register spanning the same devices as the
-    /// compiled circuit — in particular the *first segment's* register of
-    /// the windowed schedule ([`CompiledCircuit::sim_segments`]), whose
+    /// compiled circuit — in particular the first register of the
+    /// simulation schedule ([`CompiledCircuit::sim_schedule`]), whose
     /// dimensions the occupancy analysis guarantees cover every level the
     /// initial placement populates. The RNG is consumed identically
     /// regardless of the register, so the same seed draws the same

@@ -58,8 +58,8 @@
 //!    heterogeneous) register — plus, when the analysis split the
 //!    program, a [`waltz_sim::SegmentedCircuit`] whose segments share
 //!    the same timeline but carry per-window registers
-//!    ([`CompiledCircuit::sim_segments`]; batch fidelity estimation
-//!    runs it automatically).
+//!    ([`CompiledCircuit::sim_segments`]; every simulation runs it
+//!    through [`CompiledCircuit::sim_schedule`]).
 //! 6. [`Pass::Fuse`] — batch the simulation schedule with the gate-fusion
 //!    pass (checked-in cost constants, optional block-span cap);
 //!    block products are memoized in a compiler-wide
@@ -89,8 +89,9 @@
 //! see `examples/supervised_batch.rs` for the batch-submission idiom.
 //! The matching simulation-side guards (NaN/norm quarantine and
 //! early-stop, [`waltz_sim::trajectory::HealthPolicy`]) are reachable
-//! via [`CompiledCircuit::estimate_average_fidelity_supervised`] and
-//! [`Simulation::average_fidelity_supervised`]. The whole failure
+//! via [`Simulation::average_fidelity_supervised`], or
+//! [`waltz_sim::trajectory::Estimator::supervised`] on
+//! [`CompiledCircuit::estimator`]. The whole failure
 //! surface is exercised deterministically by the `fault-inject` feature
 //! (the `fault` module, compiled out entirely when disabled).
 //!

@@ -139,38 +139,21 @@ const SPARSE_BYTES_PER_ENTRY: usize = std::mem::size_of::<(u64, waltz_math::C64)
 /// walk each segment in order with the support carried across reshape
 /// boundaries (a reshape never grows the support).
 fn predict_sparse_peak_nnz(compiled: &crate::compile::CompiledCircuit) -> usize {
-    fn walk(ops: &[waltz_sim::TimedOp], total: u128, nnz: &mut u128, peak: &mut u128) {
-        *nnz = (*nnz).min(total.max(1));
-        *peak = (*peak).max(*nnz);
-        for op in ops {
+    let mut nnz: u128 = 1;
+    let mut peak: u128 = 1;
+    for segment in compiled.sim_schedule().segments() {
+        let total = (segment.register.total_dim() as u128).max(1);
+        nnz = nnz.min(total);
+        peak = peak.max(nnz);
+        for op in &segment.ops {
             match &op.kernel {
                 GateKernel::Identity
                 | GateKernel::Diagonal { .. }
                 | GateKernel::Permutation { .. } => {}
-                _ => *nnz = (*nnz * op.unitary.rows() as u128).min(total.max(1)),
+                _ => nnz = (nnz * op.unitary.rows() as u128).min(total),
             }
-            *peak = (*peak).max(*nnz);
+            peak = peak.max(nnz);
         }
-    }
-    let mut nnz: u128 = 1;
-    let mut peak: u128 = 1;
-    if let Some(segmented) = compiled.sim_segments() {
-        for segment in &segmented.segments {
-            walk(
-                &segment.ops,
-                segment.register.total_dim() as u128,
-                &mut nnz,
-                &mut peak,
-            );
-        }
-    } else {
-        let circuit = compiled.sim_circuit();
-        walk(
-            &circuit.ops,
-            circuit.register.total_dim() as u128,
-            &mut nnz,
-            &mut peak,
-        );
     }
     peak.min(usize::MAX as u128) as usize
 }

@@ -1,7 +1,8 @@
-//! Public-API snapshot: the exported symbol list of `waltz_core` is
-//! pinned here so future surface drift is deliberate — adding, removing
-//! or renaming a re-export must update this test (and the crate docs)
-//! in the same change.
+//! Public-API snapshot: the exported symbol lists of `waltz_core` and
+//! `waltz_sim`, and the free functions of the simulator's `trajectory`
+//! and `ideal` modules, are pinned here so future surface drift is
+//! deliberate — adding, removing or renaming one must update this test
+//! (and the crate docs) in the same change.
 
 /// Symbols re-exported at the crate root (`pub use`) plus public modules
 /// (`pub mod`), alphabetically. Update deliberately.
@@ -40,6 +41,56 @@ const EXPECTED: &[&str] = &[
     // configuration even though it only compiles with the feature on.
     "mod fault",
     "mod verify",
+];
+
+/// `waltz_sim`'s crate-root exports, in the same form as [`EXPECTED`].
+const EXPECTED_SIM: &[&str] = &[
+    "AdaptiveState",
+    "DEFAULT_SPARSE_DENSITY_THRESHOLD",
+    "FuseCache",
+    "FuseOptions",
+    "GateKernel",
+    "NoiseEvent",
+    "RESHAPE_LEAK_TOL",
+    "Register",
+    "Schedule",
+    "SegmentedCircuit",
+    "Session",
+    "SimdLevel",
+    "SparsePolicy",
+    "SparseState",
+    "State",
+    "TimedCircuit",
+    "TimedOp",
+    "TrajectoryPool",
+    "Workspace",
+    // `fault-inject`-gated, like `waltz_core`'s.
+    "mod fault",
+    "mod ideal",
+    "mod kernel",
+    "mod pool",
+    "mod simd",
+    "mod sparse",
+    "mod trajectory",
+    "sparse_enabled",
+];
+
+/// Module-level `pub fn`s of `waltz_sim::trajectory`, alphabetically.
+/// Estimates go through its `Estimator`; the three `*_segmented_adaptive*`
+/// names stay for the benchmark harness.
+const EXPECTED_TRAJECTORY_FNS: &[&str] = &[
+    "average_fidelity_segmented_adaptive_with",
+    "average_fidelity_segmented_adaptive_with_on",
+    "run_trajectory",
+    "run_trajectory_segmented_adaptive_into",
+];
+
+/// Module-level `pub fn`s of `waltz_sim::ideal`, alphabetically.
+const EXPECTED_IDEAL_FNS: &[&str] = &[
+    "run",
+    "run_into",
+    "run_segmented_adaptive_into",
+    "run_segmented_into",
 ];
 
 /// Extracts the crate-root export surface from `lib.rs` source text:
@@ -94,6 +145,48 @@ fn exported_symbols(src: &str) -> Vec<String> {
     }
     out.sort();
     out
+}
+
+/// Names of the module-level (unindented) `pub fn`s in a source file,
+/// sorted.
+fn module_fns(src: &str) -> Vec<String> {
+    let mut out: Vec<String> = src
+        .lines()
+        .filter_map(|line| line.strip_prefix("pub fn "))
+        .map(|rest| rest.split(['(', '<']).next().unwrap_or("").to_string())
+        .collect();
+    out.sort();
+    out
+}
+
+fn pinned(expected: &[&str]) -> Vec<String> {
+    expected.iter().map(|s| s.to_string()).collect()
+}
+
+#[test]
+fn waltz_sim_export_surface_is_pinned() {
+    let src = include_str!("../../sim/src/lib.rs");
+    assert_eq!(
+        exported_symbols(src),
+        pinned(EXPECTED_SIM),
+        "waltz_sim's export surface drifted; if deliberate, update \
+         crates/core/tests/api_snapshot.rs and the sim crate docs"
+    );
+}
+
+#[test]
+fn simulator_free_functions_are_pinned() {
+    assert_eq!(
+        module_fns(include_str!("../../sim/src/trajectory.rs")),
+        pinned(EXPECTED_TRAJECTORY_FNS),
+        "waltz_sim::trajectory grew or lost a free function; estimates \
+         belong on its Estimator"
+    );
+    assert_eq!(
+        module_fns(include_str!("../../sim/src/ideal.rs")),
+        pinned(EXPECTED_IDEAL_FNS),
+        "waltz_sim::ideal grew or lost a free function"
+    );
 }
 
 #[test]

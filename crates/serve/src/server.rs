@@ -54,6 +54,7 @@ use waltz_circuit::Circuit;
 use waltz_core::{
     ArtifactCache, CompileArtifact, Compiler, JobReport, Supervisor, SupervisorPolicy,
 };
+use waltz_sim::trajectory::FidelityEstimate;
 
 use crate::protocol::{
     frame_error_code, read_frame, write_frame, ArtifactSource, BatchOptions, ErrorCode, ErrorFrame,
@@ -736,15 +737,13 @@ impl Connection<'_> {
                 return false;
             }
         }
-        let n = trajectories as f64;
-        let sum: f64 = samples.iter().sum();
-        let sum_sq: f64 = samples.iter().map(|f| f * f).sum();
-        let mean = if trajectories == 0 { 0.0 } else { sum / n };
-        let std_error = if trajectories > 1 {
-            let var = ((sum_sq - n * mean * mean) / (n - 1.0)).max(0.0);
-            (var / n).sqrt()
+        // The local estimate's summary, so a client's replay matches it to
+        // the bit; an empty run answers zeros rather than its NaN mean.
+        let (mean, std_error) = if samples.is_empty() {
+            (0.0, 0.0)
         } else {
-            0.0
+            let estimate = FidelityEstimate::from_samples(&samples);
+            (estimate.mean, estimate.std_error)
         };
         self.send(&Response::Fidelity {
             mean,

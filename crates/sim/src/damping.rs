@@ -27,7 +27,9 @@ const STACK_LEVELS: usize = 8;
 /// The engine primitives of a damping step. The dense, sparse and
 /// adaptive states implement them with the same arithmetic amplitude by
 /// amplitude, so every engine takes the same branch from the same bits.
-pub(crate) trait DampingTarget {
+/// Public in a private module: it seals
+/// [`crate::trajectory::Representation`].
+pub trait DampingTarget {
     /// Levels of `qudit`.
     fn dim(&self, qudit: usize) -> usize;
     /// Adds each stored amplitude's `|a|²` into lane `i % POP_LANES` of

@@ -4,10 +4,10 @@
 //! The only fault the simulator can inject is **amplitude poisoning**: a
 //! [`PoisonPlan`] names one global trajectory index and one op index, and
 //! the trajectory engine overwrites the state's first amplitude with NaN
-//! right after that op is applied. The supervised estimators
-//! ([`crate::trajectory::average_fidelity_supervised_with`]) arm the plan
-//! per trajectory via [`begin_trajectory`], so the poison lands on exactly
-//! one trajectory no matter how work is split across threads — which is
+//! right after that op is applied. Every estimate
+//! ([`crate::trajectory::Estimator`]) arms the plan per trajectory via
+//! [`begin_trajectory`], so the poison lands on exactly one trajectory
+//! no matter how work is split across threads — which is
 //! what lets `tests/fault_injection.rs` prove a poisoned trajectory is
 //! quarantined while the batch mean stays finite.
 //!
@@ -45,7 +45,7 @@ pub fn set_poison(plan: Option<PoisonPlan>) {
 
 /// Marks the start of a trajectory with the given global index, arming
 /// the per-op countdown when the index matches the active plan (and
-/// disarming it otherwise). Called by the supervised estimators before
+/// disarming it otherwise). Called by the estimator's pool loop before
 /// every trajectory.
 pub fn begin_trajectory(global_index: usize) {
     let armed = PLAN

@@ -1,71 +1,53 @@
-//! Noiseless execution of a [`TimedCircuit`].
+//! Noiseless execution of a [`Schedule`].
 //!
 //! Fused programs ([`TimedCircuit::fuse`]) run through the same entry
 //! points: a fused block is an ordinary op with a pre-multiplied unitary
 //! and a re-classified kernel, so the noiseless engine needs no special
 //! handling — it simply performs one sweep per block instead of one per
-//! pulse, which is where the fusion pass earns its keep.
+//! pulse, which is where the fusion pass earns its keep. Every runner
+//! here, [`crate::Session::run_ideal`] and the estimator's reference runs
+//! share one loop.
 
 use crate::kernel::Workspace;
 use crate::sparse::{AdaptiveState, SparseState};
-use crate::{SegmentedCircuit, State, TimedCircuit, RESHAPE_LEAK_TOL};
+use crate::trajectory::Representation;
+use crate::{Schedule, SegmentedCircuit, State, TimedCircuit, RESHAPE_LEAK_TOL};
 
-/// Runs the circuit on `initial` with no noise, returning the final state.
+/// Runs `schedule` on `initial` (on its first register) with no noise,
+/// returning the final state (on its last register).
+///
+/// # Panics
+///
+/// Panics if the initial state's register differs from the schedule's
+/// first.
+pub fn run<'a>(schedule: impl Into<Schedule<'a>>, initial: &State) -> State {
+    let schedule = schedule.into();
+    let mut out = schedule.buffer();
+    let mut scratch = schedule.scratch();
+    run_schedule(
+        schedule,
+        initial,
+        &mut out,
+        scratch.as_mut(),
+        &mut Workspace::new(),
+    );
+    out
+}
+
+/// [`run`] of one circuit into a caller-owned output state (re-targeted
+/// onto the circuit's register), borrowing gate scratch from `ws`. Kept
+/// for the benchmark harness.
 ///
 /// # Panics
 ///
 /// Panics if the initial state's register differs from the circuit's.
-pub fn run(circuit: &TimedCircuit, initial: &State) -> State {
-    let mut out = initial.clone();
-    let mut ws = Workspace::new();
-    run_into(circuit, initial, &mut out, &mut ws);
-    out
-}
-
-/// [`run`] writing into a caller-owned output state and borrowing gate
-/// scratch from `ws`, so repeated ideal runs (one per trajectory batch)
-/// allocate nothing.
-///
-/// # Panics
-///
-/// Panics if either state's register differs from the circuit's.
 pub fn run_into(circuit: &TimedCircuit, initial: &State, out: &mut State, ws: &mut Workspace) {
-    assert_eq!(
-        initial.register(),
-        &circuit.register,
-        "state register does not match circuit register"
-    );
-    out.copy_from(initial);
-    for op in &circuit.ops {
-        out.apply_op(op, ws);
-    }
+    run_schedule(circuit.into(), initial, out, None, ws);
 }
 
-/// Runs a windowed-register schedule ([`SegmentedCircuit`]) noiselessly,
-/// reshaping the state between segments, and returns the final state (on
-/// the last segment's register). Convenience wrapper that allocates the
-/// two rolling buffers; steady-state loops should use
-/// [`run_segmented_into`] (or a [`crate::SegmentedSession`]) with reused
-/// buffers.
-///
-/// # Panics
-///
-/// Panics if the initial state's register differs from the first
-/// segment's.
-pub fn run_segmented(circuit: &SegmentedCircuit, initial: &State) -> State {
-    let (mut out, mut scratch) = circuit.rolling_buffers();
-    let mut ws = Workspace::new();
-    run_segmented_into(circuit, initial, &mut out, &mut scratch, &mut ws);
-    out
-}
-
-/// [`run_segmented`] rolling **two** caller-owned state buffers across
-/// the segments: at each boundary `scratch` is re-targeted onto the next
-/// segment's register ([`State::remap`] — capacity is reused once both
-/// buffers have reached the peak segment size), the state reshaped into
-/// it, and the buffers swapped, so the live allocation is two peak-sized
-/// buffers regardless of the segment count. The final state is left in
-/// `out` (on the last segment's register).
+/// [`run`] of a windowed schedule into two caller-owned rolling buffers
+/// ([`SegmentedCircuit::rolling_buffers`]); the final state is left in
+/// `out`. Kept for the benchmark harness.
 ///
 /// # Panics
 ///
@@ -78,58 +60,12 @@ pub fn run_segmented_into(
     scratch: &mut State,
     ws: &mut Workspace,
 ) {
-    assert_eq!(
-        initial.register(),
-        circuit.first_register(),
-        "state register does not match the first segment"
-    );
-    out.remap(circuit.first_register());
-    out.copy_from(initial);
-    for (k, segment) in circuit.segments.iter().enumerate() {
-        if k > 0 {
-            scratch.remap(&segment.register);
-            out.reshape_into(scratch);
-            std::mem::swap(out, scratch);
-        }
-        for op in &segment.ops {
-            out.apply_op(op, ws);
-        }
-    }
+    run_schedule(circuit.into(), initial, out, Some(scratch), ws);
 }
 
-/// [`run_into`] on a density-adaptive state: starts from a sparse
-/// initial state, applies every op through the representation-switching
-/// [`AdaptiveState::apply_op`], and leaves the final state (in whichever
-/// representation it ended up) in `out`. The workspace's
-/// [`Workspace::sparse_density_threshold`] / `sparse_epsilon` knobs
-/// govern the switching.
-///
-/// # Panics
-///
-/// Panics if the initial state's register differs from the circuit's.
-pub fn run_adaptive_into(
-    circuit: &TimedCircuit,
-    initial: &SparseState,
-    out: &mut AdaptiveState,
-    ws: &mut Workspace,
-) {
-    assert_eq!(
-        initial.register(),
-        &circuit.register,
-        "state register does not match circuit register"
-    );
-    out.reset_from_sparse(initial, ws);
-    for op in &circuit.ops {
-        out.apply_op(op, ws);
-    }
-}
-
-/// [`run_segmented_into`] on density-adaptive rolling buffers: between
-/// segments the state is reshaped through
-/// [`AdaptiveState::reshape_into_lossy`] — which is also where a dense
-/// state may drop back to sparse — and, as in the strict dense reshape,
-/// a clipped amplitude above [`RESHAPE_LEAK_TOL`] panics (noiseless
-/// occupancy analysis must prove clipped levels unpopulated).
+/// [`run_segmented_into`] on density-adaptive rolling buffers; the
+/// workspace's sparse knobs govern the representation switch. Kept for
+/// the benchmark harness.
 ///
 /// # Panics
 ///
@@ -142,16 +78,37 @@ pub fn run_segmented_adaptive_into(
     scratch: &mut AdaptiveState,
     ws: &mut Workspace,
 ) {
-    assert_eq!(
-        initial.register(),
-        circuit.first_register(),
-        "state register does not match the first segment"
-    );
-    out.reset_from_sparse(initial, ws);
-    for (k, segment) in circuit.segments.iter().enumerate() {
+    run_schedule(circuit.into(), initial, out, Some(scratch), ws);
+}
+
+/// The one noiseless loop: loads `initial` into `out` (re-targeted onto
+/// the first register) and applies every op, rolling the state through
+/// `scratch` at each segment boundary — re-target `scratch` onto the next
+/// register, reshape into it, swap — so a run holds two buffers
+/// regardless of the segment count. A reshape here must clip nothing
+/// above [`RESHAPE_LEAK_TOL`]: the noiseless occupancy analysis proved
+/// the clipped levels empty.
+///
+/// # Panics
+///
+/// Panics if the initial state's register differs from the first
+/// segment's, a split schedule gets no scratch, or a reshape clips a
+/// nonzero amplitude.
+pub(crate) fn run_schedule<S: Representation>(
+    schedule: Schedule,
+    initial: &S::Input,
+    out: &mut S,
+    mut scratch: Option<&mut S>,
+    ws: &mut Workspace,
+) {
+    out.load(initial, schedule.first_register(), ws);
+    for (k, segment) in schedule.segments().iter().enumerate() {
         if k > 0 {
+            let scratch = scratch
+                .as_deref_mut()
+                .expect("segmented runs roll two buffers");
             scratch.remap(&segment.register);
-            let leaked = out.reshape_into_lossy(scratch, ws);
+            let leaked = out.reshape_lossy(scratch, ws);
             assert!(
                 leaked <= RESHAPE_LEAK_TOL * RESHAPE_LEAK_TOL,
                 "reshape clipped a nonzero amplitude (probability {leaked:.3e}): \
@@ -252,5 +209,28 @@ mod tests {
         // Run twice into the same buffer: stale contents must not leak.
         run_into(&tc, &initial, &mut out, &mut ws);
         assert!((fresh.fidelity(&out) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn run_into_retargets_an_output_on_another_register() {
+        let reg = Register::new(vec![4, 2]);
+        let mut tc = TimedCircuit::new(reg.clone());
+        tc.ops.push(TimedOp::new(
+            "ccz",
+            waltz_gates::mixed::ccz(),
+            vec![0, 1],
+            vec![4, 2],
+            0.0,
+            100.0,
+            1.0,
+        ));
+        tc.total_duration_ns = 100.0;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let initial = State::random_qubit_product(&reg, &mut rng);
+        let mut out = State::zero(&Register::qubits(3));
+        run_into(&tc, &initial, &mut out, &mut Workspace::new());
+        assert_eq!(out.register(), &reg);
+        assert!((run(&tc, &initial).fidelity(&out) - 1.0).abs() < 1e-12);
     }
 }

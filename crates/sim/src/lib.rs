@@ -18,6 +18,9 @@
 //!   factors that are applied once, when an op next touches the qudit,
 //!   and the trajectory normalizes once at its end (see the
 //!   [`trajectory`] module docs).
+//! * [`trajectory::Estimator`] — the one Monte-Carlo fidelity estimate
+//!   over a [`Schedule`], dense or density-adaptive, plain or
+//!   health-supervised, on the [`TrajectoryPool`].
 //!
 //! # The kernel layer
 //!
@@ -109,12 +112,13 @@
 //! [`Workspace::set_sparse_density_threshold`] and
 //! [`Workspace::set_sparse_epsilon`] tune the switch point and the
 //! truncation epsilon (nonzero epsilon trades norm for entry count and
-//! is *not* lossless). The adaptive trajectory runners
-//! ([`trajectory::run_trajectory_adaptive_into`],
-//! [`trajectory::average_fidelity_adaptive_with`], and the segmented
-//! twins) consume RNG streams identical to the dense runners, so for a
-//! fixed seed an estimate is invariant under the representation path
-//! and the pool width. Classical basis inputs through
+//! is *not* lossless). Every runner is generic over the
+//! [`trajectory::Representation`]: a `Session<AdaptiveState>`
+//! ([`Session::adaptive`]) and an adaptive [`trajectory::Estimator`]
+//! ([`trajectory::Estimator::adaptive`]) run the dense engine's per-op
+//! noise loop and consume identical RNG streams, so for a fixed seed an
+//! estimate is invariant under the representation path and the pool
+//! width. Classical basis inputs through
 //! Toffoli-ladder/qram-style circuits stay at a handful of entries
 //! inside registers far past dense reach — the sparse map is what lets
 //! 20+ qubit mixed-radix programs run inside a 256 MiB budget.
@@ -132,11 +136,13 @@
 //! Trailing qudits whose dimension the boundary keeps map contiguous
 //! runs of amplitudes onto contiguous runs, so a reshape is a sequence of
 //! run copies rather than a per-amplitude index decomposition.
-//! The segmented entry points ([`ideal::run_segmented_into`],
-//! [`trajectory::run_trajectory_segmented_into`],
-//! [`trajectory::average_fidelity_segmented_with`], [`SegmentedSession`])
-//! thread one per-device busy timeline through every segment, so noise
-//! accounting is identical to the single-register engine; fusion runs
+//! Every runner takes a [`Schedule`], the borrowed view both a
+//! [`TimedCircuit`] (one segment) and a [`SegmentedCircuit`] convert
+//! into without copying: [`ideal::run`], [`trajectory::run_trajectory`],
+//! [`Session`] and [`trajectory::Estimator`]. A run threads one
+//! per-device busy timeline through every segment, so noise accounting
+//! is identical to the single-register engine, and rolls the state
+//! through a second buffer only when the schedule is split; fusion runs
 //! per segment ([`SegmentedCircuit::fuse_with_cache`]) and never crosses
 //! a reshape boundary.
 //!
@@ -174,10 +180,12 @@ pub mod trajectory;
 pub use kernel::{GateKernel, Workspace};
 pub use pool::TrajectoryPool;
 pub use register::Register;
-pub use session::{SegmentedSession, Session};
+pub use session::Session;
 pub use simd::SimdLevel;
 pub use sparse::{
     sparse_enabled, AdaptiveState, SparsePolicy, SparseState, DEFAULT_SPARSE_DENSITY_THRESHOLD,
 };
 pub use state::{State, RESHAPE_LEAK_TOL};
-pub use timed::{FuseCache, FuseOptions, NoiseEvent, SegmentedCircuit, TimedCircuit, TimedOp};
+pub use timed::{
+    FuseCache, FuseOptions, NoiseEvent, Schedule, SegmentedCircuit, TimedCircuit, TimedOp,
+};

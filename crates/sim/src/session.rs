@@ -1,24 +1,28 @@
-//! A reusable simulation session: one [`Workspace`] plus an output state
-//! buffer, owned together so repeated runs of the same circuit perform no
+//! A reusable simulation session: one [`Workspace`] plus the state
+//! buffers a run needs, owned together so repeated runs perform no
 //! per-run heap allocation.
 //!
-//! Before this handle existed, callers threaded a `Workspace` and a
-//! caller-owned output [`State`] through [`trajectory::run_trajectory_into`]
-//! and [`ideal::run_into`] by hand; [`Session`] owns both and keeps the
-//! borrow plumbing out of user code. The batched estimator
-//! ([`trajectory::average_fidelity_with`]) still manages its own per-worker
-//! buffers — a `Session` is the *serial* counterpart for shot-by-shot
-//! workflows (sampling, decoding, custom statistics).
+//! A [`Session`] runs any [`Schedule`] serially — noiselessly
+//! ([`Session::run_ideal`]) or as one noisy trajectory
+//! ([`Session::run_trajectory`]) — for shot-by-shot workflows (sampling,
+//! decoding, custom statistics). A split schedule rolls the state through
+//! a second buffer at its reshapes; the session makes that buffer on the
+//! first split run. Batch estimates go through
+//! [`crate::trajectory::Estimator`], whose pool workers hold their own
+//! buffers.
 
 use rand::Rng;
 
 use waltz_noise::NoiseModel;
 
 use crate::kernel::Workspace;
-use crate::{ideal, trajectory, SegmentedCircuit, State, TimedCircuit};
+use crate::trajectory::{self, Representation};
+use crate::{ideal, AdaptiveState, Schedule, SparsePolicy, State};
 
 /// An owned simulation workspace: scratch and output buffers reused across
-/// runs.
+/// runs, on dense states (`Session`, from [`Session::new`]) or
+/// density-adaptive ones (`Session<AdaptiveState>`, from
+/// [`Session::adaptive`]).
 ///
 /// # Example
 ///
@@ -27,23 +31,39 @@ use crate::{ideal, trajectory, SegmentedCircuit, State, TimedCircuit};
 ///
 /// let reg = Register::qubits(2);
 /// let circuit = TimedCircuit::new(reg.clone());
-/// let mut session = Session::new(&reg);
+/// let mut session = Session::new(&circuit);
 /// let input = State::zero(&reg);
 /// let out = session.run_ideal(&circuit, &input);
 /// assert!((out.norm() - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug)]
-pub struct Session {
+pub struct Session<S = State> {
     ws: Workspace,
-    out: State,
+    out: S,
+    scratch: Option<S>,
 }
 
 impl Session {
-    /// A session over `register`.
-    pub fn new(register: &crate::Register) -> Self {
+    /// A dense session with buffers sized to `schedule`'s peak segment.
+    pub fn new<'a>(schedule: impl Into<Schedule<'a>>) -> Self {
+        Session::with_workspace(schedule.into(), Workspace::new())
+    }
+}
+
+impl Session<AdaptiveState> {
+    /// A density-adaptive session whose workspace switches
+    /// representation under `policy`.
+    pub fn adaptive<'a>(schedule: impl Into<Schedule<'a>>, policy: &SparsePolicy) -> Self {
+        Session::with_workspace(schedule.into(), policy.workspace())
+    }
+}
+
+impl<S: Representation> Session<S> {
+    fn with_workspace(schedule: Schedule, ws: Workspace) -> Self {
         Session {
-            ws: Workspace::new(),
-            out: State::zero(register),
+            ws,
+            out: schedule.buffer(),
+            scratch: schedule.scratch(),
         }
     }
 
@@ -53,123 +73,73 @@ impl Session {
         &mut self.ws
     }
 
-    /// Runs `circuit` noiselessly from `initial` into the session's output
-    /// buffer and returns it.
+    /// Runs `schedule` noiselessly from `initial` (on its first register)
+    /// into the session's output buffer and returns it (on the last
+    /// register).
     ///
     /// # Panics
     ///
-    /// Panics if the states' registers differ from the circuit's.
-    pub fn run_ideal(&mut self, circuit: &TimedCircuit, initial: &State) -> &State {
-        ideal::run_into(circuit, initial, &mut self.out, &mut self.ws);
+    /// Panics if the initial state's register differs from the
+    /// schedule's first.
+    pub fn run_ideal<'a>(&mut self, schedule: impl Into<Schedule<'a>>, initial: &S::Input) -> &S {
+        let schedule = schedule.into();
+        let scratch = scratch_for(&mut self.scratch, schedule);
+        ideal::run_schedule(schedule, initial, &mut self.out, scratch, &mut self.ws);
         &self.out
     }
 
-    /// Runs one noisy trajectory from `initial` into the session's output
-    /// buffer and returns it.
+    /// Runs one noisy trajectory of `schedule` from `initial` into the
+    /// session's output buffer and returns it, as
+    /// [`trajectory::run_trajectory`] does.
     ///
     /// # Panics
     ///
-    /// Panics if the states' registers differ from the circuit's.
-    pub fn run_trajectory<R: Rng + ?Sized>(
+    /// Panics if the initial state's register differs from the
+    /// schedule's first.
+    pub fn run_trajectory<'a, R: Rng + ?Sized>(
         &mut self,
-        circuit: &TimedCircuit,
-        initial: &State,
+        schedule: impl Into<Schedule<'a>>,
+        initial: &S::Input,
         noise: &NoiseModel,
         rng: &mut R,
-    ) -> &State {
-        trajectory::run_trajectory_into(circuit, initial, noise, rng, &mut self.out, &mut self.ws);
-        &self.out
-    }
-
-    /// The output of the most recent run.
-    pub fn last(&self) -> &State {
-        &self.out
-    }
-}
-
-/// The windowed-register counterpart of [`Session`]: owns a
-/// [`Workspace`] plus the **two rolling state buffers** a segmented run
-/// needs ([`SegmentedCircuit::rolling_buffers`] — both peak-segment
-/// sized), so repeated segmented runs (ideal or trajectory) perform no
-/// per-run heap allocation regardless of the segment count.
-#[derive(Debug)]
-pub struct SegmentedSession {
-    ws: Workspace,
-    out: State,
-    scratch: State,
-}
-
-impl SegmentedSession {
-    /// A session sized to `circuit`'s peak segment.
-    pub fn new(circuit: &SegmentedCircuit) -> Self {
-        let (out, scratch) = circuit.rolling_buffers();
-        SegmentedSession {
-            ws: Workspace::new(),
-            out,
-            scratch,
-        }
-    }
-
-    /// The reusable kernel workspace.
-    pub fn workspace_mut(&mut self) -> &mut Workspace {
-        &mut self.ws
-    }
-
-    /// Runs `circuit` noiselessly from `initial` (on the first segment's
-    /// register) through every segment and returns the final state (on
-    /// the last segment's register).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the initial state's register differs from the first
-    /// segment's.
-    pub fn run_ideal(&mut self, circuit: &SegmentedCircuit, initial: &State) -> &State {
-        ideal::run_segmented_into(
-            circuit,
-            initial,
-            &mut self.out,
-            &mut self.scratch,
-            &mut self.ws,
-        );
-        &self.out
-    }
-
-    /// Runs one noisy trajectory from `initial` through every segment and
-    /// returns the final state (on the last segment's register).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the initial state's register differs from the first
-    /// segment's.
-    pub fn run_trajectory<R: Rng + ?Sized>(
-        &mut self,
-        circuit: &SegmentedCircuit,
-        initial: &State,
-        noise: &NoiseModel,
-        rng: &mut R,
-    ) -> &State {
-        trajectory::run_trajectory_segmented_into(
-            circuit,
+    ) -> &S {
+        let schedule = schedule.into();
+        let scratch = scratch_for(&mut self.scratch, schedule);
+        trajectory::run_own(
+            schedule,
             initial,
             noise,
             rng,
             &mut self.out,
-            &mut self.scratch,
+            scratch,
             &mut self.ws,
         );
         &self.out
     }
 
-    /// The final (last-segment) state of the most recent run.
-    pub fn last(&self) -> &State {
+    /// The output of the most recent run.
+    pub fn last(&self) -> &S {
         &self.out
+    }
+}
+
+/// The scratch buffer a run of `schedule` rolls through, made on the
+/// first split run; `None` for one segment.
+fn scratch_for<'s, S: Representation>(
+    scratch: &'s mut Option<S>,
+    schedule: Schedule,
+) -> Option<&'s mut S> {
+    if schedule.is_split() {
+        Some(scratch.get_or_insert_with(|| schedule.buffer()))
+    } else {
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Register, TimedOp};
+    use crate::{Register, TimedCircuit, TimedOp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use waltz_gates::standard;
@@ -204,7 +174,7 @@ mod tests {
         let tc = small_circuit();
         let mut rng = StdRng::seed_from_u64(5);
         let initial = State::random_qubit_product(&tc.register, &mut rng);
-        let mut session = Session::new(&tc.register);
+        let mut session = Session::new(&tc);
         let a = session.run_ideal(&tc, &initial).clone();
         let b = ideal::run(&tc, &initial);
         assert!((a.fidelity(&b) - 1.0).abs() < 1e-12);
@@ -223,7 +193,7 @@ mod tests {
     #[test]
     fn session_reuses_buffers_across_runs() {
         let tc = small_circuit();
-        let mut session = Session::new(&tc.register);
+        let mut session = Session::new(&tc);
         let initial = State::zero(&tc.register);
         // The second run must fully overwrite the first.
         session.run_trajectory(

@@ -68,8 +68,9 @@ pub fn sparse_enabled() -> bool {
 }
 
 /// The sparse-representation policy one adaptive run executes under:
-/// plumbing for the [`Workspace`] knobs, carried by the adaptive
-/// estimators to each pool worker's workspace.
+/// plumbing for the [`Workspace`] knobs, carried by an adaptive
+/// [`crate::trajectory::Estimator`] to each pool worker's workspace and
+/// by [`crate::Session::adaptive`] to its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparsePolicy {
     /// nnz/amps ratio above which sparse switches to dense
@@ -86,6 +87,16 @@ impl Default for SparsePolicy {
             density_threshold: DEFAULT_SPARSE_DENSITY_THRESHOLD,
             epsilon: 0.0,
         }
+    }
+}
+
+impl SparsePolicy {
+    /// A fresh workspace running under this policy.
+    pub(crate) fn workspace(&self) -> Workspace {
+        let mut ws = Workspace::new();
+        ws.set_sparse_density_threshold(self.density_threshold);
+        ws.set_sparse_epsilon(self.epsilon);
+        ws
     }
 }
 

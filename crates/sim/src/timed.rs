@@ -898,62 +898,32 @@ impl SegmentedCircuit {
 
     /// The register simulation starts on (first segment's).
     pub fn first_register(&self) -> &Register {
-        &self.segments[0].register
+        Schedule::from(self).first_register()
     }
 
     /// The register simulation ends on (last segment's).
     pub fn last_register(&self) -> &Register {
-        &self.segments[self.segments.len() - 1].register
+        Schedule::from(self).last_register()
     }
 
-    /// Largest per-segment state size in bytes — the unit the simulation
-    /// buffers are sized by (a segmented run holds **two** rolling
-    /// buffers of at most this size, regardless of the segment count;
-    /// see [`SegmentedCircuit::rolling_buffers`]) and the quantity byte
-    /// budgets gate on.
+    /// [`Schedule::peak_state_bytes`] of this schedule.
     pub fn peak_state_bytes(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| s.register.state_bytes())
-            .max()
-            .expect("at least one segment")
+        Schedule::from(self).peak_state_bytes()
     }
 
     /// Allocates the two rolling state buffers a segmented run needs
     /// (`(out, scratch)`), both pre-sized to the peak segment register —
     /// so the per-boundary [`crate::State::remap`] calls inside the run
     /// never reallocate — and re-targeted onto the first segment's
-    /// register, ready for [`crate::ideal::run_segmented_into`] /
-    /// [`crate::trajectory::run_trajectory_segmented_into`].
+    /// register, ready for [`crate::ideal::run_segmented_into`].
     pub fn rolling_buffers(&self) -> (crate::State, crate::State) {
-        let peak = self
-            .segments
-            .iter()
-            .map(|s| &s.register)
-            .max_by_key(|r| r.total_dim())
-            .expect("at least one segment");
-        let mut out = crate::State::zero(peak);
-        let mut scratch = crate::State::zero(peak);
-        out.remap(self.first_register());
-        scratch.remap(self.first_register());
-        (out, scratch)
+        let schedule = Schedule::from(self);
+        (schedule.buffer(), schedule.buffer())
     }
 
-    /// Op-weighted mean state size in bytes: each op sweeps its own
-    /// segment's state, so this is the average bytes touched per sweep —
-    /// the windowed analysis shrinks it even when the peak is pinned by
-    /// one wide window. Falls back to the peak for op-less schedules.
+    /// [`Schedule::mean_state_bytes`] of this schedule.
     pub fn mean_state_bytes(&self) -> f64 {
-        let ops: usize = self.len();
-        if ops == 0 {
-            return self.peak_state_bytes() as f64;
-        }
-        let weighted: f64 = self
-            .segments
-            .iter()
-            .map(|s| s.len() as f64 * s.register.state_bytes() as f64)
-            .sum();
-        weighted / ops as f64
+        Schedule::from(self).mean_state_bytes()
     }
 
     /// Product of all gate fidelities across segments (the gate EPS; the
@@ -1013,6 +983,114 @@ impl SegmentedCircuit {
                 .collect(),
             total_duration_ns: self.total_duration_ns,
         }
+    }
+}
+
+/// A borrowed view of what one simulation runs: the segments in program
+/// order and the program's wall-clock end. A [`TimedCircuit`] is one
+/// segment and a [`SegmentedCircuit`] its own segments; both convert
+/// into a `Schedule` without copying, and every runner, the
+/// [`crate::Session`] and the [`crate::trajectory::Estimator`] take one.
+///
+/// A run starts on the first segment's register, reshapes the state at
+/// each boundary onto the next one's, and ends on the last segment's.
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule<'a> {
+    segments: &'a [TimedCircuit],
+    total_duration_ns: f64,
+}
+
+impl<'a> From<&'a TimedCircuit> for Schedule<'a> {
+    fn from(circuit: &'a TimedCircuit) -> Self {
+        Schedule {
+            segments: std::slice::from_ref(circuit),
+            total_duration_ns: circuit.total_duration_ns,
+        }
+    }
+}
+
+impl<'a> From<&'a SegmentedCircuit> for Schedule<'a> {
+    fn from(circuit: &'a SegmentedCircuit) -> Self {
+        Schedule {
+            segments: &circuit.segments,
+            total_duration_ns: circuit.total_duration_ns,
+        }
+    }
+}
+
+impl<'a> Schedule<'a> {
+    /// The segments in program order (at least one).
+    pub fn segments(&self) -> &'a [TimedCircuit] {
+        self.segments
+    }
+
+    /// Wall-clock duration of the whole program in nanoseconds.
+    pub fn total_duration_ns(&self) -> f64 {
+        self.total_duration_ns
+    }
+
+    /// Whether the program is cut into more than one segment, i.e. a run
+    /// reshapes the state and needs a second buffer.
+    pub fn is_split(&self) -> bool {
+        self.segments.len() > 1
+    }
+
+    /// The register a run starts on (first segment's).
+    pub fn first_register(&self) -> &'a Register {
+        &self.segments[0].register
+    }
+
+    /// The register a run ends on (last segment's).
+    pub fn last_register(&self) -> &'a Register {
+        &self.segments[self.segments.len() - 1].register
+    }
+
+    /// The segment register with the most amplitudes.
+    pub(crate) fn peak_register(&self) -> &'a Register {
+        self.segments
+            .iter()
+            .map(|s| &s.register)
+            .max_by_key(|r| r.total_dim())
+            .expect("at least one segment")
+    }
+
+    /// Largest per-segment state size in bytes — the unit the simulation
+    /// buffers are sized by (a segmented run holds **two** buffers of at
+    /// most this size, regardless of the segment count) and the quantity
+    /// byte budgets gate on.
+    pub fn peak_state_bytes(&self) -> usize {
+        self.peak_register().state_bytes()
+    }
+
+    /// Op-weighted mean state size in bytes: each op sweeps its own
+    /// segment's state, so this is the average bytes touched per sweep —
+    /// the windowed analysis shrinks it even when the peak is pinned by
+    /// one wide window. Falls back to the peak for op-less schedules.
+    pub fn mean_state_bytes(&self) -> f64 {
+        let ops: usize = self.segments.iter().map(TimedCircuit::len).sum();
+        if ops == 0 {
+            return self.peak_state_bytes() as f64;
+        }
+        let weighted: f64 = self
+            .segments
+            .iter()
+            .map(|s| s.len() as f64 * s.register.state_bytes() as f64)
+            .sum();
+        weighted / ops as f64
+    }
+
+    /// A zeroed state buffer on the first register, pre-sized to the peak
+    /// segment so re-targeting it at a boundary never reallocates.
+    pub(crate) fn buffer<S: crate::trajectory::Representation>(&self) -> S {
+        let mut buffer = S::zero(self.peak_register());
+        buffer.remap(self.first_register());
+        buffer
+    }
+
+    /// The second buffer a split schedule rolls through its boundaries;
+    /// `None` for one segment.
+    pub(crate) fn scratch<S: crate::trajectory::Representation>(&self) -> Option<S> {
+        self.is_split().then(|| self.buffer())
     }
 }
 

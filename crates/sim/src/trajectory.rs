@@ -40,6 +40,8 @@
 //! normalizes each time, and the dense and sparse engines do identical
 //! arithmetic.
 
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::StdRng;
@@ -52,41 +54,68 @@ use crate::damping::{DampingTarget, StepTables};
 use crate::kernel::Workspace;
 use crate::pool::TrajectoryPool;
 use crate::sparse::{AdaptiveState, SparsePolicy, SparseState};
-use crate::{ideal, Register, SegmentedCircuit, State, TimedCircuit, TimedOp};
+use crate::{ideal, Register, Schedule, SegmentedCircuit, State, TimedCircuit, TimedOp};
 
 /// Panic message of a runner whose initial state is on another register
 /// than the schedule's first segment.
 const REGISTER_MISMATCH: &str = "state register does not match circuit register";
 
-/// The state-representation interface the shared per-op noise loop runs
-/// against. Dense [`State`] and the density-adaptive
-/// [`AdaptiveState`] both implement it, so the noise accounting — idle
-/// and busy damping windows, depolarizing draws, the order of every RNG
-/// consumption, the pending damping factors — is *the same code* for
-/// both representations, which is what makes adaptive estimates
-/// bit-compatible with dense ones for a fixed seed.
-pub(crate) trait NoisyTarget: DampingTarget {
+/// A state representation the runners, [`crate::Session`] and
+/// [`Estimator`] run on: the dense [`State`] or the density-adaptive
+/// [`AdaptiveState`]. Both run the *same* per-op noise loop — idle and
+/// busy damping windows, depolarizing draws, the order of every RNG
+/// consumption, the pending damping factors — which is what makes
+/// adaptive estimates bit-compatible with dense ones for a fixed seed.
+///
+/// The trait is sealed; its methods are the engine's and hidden.
+pub trait Representation: DampingTarget + Sized {
     /// The initial-state type a trajectory in this representation starts
-    /// from.
-    type Input;
+    /// from: [`State`] for the dense engine, [`SparseState`] for the
+    /// adaptive one.
+    type Input: PartialEq;
+    #[doc(hidden)]
+    fn zero(register: &Register) -> Self;
+    #[doc(hidden)]
+    fn zero_input(register: &Register) -> Self::Input;
+    #[doc(hidden)]
+    fn copy_input(to: &mut Self::Input, from: &Self::Input);
     /// Overwrites this buffer with `input`, re-targeted onto `register`.
     ///
     /// # Panics
     ///
     /// Panics if `input`'s register differs from `register`.
+    #[doc(hidden)]
     fn load(&mut self, input: &Self::Input, register: &Register, ws: &mut Workspace);
+    #[doc(hidden)]
     fn apply_op(&mut self, op: &TimedOp, ws: &mut Workspace);
+    #[doc(hidden)]
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize);
     /// Re-targets the buffer onto `register` (contents unspecified).
+    #[doc(hidden)]
     fn remap(&mut self, register: &Register);
     /// Reshapes onto `out`'s register, returning the clipped probability.
+    #[doc(hidden)]
     fn reshape_lossy(&self, out: &mut Self, ws: &mut Workspace) -> f64;
+    #[doc(hidden)]
+    fn norm(&self) -> f64;
+    #[doc(hidden)]
+    fn fidelity(&self, other: &Self) -> f64;
     #[cfg(feature = "fault-inject")]
+    #[doc(hidden)]
     fn fault_tick(&mut self);
 }
 
-impl NoisyTarget for State {
+impl Representation for State {
     type Input = State;
+    fn zero(register: &Register) -> Self {
+        State::zero(register)
+    }
+    fn zero_input(register: &Register) -> State {
+        State::zero(register)
+    }
+    fn copy_input(to: &mut State, from: &State) {
+        to.copy_from(from);
+    }
     fn load(&mut self, input: &State, register: &Register, _ws: &mut Workspace) {
         assert_eq!(input.register(), register, "{REGISTER_MISMATCH}");
         State::remap(self, register);
@@ -104,14 +133,29 @@ impl NoisyTarget for State {
     fn reshape_lossy(&self, out: &mut Self, _ws: &mut Workspace) -> f64 {
         self.reshape_into_lossy(out)
     }
+    fn norm(&self) -> f64 {
+        State::norm(self)
+    }
+    fn fidelity(&self, other: &Self) -> f64 {
+        State::fidelity(self, other)
+    }
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self) {
         crate::fault::tick_op(self);
     }
 }
 
-impl NoisyTarget for AdaptiveState {
+impl Representation for AdaptiveState {
     type Input = SparseState;
+    fn zero(register: &Register) -> Self {
+        AdaptiveState::zero(register)
+    }
+    fn zero_input(register: &Register) -> SparseState {
+        SparseState::zero(register)
+    }
+    fn copy_input(to: &mut SparseState, from: &SparseState) {
+        to.copy_from(from);
+    }
     fn load(&mut self, input: &SparseState, register: &Register, ws: &mut Workspace) {
         assert_eq!(input.register(), register, "{REGISTER_MISMATCH}");
         self.reset_from_sparse(input, ws);
@@ -127,6 +171,12 @@ impl NoisyTarget for AdaptiveState {
     }
     fn reshape_lossy(&self, out: &mut Self, ws: &mut Workspace) -> f64 {
         self.reshape_into_lossy(out, ws)
+    }
+    fn norm(&self) -> f64 {
+        AdaptiveState::norm(self)
+    }
+    fn fidelity(&self, other: &Self) -> f64 {
+        AdaptiveState::fidelity(self, other)
     }
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self) {
@@ -246,30 +296,6 @@ impl NoiseCalls for TableBuilder<'_> {
     fn depolarize(&mut self, _fidelity: f64, _error_dims: &[u8], _operands: &[usize]) {}
 }
 
-/// The segments a trajectory runs through (one for an unsplit schedule)
-/// and its wall-clock end.
-#[derive(Clone, Copy)]
-struct Schedule<'a> {
-    segments: &'a [TimedCircuit],
-    total_ns: f64,
-}
-
-impl<'a> Schedule<'a> {
-    fn whole(circuit: &'a TimedCircuit) -> Self {
-        Schedule {
-            segments: std::slice::from_ref(circuit),
-            total_ns: circuit.total_duration_ns,
-        }
-    }
-
-    fn segmented(circuit: &'a SegmentedCircuit) -> Self {
-        Schedule {
-            segments: &circuit.segments,
-            total_ns: circuit.total_duration_ns,
-        }
-    }
-}
-
 impl StepTables {
     /// The step tables of a trajectory through `schedule`.
     fn of(schedule: Schedule, noise: &NoiseModel) -> Self {
@@ -282,17 +308,17 @@ impl StepTables {
     fn build(&mut self, schedule: Schedule, noise: &NoiseModel, free_at: &mut Vec<f64>) {
         self.clear();
         free_at.clear();
-        free_at.resize(schedule.segments[0].register.n_qudits(), 0.0);
+        free_at.resize(schedule.first_register().n_qudits(), 0.0);
         let mut builder = TableBuilder {
             steps: self,
             noise,
-            register: &schedule.segments[0].register,
+            register: schedule.first_register(),
         };
-        for segment in schedule.segments {
+        for segment in schedule.segments() {
             builder.register = &segment.register;
             walk_segment(segment, noise, free_at, &mut builder);
         }
-        walk_trailing(schedule.total_ns, noise, free_at, &mut builder);
+        walk_trailing(schedule.total_duration_ns(), noise, free_at, &mut builder);
     }
 }
 
@@ -306,7 +332,7 @@ struct Runner<'a, S, R: ?Sized> {
     next: usize,
 }
 
-impl<S: NoisyTarget, R: Rng + ?Sized> NoiseCalls for Runner<'_, S, R> {
+impl<S: Representation, R: Rng + ?Sized> NoiseCalls for Runner<'_, S, R> {
     fn damp(&mut self, qudit: usize, _dt_ns: f64) {
         let k = self.next;
         self.steps
@@ -336,7 +362,7 @@ impl<S: NoisyTarget, R: Rng + ?Sized> NoiseCalls for Runner<'_, S, R> {
     }
 }
 
-impl<S: NoisyTarget, R: Rng + ?Sized> Runner<'_, S, R> {
+impl<S: Representation, R: Rng + ?Sized> Runner<'_, S, R> {
     /// Moves the state onto the next segment's `register` through
     /// `scratch`, with every pending factor applied first.
     fn reshape(&mut self, register: &Register, scratch: &mut S) {
@@ -357,7 +383,7 @@ impl<S: NoisyTarget, R: Rng + ?Sized> Runner<'_, S, R> {
 /// damping through `steps`, which must be
 /// [`StepTables::of`]`(schedule, noise)`.
 #[allow(clippy::too_many_arguments)]
-fn run_noisy<S: NoisyTarget, R: Rng + ?Sized>(
+fn run_noisy<S: Representation, R: Rng + ?Sized>(
     schedule: Schedule,
     steps: &StepTables,
     initial: &S::Input,
@@ -367,7 +393,7 @@ fn run_noisy<S: NoisyTarget, R: Rng + ?Sized>(
     mut scratch: Option<&mut S>,
     ws: &mut Workspace,
 ) {
-    let first = &schedule.segments[0].register;
+    let first = schedule.first_register();
     out.load(initial, first, ws);
     ws.begin_trajectory(first);
     let mut free_at = std::mem::take(&mut ws.free_at);
@@ -378,7 +404,7 @@ fn run_noisy<S: NoisyTarget, R: Rng + ?Sized>(
         steps,
         next: 0,
     };
-    for (k, segment) in schedule.segments.iter().enumerate() {
+    for (k, segment) in schedule.segments().iter().enumerate() {
         if k > 0 {
             let scratch = scratch
                 .as_deref_mut()
@@ -387,7 +413,7 @@ fn run_noisy<S: NoisyTarget, R: Rng + ?Sized>(
         }
         walk_segment(segment, noise, &mut free_at, &mut runner);
     }
-    walk_trailing(schedule.total_ns, noise, &free_at, &mut runner);
+    walk_trailing(schedule.total_duration_ns(), noise, &free_at, &mut runner);
     assert_eq!(
         runner.next,
         steps.len(),
@@ -398,8 +424,8 @@ fn run_noisy<S: NoisyTarget, R: Rng + ?Sized>(
 }
 
 /// [`run_noisy`] with step tables built into `ws`'s own storage — how
-/// the single-trajectory entry points get theirs.
-fn run_own<S: NoisyTarget, R: Rng + ?Sized>(
+/// the single-trajectory runners get theirs.
+pub(crate) fn run_own<S: Representation, R: Rng + ?Sized>(
     schedule: Schedule,
     initial: &S::Input,
     noise: &NoiseModel,
@@ -414,100 +440,58 @@ fn run_own<S: NoisyTarget, R: Rng + ?Sized>(
     ws.steps = steps;
 }
 
-/// Runs one noisy trajectory, returning the final (normalized) state.
+/// Runs one noisy trajectory of `schedule` from `initial` (on its first
+/// register) and returns the final state (on its last register). Segments
+/// run in order sharing one per-device busy timeline, so idle-time
+/// damping windows are those of the unsplit program. Allocates its
+/// buffers; a loop should hold a [`crate::Session`] instead.
 ///
 /// # Panics
 ///
-/// Panics if the initial state's register differs from the circuit's.
-pub fn run_trajectory<R: Rng + ?Sized>(
-    circuit: &TimedCircuit,
+/// Panics if the initial state's register differs from the schedule's
+/// first.
+pub fn run_trajectory<'a, R: Rng + ?Sized>(
+    schedule: impl Into<Schedule<'a>>,
     initial: &State,
     noise: &NoiseModel,
     rng: &mut R,
 ) -> State {
-    let mut out = initial.clone();
+    let schedule = schedule.into();
+    let mut out = schedule.buffer();
+    let mut scratch = schedule.scratch();
     let mut ws = Workspace::new();
-    run_trajectory_into(circuit, initial, noise, rng, &mut out, &mut ws);
-    out
-}
-
-/// [`run_trajectory`] writing into a caller-owned output state. All gate
-/// application goes through the ops' precomputed
-/// [`crate::GateKernel`]s with
-/// scratch borrowed from `ws`, so steady-state trajectory batches perform
-/// no per-gate heap allocation.
-///
-/// # Panics
-///
-/// Panics if the initial state's register differs from the circuit's.
-pub fn run_trajectory_into<R: Rng + ?Sized>(
-    circuit: &TimedCircuit,
-    initial: &State,
-    noise: &NoiseModel,
-    rng: &mut R,
-    out: &mut State,
-    ws: &mut Workspace,
-) {
-    run_own(Schedule::whole(circuit), initial, noise, rng, out, None, ws);
-}
-
-/// Runs one noisy trajectory of a windowed-register schedule, returning
-/// the final state (on the last segment's register). Convenience wrapper
-/// that allocates the two rolling state buffers; steady-state loops
-/// should use [`run_trajectory_segmented_into`] (or a
-/// [`crate::SegmentedSession`]) with reused buffers.
-///
-/// # Panics
-///
-/// Panics if the initial state's register differs from the first
-/// segment's.
-pub fn run_trajectory_segmented<R: Rng + ?Sized>(
-    circuit: &SegmentedCircuit,
-    initial: &State,
-    noise: &NoiseModel,
-    rng: &mut R,
-) -> State {
-    let (mut out, mut scratch) = circuit.rolling_buffers();
-    let mut ws = Workspace::new();
-    run_trajectory_segmented_into(
-        circuit,
+    run_own(
+        schedule,
         initial,
         noise,
         rng,
         &mut out,
-        &mut scratch,
+        scratch.as_mut(),
         &mut ws,
     );
     out
 }
 
-/// [`run_trajectory_segmented`] rolling **two** caller-owned state
-/// buffers across the segments (see
-/// [`crate::SegmentedCircuit::rolling_buffers`]): at each boundary
-/// `scratch` is re-targeted onto the next segment's register, the state
-/// reshaped into it, and the buffers swapped — live allocation is two
-/// peak-sized buffers regardless of the segment count, and once both
-/// have reached the peak size the loop allocates nothing. The final
-/// state is left in `out` (on the last segment's register). Segments run
-/// in order sharing one per-device busy timeline, so idle-time damping
-/// windows are identical to the whole-program engine.
+/// A density-adaptive trajectory of `circuit` into caller-owned rolling
+/// buffers, as [`crate::Session::run_trajectory`] runs it; the
+/// workspace's sparse knobs govern the representation switch. Kept for
+/// the benchmark harness.
 ///
 /// # Panics
 ///
 /// Panics if the initial state's register differs from the first
 /// segment's.
 #[allow(clippy::too_many_arguments)]
-pub fn run_trajectory_segmented_into<R: Rng + ?Sized>(
+pub fn run_trajectory_segmented_adaptive_into<R: Rng + ?Sized>(
     circuit: &SegmentedCircuit,
-    initial: &State,
+    initial: &SparseState,
     noise: &NoiseModel,
     rng: &mut R,
-    out: &mut State,
-    scratch: &mut State,
+    out: &mut AdaptiveState,
+    scratch: &mut AdaptiveState,
     ws: &mut Workspace,
 ) {
-    let schedule = Schedule::segmented(circuit);
-    run_own(schedule, initial, noise, rng, out, Some(scratch), ws);
+    run_own(circuit.into(), initial, noise, rng, out, Some(scratch), ws);
 }
 
 /// Result of a Monte-Carlo fidelity estimate.
@@ -522,237 +506,31 @@ pub struct FidelityEstimate {
     pub trajectories: usize,
 }
 
-/// Estimates average fidelity over random initial states: for each
-/// trajectory a fresh random qubit-product state is drawn (§6.4, "random
-/// quantum states as classical inputs are not always affected by quantum
-/// errors"), the ideal and noisy final states are computed, and their
-/// overlap recorded. Runs on the process-wide [`TrajectoryPool`].
-pub fn average_fidelity(
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> FidelityEstimate {
-    average_fidelity_on(
-        &TrajectoryPool::global(),
-        circuit,
-        noise,
-        trajectories,
-        seed,
-    )
-}
-
-/// [`average_fidelity`] on a caller-chosen [`TrajectoryPool`].
-pub fn average_fidelity_on(
-    pool: &TrajectoryPool,
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> FidelityEstimate {
-    average_fidelity_with_on(pool, circuit, noise, trajectories, seed, |_, rng, out| {
-        out.fill_random_qubit_product(rng)
-    })
-}
-
-/// [`average_fidelity`] with a custom initial-state factory.
-///
-/// The factory **writes into a caller-owned buffer** (`write_initial(reg,
-/// rng, out)` overwrites `out` in place): each pool worker owns one
-/// [`Workspace`] and a fixed set of state buffers reused across all of
-/// the trajectories it steals, so the steady-state loop performs no
-/// per-trajectory heap allocation at all — not even for the initial
-/// state. The ideal output is memoized per worker: when the factory is
-/// deterministic (ignores its RNG, e.g. a fixed input state), the
-/// noiseless circuit runs once per worker instead of once per trajectory.
-pub fn average_fidelity_with(
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> FidelityEstimate {
-    average_fidelity_with_on(
-        &TrajectoryPool::global(),
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        write_initial,
-    )
-}
-
-/// [`average_fidelity_with`] on a caller-chosen [`TrajectoryPool`].
-pub fn average_fidelity_with_on(
-    pool: &TrajectoryPool,
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> FidelityEstimate {
-    estimate_from(&fidelity_samples_with_on(
-        pool,
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        write_initial,
-    ))
-}
-
-/// The raw per-trajectory fidelity samples behind [`average_fidelity`]:
-/// `samples[g]` is the fidelity of the trajectory with global index `g`,
-/// whose RNG seed depends only on `(seed, g)` — so the vector is
-/// bit-identical for any pool width, and downstream consumers (the serve
-/// layer's replay check, incremental tallies) can reference individual
-/// trajectories stably.
-pub fn fidelity_samples_on(
-    pool: &TrajectoryPool,
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> Vec<f64> {
-    fidelity_samples_with_on(pool, circuit, noise, trajectories, seed, |_, rng, out| {
-        out.fill_random_qubit_product(rng)
-    })
-}
-
-/// [`fidelity_samples_on`] with a custom initial-state factory (the
-/// sample-vector form of [`average_fidelity_with_on`]).
-pub fn fidelity_samples_with_on(
-    pool: &TrajectoryPool,
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> Vec<f64> {
-    let schedule = Schedule::whole(circuit);
-    let steps = StepTables::of(schedule, noise);
-    struct Worker {
-        ws: Workspace,
-        initial: State,
-        noisy_out: State,
-        ideal_out: State,
-        cached_initial: State,
-        ideal_cached: bool,
-    }
-    sample_over_trajectories(
-        pool,
-        trajectories,
-        seed,
-        || Worker {
-            ws: Workspace::new(),
-            initial: State::zero(&circuit.register),
-            noisy_out: State::zero(&circuit.register),
-            ideal_out: State::zero(&circuit.register),
-            cached_initial: State::zero(&circuit.register),
-            ideal_cached: false,
-        },
-        |w, rng| {
-            write_initial(&circuit.register, rng, &mut w.initial);
-            if !(w.ideal_cached && w.cached_initial == w.initial) {
-                ideal::run_into(circuit, &w.initial, &mut w.ideal_out, &mut w.ws);
-                w.cached_initial.copy_from(&w.initial);
-                w.ideal_cached = true;
-            }
-            run_noisy(
-                schedule,
-                &steps,
-                &w.initial,
-                noise,
-                rng,
-                &mut w.noisy_out,
-                None,
-                &mut w.ws,
-            );
-            w.ideal_out.fidelity(&w.noisy_out)
-        },
-    )
-}
-
-/// Per-index fidelity slots written concurrently by pool workers. Sound
-/// because [`TrajectoryPool::run_units`] hands out each global index
-/// exactly once, so distinct workers never touch the same slot.
-struct SharedSlots(*mut f64);
-unsafe impl Sync for SharedSlots {}
-unsafe impl Send for SharedSlots {}
-
-impl SharedSlots {
-    /// # Safety
-    ///
-    /// `idx` must be in bounds and claimed by exactly one worker.
-    unsafe fn write(&self, idx: usize, value: f64) {
-        unsafe { *self.0.add(idx) = value }
+impl FidelityEstimate {
+    /// Mean and Bessel-corrected standard error of a fidelity sample,
+    /// the one summary every estimate reports. A single sample carries no
+    /// spread information, so its standard error is zero; an empty one
+    /// has NaN for both.
+    pub fn from_samples(fidelities: &[f64]) -> Self {
+        let trajectories = fidelities.len();
+        let n = trajectories as f64;
+        let mean = fidelities.iter().sum::<f64>() / n;
+        let var = if trajectories < 2 {
+            0.0
+        } else {
+            fidelities.iter().map(|f| (f - mean).powi(2)).sum::<f64>() / (n - 1.0)
+        };
+        FidelityEstimate {
+            mean,
+            std_error: (var / n).sqrt(),
+            trajectories,
+        }
     }
 }
 
-/// The one Monte-Carlo driver behind every fidelity estimator: workers
-/// steal global trajectory indices from `pool`, each carrying one buffer
-/// state from `make_worker` across all the indices it claims, and
-/// `run_one`'s fidelity lands in the per-index slot. Centralizing the
-/// stealing and the per-index seeding here is what guarantees (a) the
-/// whole-program and segmented estimators consume **identical** seed
-/// streams and (b) the sample vector does not depend on the pool width.
-fn sample_over_trajectories<W>(
-    pool: &TrajectoryPool,
-    trajectories: usize,
-    seed: u64,
-    make_worker: impl Fn() -> W + Sync,
-    run_one: impl Fn(&mut W, &mut StdRng) -> f64 + Sync,
-) -> Vec<f64> {
-    assert!(trajectories > 0, "need at least one trajectory");
-    let mut fidelities = vec![0.0f64; trajectories];
-    let slots = SharedSlots(fidelities.as_mut_ptr());
-    pool.run_units(
-        trajectories,
-        |_| make_worker(),
-        |worker, g| {
-            #[cfg(feature = "fault-inject")]
-            crate::fault::begin_trajectory(g);
-            let mut rng = StdRng::seed_from_u64(trajectory_seed(seed, g));
-            let f = run_one(worker, &mut rng);
-            // SAFETY: `g` is in `0..trajectories` and claimed once.
-            unsafe { slots.write(g, f) };
-        },
-    );
-    fidelities
-}
-
-/// Mean and Bessel-corrected standard error of a fidelity sample.
-fn estimate_from(fidelities: &[f64]) -> FidelityEstimate {
-    let trajectories = fidelities.len();
-    let n = trajectories as f64;
-    let mean = fidelities.iter().sum::<f64>() / n;
-    // Unbiased (Bessel) sample variance; a single trajectory carries no
-    // spread information, so its standard error is reported as zero.
-    let var = if trajectories < 2 {
-        0.0
-    } else {
-        fidelities.iter().map(|f| (f - mean).powi(2)).sum::<f64>() / (n - 1.0)
-    };
-    FidelityEstimate {
-        mean,
-        std_error: (var / n).sqrt(),
-        trajectories,
-    }
-}
-
-/// Deterministic RNG seed of the trajectory with global index `g` — a
-/// function of `(seed, g)` only, never of which worker ran it or how the
-/// indices were distributed, which is what makes every estimate
-/// thread-count-invariant.
-fn trajectory_seed(seed: u64, g: usize) -> u64 {
-    seed.wrapping_add(g as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Health guards for the supervised estimators
-/// ([`average_fidelity_supervised_with`] and friends): when a trajectory
-/// trips a guard it is **quarantined** — its sample is dropped, the
-/// quarantine counted in [`RunHealth`], and the run keeps going.
+/// Health guards of [`Estimator::supervised`]: when a trajectory trips a
+/// guard it is **quarantined** — its sample is dropped, the quarantine
+/// counted in [`RunHealth`], and the run keeps going.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthPolicy {
     /// Quarantine a trajectory whose final noisy-state norm exceeds
@@ -797,63 +575,233 @@ pub struct RunHealth {
     pub early_stopped: bool,
 }
 
-/// The supervised counterpart of [`sample_over_trajectories`]: same pool,
-/// same work-stealing and per-index seed stream, plus per-trajectory
-/// health guards, an optional early stop on the running standard error,
-/// and (under `fault-inject`) per-trajectory arming of the amplitude
-/// poison. Because indices are stolen one at a time, an early stop or a
-/// straggling trajectory never strands a static chunk: every worker stays
-/// busy until the stop flag flips. `run_one` returns
-/// `(fidelity, final_noisy_norm)`.
-fn estimate_supervised<W>(
-    pool: &TrajectoryPool,
-    trajectories: usize,
-    seed: u64,
-    policy: &HealthPolicy,
-    make_worker: impl Fn() -> W + Sync,
-    run_one: impl Fn(&mut W, &mut StdRng) -> (f64, f64) + Sync,
-) -> (FidelityEstimate, RunHealth) {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+/// Per-index fidelity slots written concurrently by pool workers. Sound
+/// because [`TrajectoryPool::run_units`] hands out each global index
+/// exactly once, so distinct workers never touch the same slot.
+struct SharedSlots(*mut f64);
+// SAFETY: the one field points into a sample vector that outlives the
+// pool run, and every write goes to a slot only its claiming worker
+// touches (see `write`), so sharing or sending the pointer races nothing.
+unsafe impl Sync for SharedSlots {}
+// SAFETY: as for `Sync`.
+unsafe impl Send for SharedSlots {}
 
-    assert!(trajectories > 0, "need at least one trajectory");
-    // NaN marks a slot that never produced a healthy sample (skipped by
-    // early stop, or quarantined); the final estimate is taken over the
-    // finite slots only.
-    let mut fidelities = vec![f64::NAN; trajectories];
-    let slots = SharedSlots(fidelities.as_mut_ptr());
-    let stop = AtomicBool::new(false);
-    let quarantined = AtomicUsize::new(0);
-    // Running (count, sum, sum of squares) over healthy samples, for the
-    // early-stop standard-error check.
-    let tally = Mutex::new((0usize, 0.0f64, 0.0f64));
-    pool.run_units(
-        trajectories,
-        |_| make_worker(),
-        |worker, g| {
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            #[cfg(feature = "fault-inject")]
-            crate::fault::begin_trajectory(g);
-            let mut rng = StdRng::seed_from_u64(trajectory_seed(seed, g));
-            let (f, norm) = run_one(worker, &mut rng);
+impl SharedSlots {
+    /// # Safety
+    ///
+    /// `idx` must be in bounds and claimed by exactly one worker.
+    unsafe fn write(&self, idx: usize, value: f64) {
+        unsafe { *self.0.add(idx) = value }
+    }
+}
+
+/// Deterministic RNG seed of the trajectory with global index `g` — a
+/// function of `(seed, g)` only, never of which worker ran it or how the
+/// indices were distributed, which is what makes every estimate
+/// thread-count-invariant.
+fn trajectory_seed(seed: u64, g: usize) -> u64 {
+    seed.wrapping_add(g as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The input writer of [`Estimator::new`]: a random qubit-product state
+/// (§6.4, "random quantum states as classical inputs are not always
+/// affected by quantum errors").
+type RandomProduct = fn(&Register, &mut StdRng, &mut State);
+
+/// A Monte-Carlo fidelity estimate over one [`Schedule`] (§6.4): every
+/// trajectory writes an input state on the schedule's first register,
+/// runs the schedule noiselessly for the reference and once through the
+/// noise loop, and records the overlap of the two final states.
+///
+/// [`Estimator::new`] runs dense states from random qubit-product inputs,
+/// [`Estimator::with_input`] replaces the input writer
+/// (`write_initial(first_register, rng, out)` overwrites `out` in place),
+/// and [`Estimator::adaptive`] runs the density-adaptive engine under a
+/// [`SparsePolicy`]. Work runs on the process-wide [`TrajectoryPool`]
+/// unless [`Estimator::on`] names another.
+///
+/// Trajectory `g` draws its input and its noise from an RNG seeded by
+/// `(seed, g)` alone, so the samples are bit-identical for any pool
+/// width, and the adaptive engine returns the dense engine's samples for
+/// the same schedule, inputs and seed.
+///
+/// Each pool worker owns one [`Workspace`] and a fixed set of state
+/// buffers reused across every trajectory it claims: the input, the
+/// reference and noisy outputs, the input the reference was last run
+/// from, and — for a split schedule only — one scratch buffer per output
+/// to roll through the reshapes. The steady-state loop therefore
+/// allocates nothing per trajectory, and when the writer repeats an input
+/// (a fixed basis state, say) the reference runs once per worker.
+///
+/// # Panics
+///
+/// [`Estimator::samples`], [`Estimator::estimate`] and
+/// [`Estimator::supervised`] panic when asked for zero trajectories.
+///
+/// # Example
+///
+/// ```
+/// use waltz_noise::NoiseModel;
+/// use waltz_sim::trajectory::Estimator;
+/// use waltz_sim::{Register, TimedCircuit};
+///
+/// // An empty two-qubit schedule: no gate, no time, nothing to damp.
+/// let circuit = TimedCircuit::new(Register::qubits(2));
+/// let noise = NoiseModel::paper();
+/// let estimate = Estimator::new(&circuit, &noise).estimate(8, 1);
+/// assert!((estimate.mean - 1.0).abs() < 1e-12);
+/// ```
+pub struct Estimator<'a, S, W> {
+    schedule: Schedule<'a>,
+    noise: &'a NoiseModel,
+    write_initial: W,
+    policy: SparsePolicy,
+    pool: Option<&'a TrajectoryPool>,
+    representation: PhantomData<fn() -> S>,
+}
+
+impl<'a> Estimator<'a, State, RandomProduct> {
+    /// A dense estimate of `schedule` under `noise` from random
+    /// qubit-product inputs.
+    pub fn new(schedule: impl Into<Schedule<'a>>, noise: &'a NoiseModel) -> Self {
+        Estimator {
+            schedule: schedule.into(),
+            noise,
+            write_initial: |_, rng, out| out.fill_random_qubit_product(rng),
+            policy: SparsePolicy::default(),
+            pool: None,
+            representation: PhantomData,
+        }
+    }
+}
+
+impl<'a, W> Estimator<'a, AdaptiveState, W>
+where
+    W: Fn(&Register, &mut StdRng, &mut SparseState) + Sync,
+{
+    /// An estimate through the density-adaptive engine: inputs are
+    /// written into sparse buffers (a classical basis input stays at a
+    /// handful of entries), and every trajectory runs sparse until
+    /// `policy.density_threshold` trips. With a threshold of 0 it
+    /// returns the dense estimate's samples exactly.
+    pub fn adaptive(
+        schedule: impl Into<Schedule<'a>>,
+        noise: &'a NoiseModel,
+        policy: &SparsePolicy,
+        write_initial: W,
+    ) -> Self {
+        Estimator {
+            schedule: schedule.into(),
+            noise,
+            write_initial,
+            policy: *policy,
+            pool: None,
+            representation: PhantomData,
+        }
+    }
+}
+
+impl<'a, S: Representation, W> Estimator<'a, S, W> {
+    /// Replaces the input writer.
+    pub fn with_input<V>(self, write_initial: V) -> Estimator<'a, S, V>
+    where
+        V: Fn(&Register, &mut StdRng, &mut S::Input) + Sync,
+    {
+        Estimator {
+            schedule: self.schedule,
+            noise: self.noise,
+            write_initial,
+            policy: self.policy,
+            pool: self.pool,
+            representation: PhantomData,
+        }
+    }
+
+    /// Runs on `pool` instead of the process-wide pool.
+    pub fn on(mut self, pool: &'a TrajectoryPool) -> Self {
+        self.pool = Some(pool);
+        self
+    }
+}
+
+impl<S, W> Estimator<'_, S, W>
+where
+    S: Representation,
+    W: Fn(&Register, &mut StdRng, &mut S::Input) + Sync,
+{
+    /// The raw per-trajectory fidelities: `samples[g]` belongs to the
+    /// trajectory with global index `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trajectories` is zero.
+    pub fn samples(&self, trajectories: usize, seed: u64) -> Vec<f64> {
+        let mut samples = vec![0.0f64; trajectories];
+        let slots = SharedSlots(samples.as_mut_ptr());
+        self.drive(trajectories, seed, &AtomicBool::new(false), |g, f, _| {
+            // SAFETY: `g` is in `0..trajectories` and claimed once.
+            unsafe { slots.write(g, f) }
+        });
+        samples
+    }
+
+    /// The mean fidelity of [`Estimator::samples`] and its standard
+    /// error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trajectories` is zero.
+    pub fn estimate(&self, trajectories: usize, seed: u64) -> FidelityEstimate {
+        FidelityEstimate::from_samples(&self.samples(trajectories, seed))
+    }
+
+    /// [`Estimator::estimate`] under health supervision: a trajectory
+    /// whose fidelity is non-finite or out of range, or whose final norm
+    /// grew, is quarantined instead of poisoning the mean, and the run
+    /// stops early once the running standard error reaches
+    /// [`HealthPolicy::target_std_error`]. Indices are claimed one at a
+    /// time, so an early stop strands no static chunk. A fully healthy
+    /// run without an early stop returns [`Estimator::estimate`] exactly.
+    /// The estimate of a run that kept no sample is NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trajectories` is zero.
+    pub fn supervised(
+        &self,
+        trajectories: usize,
+        seed: u64,
+        health: &HealthPolicy,
+    ) -> (FidelityEstimate, RunHealth) {
+        // NaN marks a slot that never produced a healthy sample (skipped
+        // by early stop, or quarantined).
+        let mut samples = vec![f64::NAN; trajectories];
+        let slots = SharedSlots(samples.as_mut_ptr());
+        let stop = AtomicBool::new(false);
+        let quarantined = AtomicUsize::new(0);
+        // Running (count, sum, sum of squares) over healthy samples, for
+        // the early-stop standard-error check.
+        let tally = Mutex::new((0usize, 0.0f64, 0.0f64));
+        self.drive(trajectories, seed, &stop, |g, f, worker| {
+            let norm = worker.noisy.norm();
             let healthy = f.is_finite()
                 && norm.is_finite()
-                && f >= -policy.fidelity_tolerance
-                && f <= 1.0 + policy.fidelity_tolerance
-                && norm <= 1.0 + policy.max_norm_growth;
+                && f >= -health.fidelity_tolerance
+                && f <= 1.0 + health.fidelity_tolerance
+                && norm <= 1.0 + health.max_norm_growth;
             if !healthy {
                 quarantined.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             // SAFETY: `g` is in `0..trajectories` and claimed once.
             unsafe { slots.write(g, f) };
-            if let Some(target) = policy.target_std_error {
+            if let Some(target) = health.target_std_error {
                 let mut t = tally.lock().unwrap_or_else(PoisonError::into_inner);
                 t.0 += 1;
                 t.1 += f;
                 t.2 += f * f;
-                if t.0 >= policy.min_trajectories.max(2) {
+                if t.0 >= health.min_trajectories.max(2) {
                     let n = t.0 as f64;
                     let var = ((t.2 - t.1 * t.1 / n) / (n - 1.0)).max(0.0);
                     if (var / n).sqrt() <= target {
@@ -861,604 +809,120 @@ fn estimate_supervised<W>(
                     }
                 }
             }
-        },
-    );
-    let kept: Vec<f64> = fidelities
-        .iter()
-        .copied()
-        .filter(|f| f.is_finite())
-        .collect();
-    let health = RunHealth {
-        requested: trajectories,
-        completed: kept.len(),
-        quarantined: quarantined.load(std::sync::atomic::Ordering::Relaxed),
-        early_stopped: stop.load(std::sync::atomic::Ordering::Relaxed),
-    };
-    let estimate = if kept.is_empty() {
-        FidelityEstimate {
-            mean: f64::NAN,
-            std_error: f64::NAN,
-            trajectories: 0,
+        });
+        samples.retain(|f| f.is_finite());
+        let run = RunHealth {
+            requested: trajectories,
+            completed: samples.len(),
+            quarantined: quarantined.into_inner(),
+            early_stopped: stop.into_inner(),
+        };
+        (FidelityEstimate::from_samples(&samples), run)
+    }
+
+    /// The one pool loop: workers claim global trajectory indices one
+    /// at a time, each carrying one [`Worker`] across the indices it
+    /// claims, and hand every trajectory's fidelity and worker to
+    /// `record`. Indices claimed after `stop` is set are skipped.
+    fn drive(
+        &self,
+        trajectories: usize,
+        seed: u64,
+        stop: &AtomicBool,
+        record: impl Fn(usize, f64, &Worker<S>) + Sync,
+    ) {
+        assert!(trajectories > 0, "need at least one trajectory");
+        let schedule = self.schedule;
+        let steps = StepTables::of(schedule, self.noise);
+        let global;
+        let pool = match self.pool {
+            Some(pool) => pool,
+            None => {
+                global = TrajectoryPool::global();
+                &global
+            }
+        };
+        pool.run_units(
+            trajectories,
+            |_| Worker::new(schedule, &self.policy),
+            |w: &mut Worker<S>, g| {
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
+                #[cfg(feature = "fault-inject")]
+                crate::fault::begin_trajectory(g);
+                let mut rng = StdRng::seed_from_u64(trajectory_seed(seed, g));
+                (self.write_initial)(schedule.first_register(), &mut rng, &mut w.initial);
+                if !(w.ideal_cached && w.cached_initial == w.initial) {
+                    ideal::run_schedule(
+                        schedule,
+                        &w.initial,
+                        &mut w.ideal,
+                        w.ideal_scratch.as_mut(),
+                        &mut w.ws,
+                    );
+                    S::copy_input(&mut w.cached_initial, &w.initial);
+                    w.ideal_cached = true;
+                }
+                run_noisy(
+                    schedule,
+                    &steps,
+                    &w.initial,
+                    self.noise,
+                    &mut rng,
+                    &mut w.noisy,
+                    w.noisy_scratch.as_mut(),
+                    &mut w.ws,
+                );
+                record(g, w.ideal.fidelity(&w.noisy), w);
+            },
+        );
+    }
+}
+
+/// The buffers one pool worker reuses across its trajectories.
+struct Worker<S: Representation> {
+    ws: Workspace,
+    initial: S::Input,
+    /// The input `ideal` was last run from (valid once `ideal_cached`).
+    cached_initial: S::Input,
+    ideal_cached: bool,
+    ideal: S,
+    ideal_scratch: Option<S>,
+    noisy: S,
+    noisy_scratch: Option<S>,
+}
+
+impl<S: Representation> Worker<S> {
+    fn new(schedule: Schedule, policy: &SparsePolicy) -> Self {
+        Worker {
+            ws: policy.workspace(),
+            initial: S::zero_input(schedule.first_register()),
+            cached_initial: S::zero_input(schedule.first_register()),
+            ideal_cached: false,
+            ideal: schedule.buffer(),
+            ideal_scratch: schedule.scratch(),
+            noisy: schedule.buffer(),
+            noisy_scratch: schedule.scratch(),
         }
-    } else {
-        estimate_from(&kept)
-    };
-    (estimate, health)
-}
-
-/// [`average_fidelity`] with health supervision: per-trajectory NaN/Inf
-/// and norm-growth guards (quarantine, count, keep going) and an optional
-/// early stop when the running standard error reaches
-/// [`HealthPolicy::target_std_error`]. Returns the estimate over healthy
-/// trajectories plus a [`RunHealth`] report.
-pub fn average_fidelity_supervised(
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &HealthPolicy,
-) -> (FidelityEstimate, RunHealth) {
-    average_fidelity_supervised_with(circuit, noise, trajectories, seed, policy, |_, rng, out| {
-        out.fill_random_qubit_product(rng)
-    })
-}
-
-/// [`average_fidelity_supervised`] on a caller-chosen [`TrajectoryPool`].
-pub fn average_fidelity_supervised_on(
-    pool: &TrajectoryPool,
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &HealthPolicy,
-) -> (FidelityEstimate, RunHealth) {
-    average_fidelity_supervised_with_on(
-        pool,
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        policy,
-        |_, rng, out| out.fill_random_qubit_product(rng),
-    )
-}
-
-/// [`average_fidelity_supervised`] with a custom initial-state factory;
-/// same buffer-reuse and seed-stream discipline as
-/// [`average_fidelity_with`], so a fully healthy supervised run (no
-/// quarantine, no early stop) reproduces its estimate exactly.
-pub fn average_fidelity_supervised_with(
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &HealthPolicy,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> (FidelityEstimate, RunHealth) {
-    average_fidelity_supervised_with_on(
-        &TrajectoryPool::global(),
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        policy,
-        write_initial,
-    )
-}
-
-/// [`average_fidelity_supervised_with`] on a caller-chosen
-/// [`TrajectoryPool`].
-pub fn average_fidelity_supervised_with_on(
-    pool: &TrajectoryPool,
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &HealthPolicy,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> (FidelityEstimate, RunHealth) {
-    let schedule = Schedule::whole(circuit);
-    let steps = StepTables::of(schedule, noise);
-    struct Worker {
-        ws: Workspace,
-        initial: State,
-        noisy_out: State,
-        ideal_out: State,
-        cached_initial: State,
-        ideal_cached: bool,
     }
-    estimate_supervised(
-        pool,
-        trajectories,
-        seed,
-        policy,
-        || Worker {
-            ws: Workspace::new(),
-            initial: State::zero(&circuit.register),
-            noisy_out: State::zero(&circuit.register),
-            ideal_out: State::zero(&circuit.register),
-            cached_initial: State::zero(&circuit.register),
-            ideal_cached: false,
-        },
-        |w, rng| {
-            write_initial(&circuit.register, rng, &mut w.initial);
-            if !(w.ideal_cached && w.cached_initial == w.initial) {
-                ideal::run_into(circuit, &w.initial, &mut w.ideal_out, &mut w.ws);
-                w.cached_initial.copy_from(&w.initial);
-                w.ideal_cached = true;
-            }
-            run_noisy(
-                schedule,
-                &steps,
-                &w.initial,
-                noise,
-                rng,
-                &mut w.noisy_out,
-                None,
-                &mut w.ws,
-            );
-            (w.ideal_out.fidelity(&w.noisy_out), w.noisy_out.norm())
-        },
-    )
 }
 
-/// [`average_fidelity_segmented`] with health supervision — the segmented
-/// counterpart of [`average_fidelity_supervised`].
-pub fn average_fidelity_segmented_supervised(
-    circuit: &SegmentedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &HealthPolicy,
-) -> (FidelityEstimate, RunHealth) {
-    average_fidelity_segmented_supervised_with(
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        policy,
-        |_, rng, out| out.fill_random_qubit_product(rng),
-    )
-}
-
-/// [`average_fidelity_segmented_supervised`] on a caller-chosen
-/// [`TrajectoryPool`].
-pub fn average_fidelity_segmented_supervised_on(
-    pool: &TrajectoryPool,
-    circuit: &SegmentedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &HealthPolicy,
-) -> (FidelityEstimate, RunHealth) {
-    average_fidelity_segmented_supervised_with_on(
-        pool,
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        policy,
-        |_, rng, out| out.fill_random_qubit_product(rng),
-    )
-}
-
-/// [`average_fidelity_segmented_supervised`] with a custom initial-state
-/// factory; same buffers and seed stream as
-/// [`average_fidelity_segmented_with`].
-pub fn average_fidelity_segmented_supervised_with(
-    circuit: &SegmentedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &HealthPolicy,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> (FidelityEstimate, RunHealth) {
-    average_fidelity_segmented_supervised_with_on(
-        &TrajectoryPool::global(),
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        policy,
-        write_initial,
-    )
-}
-
-/// [`average_fidelity_segmented_supervised_with`] on a caller-chosen
-/// [`TrajectoryPool`].
-pub fn average_fidelity_segmented_supervised_with_on(
-    pool: &TrajectoryPool,
-    circuit: &SegmentedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &HealthPolicy,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> (FidelityEstimate, RunHealth) {
-    let schedule = Schedule::segmented(circuit);
-    let steps = StepTables::of(schedule, noise);
-    struct Worker {
-        ws: Workspace,
-        initial: State,
-        noisy_out: State,
-        noisy_scratch: State,
-        ideal_out: State,
-        ideal_scratch: State,
-        cached_initial: State,
-        ideal_cached: bool,
-    }
-    estimate_supervised(
-        pool,
-        trajectories,
-        seed,
-        policy,
-        || {
-            let (noisy_out, noisy_scratch) = circuit.rolling_buffers();
-            let (ideal_out, ideal_scratch) = circuit.rolling_buffers();
-            Worker {
-                ws: Workspace::new(),
-                initial: State::zero(circuit.first_register()),
-                noisy_out,
-                noisy_scratch,
-                ideal_out,
-                ideal_scratch,
-                cached_initial: State::zero(circuit.first_register()),
-                ideal_cached: false,
-            }
-        },
-        |w, rng| {
-            write_initial(circuit.first_register(), rng, &mut w.initial);
-            if !(w.ideal_cached && w.cached_initial == w.initial) {
-                ideal::run_segmented_into(
-                    circuit,
-                    &w.initial,
-                    &mut w.ideal_out,
-                    &mut w.ideal_scratch,
-                    &mut w.ws,
-                );
-                w.cached_initial.copy_from(&w.initial);
-                w.ideal_cached = true;
-            }
-            run_noisy(
-                schedule,
-                &steps,
-                &w.initial,
-                noise,
-                rng,
-                &mut w.noisy_out,
-                Some(&mut w.noisy_scratch),
-                &mut w.ws,
-            );
-            (w.ideal_out.fidelity(&w.noisy_out), w.noisy_out.norm())
-        },
-    )
-}
-
-/// [`average_fidelity`] over a windowed-register schedule
-/// ([`SegmentedCircuit`]): random qubit-product inputs on the *first*
-/// segment's register, ideal and noisy runs through the same segmented
-/// engine, fidelity taken on the last segment's register.
-pub fn average_fidelity_segmented(
-    circuit: &SegmentedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> FidelityEstimate {
-    average_fidelity_segmented_with(circuit, noise, trajectories, seed, |_, rng, out| {
-        out.fill_random_qubit_product(rng)
-    })
-}
-
-/// [`average_fidelity_segmented`] on a caller-chosen [`TrajectoryPool`].
-pub fn average_fidelity_segmented_on(
-    pool: &TrajectoryPool,
-    circuit: &SegmentedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> FidelityEstimate {
-    average_fidelity_segmented_with_on(pool, circuit, noise, trajectories, seed, |_, rng, out| {
-        out.fill_random_qubit_product(rng)
-    })
-}
-
-/// [`average_fidelity_segmented`] with a custom initial-state factory
-/// (`write_initial(first_register, rng, out)` overwrites `out` in place).
-///
-/// The segmented counterpart of [`average_fidelity_with`], with the same
-/// steady-state discipline: each worker owns one [`Workspace`], two
-/// rolling peak-sized state buffers for the noisy run, two for the
-/// memoized ideal run, and an initial-state buffer — all reused across
-/// its trajectories, so the loop performs no per-trajectory heap
-/// allocation. Seeds follow the exact scheme of
-/// [`average_fidelity_with`].
-pub fn average_fidelity_segmented_with(
-    circuit: &SegmentedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> FidelityEstimate {
-    average_fidelity_segmented_with_on(
-        &TrajectoryPool::global(),
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        write_initial,
-    )
-}
-
-/// [`average_fidelity_segmented_with`] on a caller-chosen
-/// [`TrajectoryPool`].
-pub fn average_fidelity_segmented_with_on(
-    pool: &TrajectoryPool,
-    circuit: &SegmentedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> FidelityEstimate {
-    estimate_from(&fidelity_samples_segmented_with_on(
-        pool,
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        write_initial,
-    ))
-}
-
-/// The segmented counterpart of [`fidelity_samples_with_on`]: raw
-/// per-global-index fidelity samples over a windowed-register schedule,
-/// bit-identical for any pool width.
-pub fn fidelity_samples_segmented_with_on(
-    pool: &TrajectoryPool,
-    circuit: &SegmentedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut State) + Sync,
-) -> Vec<f64> {
-    let schedule = Schedule::segmented(circuit);
-    let steps = StepTables::of(schedule, noise);
-    struct Worker {
-        ws: Workspace,
-        initial: State,
-        noisy_out: State,
-        noisy_scratch: State,
-        ideal_out: State,
-        ideal_scratch: State,
-        cached_initial: State,
-        ideal_cached: bool,
-    }
-    sample_over_trajectories(
-        pool,
-        trajectories,
-        seed,
-        || {
-            let (noisy_out, noisy_scratch) = circuit.rolling_buffers();
-            let (ideal_out, ideal_scratch) = circuit.rolling_buffers();
-            Worker {
-                ws: Workspace::new(),
-                initial: State::zero(circuit.first_register()),
-                noisy_out,
-                noisy_scratch,
-                ideal_out,
-                ideal_scratch,
-                cached_initial: State::zero(circuit.first_register()),
-                ideal_cached: false,
-            }
-        },
-        |w, rng| {
-            write_initial(circuit.first_register(), rng, &mut w.initial);
-            if !(w.ideal_cached && w.cached_initial == w.initial) {
-                ideal::run_segmented_into(
-                    circuit,
-                    &w.initial,
-                    &mut w.ideal_out,
-                    &mut w.ideal_scratch,
-                    &mut w.ws,
-                );
-                w.cached_initial.copy_from(&w.initial);
-                w.ideal_cached = true;
-            }
-            run_noisy(
-                schedule,
-                &steps,
-                &w.initial,
-                noise,
-                rng,
-                &mut w.noisy_out,
-                Some(&mut w.noisy_scratch),
-                &mut w.ws,
-            );
-            w.ideal_out.fidelity(&w.noisy_out)
-        },
-    )
-}
-
-/// [`run_trajectory_into`] on a density-adaptive state: starts from a
-/// sparse initial state, runs the **same** per-op noise loop (identical
-/// RNG stream to the dense runner), and leaves the final state — in
-/// whichever representation the density threshold chose — in `out`. The
-/// workspace's [`Workspace::sparse_density_threshold`] /
-/// `sparse_epsilon` knobs govern the switching.
-///
-/// # Panics
-///
-/// Panics if the initial state's register differs from the circuit's.
-pub fn run_trajectory_adaptive_into<R: Rng + ?Sized>(
-    circuit: &TimedCircuit,
-    initial: &SparseState,
-    noise: &NoiseModel,
-    rng: &mut R,
-    out: &mut AdaptiveState,
-    ws: &mut Workspace,
-) {
-    run_own(Schedule::whole(circuit), initial, noise, rng, out, None, ws);
-}
-
-/// [`run_trajectory_segmented_into`] on density-adaptive rolling
-/// buffers: segment boundaries reshape through
-/// [`AdaptiveState::reshape_into_lossy`], which is also where a dense
-/// state may drop back to sparse.
-///
-/// # Panics
-///
-/// Panics if the initial state's register differs from the first
-/// segment's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trajectory_segmented_adaptive_into<R: Rng + ?Sized>(
-    circuit: &SegmentedCircuit,
-    initial: &SparseState,
-    noise: &NoiseModel,
-    rng: &mut R,
-    out: &mut AdaptiveState,
-    scratch: &mut AdaptiveState,
-    ws: &mut Workspace,
-) {
-    let schedule = Schedule::segmented(circuit);
-    run_own(schedule, initial, noise, rng, out, Some(scratch), ws);
-}
-
-/// Applies a [`SparsePolicy`] to a fresh worker workspace.
-fn sparse_worker_ws(policy: &SparsePolicy) -> Workspace {
-    let mut ws = Workspace::new();
-    ws.set_sparse_density_threshold(policy.density_threshold);
-    ws.set_sparse_epsilon(policy.epsilon);
-    ws
-}
-
-/// [`average_fidelity_with`] through the density-adaptive engine:
-/// initial states are written into per-worker [`SparseState`] buffers
-/// (classical basis inputs stay at a handful of entries), every
-/// trajectory runs sparse until `policy.density_threshold` trips, and
-/// the estimate consumes the *same* seed stream as the dense
-/// estimators — with `policy.density_threshold` 0 it reproduces
-/// [`average_fidelity_with`] exactly.
-pub fn average_fidelity_adaptive_with(
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &SparsePolicy,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut SparseState) + Sync,
-) -> FidelityEstimate {
-    average_fidelity_adaptive_with_on(
-        &TrajectoryPool::global(),
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        policy,
-        write_initial,
-    )
-}
-
-/// [`average_fidelity_adaptive_with`] on a caller-chosen
-/// [`TrajectoryPool`].
-pub fn average_fidelity_adaptive_with_on(
-    pool: &TrajectoryPool,
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &SparsePolicy,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut SparseState) + Sync,
-) -> FidelityEstimate {
-    estimate_from(&fidelity_samples_adaptive_with_on(
-        pool,
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        policy,
-        write_initial,
-    ))
-}
-
-/// The raw per-trajectory samples behind
-/// [`average_fidelity_adaptive_with`] — same per-global-index seeding as
-/// [`fidelity_samples_with_on`], so the vector is bit-identical for any
-/// pool width.
-pub fn fidelity_samples_adaptive_with_on(
-    pool: &TrajectoryPool,
-    circuit: &TimedCircuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    policy: &SparsePolicy,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut SparseState) + Sync,
-) -> Vec<f64> {
-    let schedule = Schedule::whole(circuit);
-    let steps = StepTables::of(schedule, noise);
-    struct Worker {
-        ws: Workspace,
-        initial: SparseState,
-        noisy_out: AdaptiveState,
-        ideal_out: AdaptiveState,
-        cached_initial: SparseState,
-        ideal_cached: bool,
-    }
-    sample_over_trajectories(
-        pool,
-        trajectories,
-        seed,
-        || Worker {
-            ws: sparse_worker_ws(policy),
-            initial: SparseState::zero(&circuit.register),
-            noisy_out: AdaptiveState::zero(&circuit.register),
-            ideal_out: AdaptiveState::zero(&circuit.register),
-            cached_initial: SparseState::zero(&circuit.register),
-            ideal_cached: false,
-        },
-        |w, rng| {
-            write_initial(&circuit.register, rng, &mut w.initial);
-            if !(w.ideal_cached && w.cached_initial == w.initial) {
-                ideal::run_adaptive_into(circuit, &w.initial, &mut w.ideal_out, &mut w.ws);
-                w.cached_initial.copy_from(&w.initial);
-                w.ideal_cached = true;
-            }
-            run_noisy(
-                schedule,
-                &steps,
-                &w.initial,
-                noise,
-                rng,
-                &mut w.noisy_out,
-                None,
-                &mut w.ws,
-            );
-            w.ideal_out.fidelity(&w.noisy_out)
-        },
-    )
-}
-
-/// The segmented counterpart of [`average_fidelity_adaptive_with`]:
-/// windowed-register schedules through the density-adaptive engine,
-/// with the same seed stream as the dense segmented estimators.
+/// [`Estimator::adaptive`]`(circuit, noise, policy, write_initial)`
+/// estimated; kept for the benchmark harness.
 pub fn average_fidelity_segmented_adaptive_with(
     circuit: &SegmentedCircuit,
     noise: &NoiseModel,
     trajectories: usize,
     seed: u64,
     policy: &SparsePolicy,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut SparseState) + Sync,
+    write_initial: impl Fn(&Register, &mut StdRng, &mut SparseState) + Sync,
 ) -> FidelityEstimate {
-    average_fidelity_segmented_adaptive_with_on(
-        &TrajectoryPool::global(),
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        policy,
-        write_initial,
-    )
+    Estimator::adaptive(circuit, noise, policy, write_initial).estimate(trajectories, seed)
 }
 
-/// [`average_fidelity_segmented_adaptive_with`] on a caller-chosen
-/// [`TrajectoryPool`].
+/// [`average_fidelity_segmented_adaptive_with`] on `pool`; kept for the
+/// benchmark harness.
 pub fn average_fidelity_segmented_adaptive_with_on(
     pool: &TrajectoryPool,
     circuit: &SegmentedCircuit,
@@ -1466,61 +930,11 @@ pub fn average_fidelity_segmented_adaptive_with_on(
     trajectories: usize,
     seed: u64,
     policy: &SparsePolicy,
-    write_initial: impl Fn(&crate::Register, &mut StdRng, &mut SparseState) + Sync,
+    write_initial: impl Fn(&Register, &mut StdRng, &mut SparseState) + Sync,
 ) -> FidelityEstimate {
-    let schedule = Schedule::segmented(circuit);
-    let steps = StepTables::of(schedule, noise);
-    struct Worker {
-        ws: Workspace,
-        initial: SparseState,
-        noisy_out: AdaptiveState,
-        noisy_scratch: AdaptiveState,
-        ideal_out: AdaptiveState,
-        ideal_scratch: AdaptiveState,
-        cached_initial: SparseState,
-        ideal_cached: bool,
-    }
-    let samples = sample_over_trajectories(
-        pool,
-        trajectories,
-        seed,
-        || Worker {
-            ws: sparse_worker_ws(policy),
-            initial: SparseState::zero(circuit.first_register()),
-            noisy_out: AdaptiveState::zero(circuit.first_register()),
-            noisy_scratch: AdaptiveState::zero(circuit.first_register()),
-            ideal_out: AdaptiveState::zero(circuit.first_register()),
-            ideal_scratch: AdaptiveState::zero(circuit.first_register()),
-            cached_initial: SparseState::zero(circuit.first_register()),
-            ideal_cached: false,
-        },
-        |w, rng| {
-            write_initial(circuit.first_register(), rng, &mut w.initial);
-            if !(w.ideal_cached && w.cached_initial == w.initial) {
-                ideal::run_segmented_adaptive_into(
-                    circuit,
-                    &w.initial,
-                    &mut w.ideal_out,
-                    &mut w.ideal_scratch,
-                    &mut w.ws,
-                );
-                w.cached_initial.copy_from(&w.initial);
-                w.ideal_cached = true;
-            }
-            run_noisy(
-                schedule,
-                &steps,
-                &w.initial,
-                noise,
-                rng,
-                &mut w.noisy_out,
-                Some(&mut w.noisy_scratch),
-                &mut w.ws,
-            );
-            w.ideal_out.fidelity(&w.noisy_out)
-        },
-    );
-    estimate_from(&samples)
+    Estimator::adaptive(circuit, noise, policy, write_initial)
+        .on(pool)
+        .estimate(trajectories, seed)
 }
 
 #[cfg(test)]
@@ -1594,8 +1008,8 @@ mod tests {
         let tc = fuseable_circuit(0.97);
         let fused = tc.fuse();
         let noise = NoiseModel::paper();
-        let a = average_fidelity(&tc, &noise, 800, 11);
-        let b = average_fidelity(&fused, &noise, 800, 12);
+        let a = Estimator::new(&tc, &noise).estimate(800, 11);
+        let b = Estimator::new(&fused, &noise).estimate(800, 12);
         let spread = 4.0 * (a.std_error + b.std_error) + 1e-3;
         assert!(
             (a.mean - b.mean).abs() < spread,
@@ -1613,14 +1027,14 @@ mod tests {
         let mut tc = fuseable_circuit(1.0);
         tc.total_duration_ns = 10_000_000.0; // 10 ms >> T1
         let fused = tc.fuse();
-        let est = average_fidelity(&fused, &NoiseModel::paper(), 60, 3);
+        let est = Estimator::new(&fused, &NoiseModel::paper()).estimate(60, 3);
         assert!(est.mean < 0.8, "mean {} should collapse", est.mean);
     }
 
     #[test]
     fn perfect_gates_and_zero_time_give_unit_fidelity() {
         let tc = one_gate_circuit(1.0, 0.0);
-        let est = average_fidelity(&tc, &NoiseModel::paper(), 20, 42);
+        let est = Estimator::new(&tc, &NoiseModel::paper()).estimate(20, 42);
         assert!((est.mean - 1.0).abs() < 1e-9, "mean {}", est.mean);
     }
 
@@ -1632,7 +1046,7 @@ mod tests {
         let mut noise = NoiseModel::paper();
         noise.damping = false;
         noise.busy_time_damping = false;
-        let est = average_fidelity(&tc, &noise, 600, 7);
+        let est = Estimator::new(&tc, &noise).estimate(600, 7);
         assert!(
             est.mean > 0.85 && est.mean < 0.97,
             "mean {} should be near the gate fidelity",
@@ -1657,7 +1071,7 @@ mod tests {
             1.0,
         ));
         tc.total_duration_ns = 10_000_000.0; // 10 ms >> T1
-        let est = average_fidelity(&tc, &NoiseModel::paper(), 60, 3);
+        let est = Estimator::new(&tc, &NoiseModel::paper()).estimate(60, 3);
         assert!(est.mean < 0.75, "mean {} should collapse", est.mean);
     }
 
@@ -1668,8 +1082,8 @@ mod tests {
         let short = one_gate_circuit(1.0, 100.0);
         let long = one_gate_circuit(1.0, 100_000.0);
         let noise = NoiseModel::paper();
-        let fs = average_fidelity(&short, &noise, 200, 5).mean;
-        let fl = average_fidelity(&long, &noise, 200, 5).mean;
+        let fs = Estimator::new(&short, &noise).estimate(200, 5).mean;
+        let fl = Estimator::new(&long, &noise).estimate(200, 5).mean;
         assert!(fl < fs, "long pulse {fl} should underperform short {fs}");
     }
 
@@ -1764,12 +1178,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let initial = State::random_qubit_product(seg.first_register(), &mut rng);
         let noise = NoiseModel::noiseless();
-        let out_seg = run_trajectory_segmented(&seg, &initial, &noise, &mut rng);
+        let out_seg = run_trajectory(&seg, &initial, &noise, &mut rng);
         let out_whole = crate::ideal::run(&whole, &initial);
         let expanded = expand_to_whole(&out_seg, &whole.register);
         assert!((expanded.fidelity(&out_whole) - 1.0).abs() < 1e-12);
         // And the dedicated segmented ideal runner agrees.
-        let ideal_seg = crate::ideal::run_segmented(&seg, &initial);
+        let ideal_seg = crate::ideal::run(&seg, &initial);
         assert!((ideal_seg.fidelity(&out_seg) - 1.0).abs() < 1e-12);
     }
 
@@ -1777,8 +1191,8 @@ mod tests {
     fn segmented_noisy_estimate_matches_whole_program_statistically() {
         let (seg, whole) = segmented_and_whole();
         let noise = NoiseModel::paper();
-        let est_seg = average_fidelity_segmented(&seg, &noise, 800, 5);
-        let est_whole = average_fidelity(&whole, &noise, 800, 6);
+        let est_seg = Estimator::new(&seg, &noise).estimate(800, 5);
+        let est_whole = Estimator::new(&whole, &noise).estimate(800, 6);
         let spread = 4.0 * (est_seg.std_error + est_whole.std_error) + 1e-3;
         assert!(
             (est_seg.mean - est_whole.mean).abs() < spread,
@@ -1792,7 +1206,7 @@ mod tests {
     #[test]
     fn segmented_session_reuses_buffers_and_matches_free_functions() {
         let (seg, _) = segmented_and_whole();
-        let mut session = crate::SegmentedSession::new(&seg);
+        let mut session = crate::Session::new(&seg);
         let mut rng = StdRng::seed_from_u64(41);
         let initial = State::random_qubit_product(seg.first_register(), &mut rng);
         let noise = NoiseModel::paper();
@@ -1801,11 +1215,11 @@ mod tests {
         let a = session
             .run_trajectory(&seg, &initial, &noise, &mut rng_a)
             .clone();
-        let b = run_trajectory_segmented(&seg, &initial, &noise, &mut rng_b);
+        let b = run_trajectory(&seg, &initial, &noise, &mut rng_b);
         assert!((a.fidelity(&b) - 1.0).abs() < 1e-12);
         // The second (ideal) run fully overwrites the first.
         let fresh = session.run_ideal(&seg, &initial).clone();
-        let reference = crate::ideal::run_segmented(&seg, &initial);
+        let reference = crate::ideal::run(&seg, &initial);
         assert!((fresh.fidelity(&reference) - 1.0).abs() < 1e-12);
         assert!((session.last().fidelity(&reference) - 1.0).abs() < 1e-12);
     }
@@ -1814,15 +1228,15 @@ mod tests {
     fn segmented_trailing_idle_still_damps() {
         let (mut seg, _) = segmented_and_whole();
         seg.total_duration_ns = 10_000_000.0; // 10 ms >> T1
-        let est = average_fidelity_segmented(&seg, &NoiseModel::paper(), 60, 3);
+        let est = Estimator::new(&seg, &NoiseModel::paper()).estimate(60, 3);
         assert!(est.mean < 0.8, "mean {} should collapse", est.mean);
     }
 
     #[test]
     fn estimates_are_deterministic_for_fixed_seed() {
         let tc = one_gate_circuit(0.95, 300.0);
-        let a = average_fidelity(&tc, &NoiseModel::paper(), 40, 99);
-        let b = average_fidelity(&tc, &NoiseModel::paper(), 40, 99);
+        let a = Estimator::new(&tc, &NoiseModel::paper()).estimate(40, 99);
+        let b = Estimator::new(&tc, &NoiseModel::paper()).estimate(40, 99);
         assert_eq!(a.mean, b.mean);
     }
 

@@ -11,7 +11,8 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use waltz_math::{linalg, Matrix, C64};
-use waltz_sim::{ideal, trajectory, GateKernel, Register, State, TimedCircuit, TimedOp};
+use waltz_sim::trajectory::{self, Estimator};
+use waltz_sim::{ideal, GateKernel, Register, State, TimedCircuit, TimedOp};
 
 const TOL: f64 = 1e-12;
 
@@ -255,8 +256,8 @@ fn fused_noisy_estimates_track_unfused() {
     let tc = random_circuit(&reg, 10, &mut rng);
     let fused = tc.fuse();
     let noise = waltz_noise::NoiseModel::paper();
-    let a = trajectory::average_fidelity(&tc, &noise, 600, 40);
-    let b = trajectory::average_fidelity(&fused, &noise, 600, 41);
+    let a = Estimator::new(&tc, &noise).estimate(600, 40);
+    let b = Estimator::new(&fused, &noise).estimate(600, 41);
     let spread = 4.0 * (a.std_error + b.std_error) + 2e-3;
     assert!(
         (a.mean - b.mean).abs() < spread,

@@ -21,8 +21,9 @@ use rand::SeedableRng;
 
 use waltz_math::{linalg, Matrix, C64};
 use waltz_noise::NoiseModel;
+use waltz_sim::trajectory::Estimator;
 use waltz_sim::{
-    trajectory, GateKernel, Register, SegmentedCircuit, SimdLevel, State, TimedCircuit, TimedOp,
+    GateKernel, Register, SegmentedCircuit, SimdLevel, State, TimedCircuit, TimedOp,
     TrajectoryPool, Workspace,
 };
 
@@ -244,12 +245,16 @@ fn trajectory_samples_are_bit_identical_across_thread_counts() {
     let tc = determinism_circuit();
     let noise = NoiseModel::paper();
     let (trajectories, seed) = (33usize, 0xD5EEDu64); // not a multiple of any width below
-    let reference =
-        trajectory::fidelity_samples_on(&TrajectoryPool::serial(), &tc, &noise, trajectories, seed);
+    let serial = TrajectoryPool::serial();
+    let reference = Estimator::new(&tc, &noise)
+        .on(&serial)
+        .samples(trajectories, seed);
     assert_eq!(reference.len(), trajectories);
     for threads in [2usize, 4, 7] {
         let pool = TrajectoryPool::new(threads);
-        let samples = trajectory::fidelity_samples_on(&pool, &tc, &noise, trajectories, seed);
+        let samples = Estimator::new(&tc, &noise)
+            .on(&pool)
+            .samples(trajectories, seed);
         assert!(
             reference
                 .iter()
@@ -258,14 +263,12 @@ fn trajectory_samples_are_bit_identical_across_thread_counts() {
             "samples drifted at {threads} threads"
         );
         // And therefore the estimate is bit-identical too.
-        let serial_est = trajectory::average_fidelity_on(
-            &TrajectoryPool::serial(),
-            &tc,
-            &noise,
-            trajectories,
-            seed,
-        );
-        let pooled_est = trajectory::average_fidelity_on(&pool, &tc, &noise, trajectories, seed);
+        let serial_est = Estimator::new(&tc, &noise)
+            .on(&serial)
+            .estimate(trajectories, seed);
+        let pooled_est = Estimator::new(&tc, &noise)
+            .on(&pool)
+            .estimate(trajectories, seed);
         assert_eq!(serial_est.mean.to_bits(), pooled_est.mean.to_bits());
         assert_eq!(
             serial_est.std_error.to_bits(),
@@ -279,10 +282,12 @@ fn trajectory_samples_are_bit_identical_across_thread_counts() {
 fn segmented_estimates_are_bit_identical_across_thread_counts() {
     let seg = SegmentedCircuit::single(determinism_circuit());
     let noise = NoiseModel::paper();
-    let serial =
-        trajectory::average_fidelity_segmented_on(&TrajectoryPool::serial(), &seg, &noise, 21, 777);
-    let pooled =
-        trajectory::average_fidelity_segmented_on(&TrajectoryPool::new(3), &seg, &noise, 21, 777);
+    let serial = Estimator::new(&seg, &noise)
+        .on(&TrajectoryPool::serial())
+        .estimate(21, 777);
+    let pooled = Estimator::new(&seg, &noise)
+        .on(&TrajectoryPool::new(3))
+        .estimate(21, 777);
     assert_eq!(serial.mean.to_bits(), pooled.mean.to_bits());
     assert_eq!(serial.std_error.to_bits(), pooled.std_error.to_bits());
 }

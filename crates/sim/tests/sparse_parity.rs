@@ -22,9 +22,10 @@ use rand::SeedableRng;
 
 use waltz_math::{linalg, Matrix, C64};
 use waltz_noise::NoiseModel;
+use waltz_sim::trajectory::Estimator;
 use waltz_sim::{
-    ideal, sparse_enabled, trajectory, AdaptiveState, GateKernel, Register, SegmentedCircuit,
-    SimdLevel, SparsePolicy, SparseState, State, TimedCircuit, TimedOp, TrajectoryPool, Workspace,
+    sparse_enabled, AdaptiveState, GateKernel, Register, SegmentedCircuit, Session, SimdLevel,
+    SparsePolicy, SparseState, State, TimedCircuit, TimedOp, TrajectoryPool, Workspace,
 };
 
 const TOL: f64 = 1e-12;
@@ -296,37 +297,25 @@ fn noisy_trajectory_is_bit_identical_across_switch_points() {
     let noise = NoiseModel::paper();
     let reg = tc.register.clone();
 
-    let mut ws = Workspace::serial();
-    ws.set_simd_level(SimdLevel::Scalar);
+    let mut dense = Session::new(&tc);
+    dense.workspace_mut().set_simd_level(SimdLevel::Scalar);
     let initial_dense = State::zero(&reg);
-    let mut dense_out = State::zero(&reg);
     let mut rng = StdRng::seed_from_u64(0xABCD);
-    trajectory::run_trajectory_into(
-        &tc,
-        &initial_dense,
-        &noise,
-        &mut rng,
-        &mut dense_out,
-        &mut ws,
-    );
+    let dense_out = dense.run_trajectory(&tc, &initial_dense, &noise, &mut rng);
 
     let initial_sparse = SparseState::zero(&reg);
     for threshold in [0.0, 0.1, 0.3, 0.5, 2.0] {
-        let mut aws = Workspace::serial();
-        aws.set_simd_level(SimdLevel::Scalar);
-        aws.set_sparse_density_threshold(threshold);
-        aws.set_sparse_epsilon(0.0);
-        let mut out = AdaptiveState::zero(&reg);
-        let mut rng = StdRng::seed_from_u64(0xABCD);
-        trajectory::run_trajectory_adaptive_into(
+        let mut adaptive = Session::adaptive(
             &tc,
-            &initial_sparse,
-            &noise,
-            &mut rng,
-            &mut out,
-            &mut aws,
+            &SparsePolicy {
+                density_threshold: threshold,
+                epsilon: 0.0,
+            },
         );
-        assert_bits_match_dense(&out, &dense_out);
+        adaptive.workspace_mut().set_simd_level(SimdLevel::Scalar);
+        let mut rng = StdRng::seed_from_u64(0xABCD);
+        let out = adaptive.run_trajectory(&tc, &initial_sparse, &noise, &mut rng);
+        assert_bits_match_dense(out, dense_out);
         if !sparse_enabled() {
             assert!(out.is_dense(), "WALTZ_SPARSE=0 must force dense");
         } else if threshold >= 2.0 {
@@ -374,40 +363,25 @@ fn segmented_trajectory_is_bit_identical_across_switch_points() {
     seg_b.total_duration_ns = t;
     let circuit = SegmentedCircuit::new(vec![seg_a, seg_b], t);
 
-    let mut ws = Workspace::serial();
-    ws.set_simd_level(SimdLevel::Scalar);
+    let mut dense = Session::new(&circuit);
+    dense.workspace_mut().set_simd_level(SimdLevel::Scalar);
     let initial_dense = State::zero(&reg_a);
-    let (mut dense_out, mut dense_scratch) = circuit.rolling_buffers();
     let mut rng = StdRng::seed_from_u64(31337);
-    trajectory::run_trajectory_segmented_into(
-        &circuit,
-        &initial_dense,
-        &noise_no_leak(),
-        &mut rng,
-        &mut dense_out,
-        &mut dense_scratch,
-        &mut ws,
-    );
+    let dense_out = dense.run_trajectory(&circuit, &initial_dense, &noise_no_leak(), &mut rng);
 
     let initial_sparse = SparseState::zero(&reg_a);
     for threshold in [0.0, 0.25, 2.0] {
-        let mut aws = Workspace::serial();
-        aws.set_simd_level(SimdLevel::Scalar);
-        aws.set_sparse_density_threshold(threshold);
-        aws.set_sparse_epsilon(0.0);
-        let mut out = AdaptiveState::zero(&reg_a);
-        let mut scratch = AdaptiveState::zero(&reg_a);
-        let mut rng = StdRng::seed_from_u64(31337);
-        trajectory::run_trajectory_segmented_adaptive_into(
+        let mut adaptive = Session::adaptive(
             &circuit,
-            &initial_sparse,
-            &noise_no_leak(),
-            &mut rng,
-            &mut out,
-            &mut scratch,
-            &mut aws,
+            &SparsePolicy {
+                density_threshold: threshold,
+                epsilon: 0.0,
+            },
         );
-        assert_bits_match_dense(&out, &dense_out);
+        adaptive.workspace_mut().set_simd_level(SimdLevel::Scalar);
+        let mut rng = StdRng::seed_from_u64(31337);
+        let out = adaptive.run_trajectory(&circuit, &initial_sparse, &noise_no_leak(), &mut rng);
+        assert_bits_match_dense(out, dense_out);
     }
 }
 
@@ -433,30 +407,20 @@ fn adaptive_estimator_matches_dense_estimator() {
     let noise = NoiseModel::paper();
     let (trajectories, seed) = (24usize, 0x5EEDu64);
     let pool = TrajectoryPool::serial();
-    let dense = trajectory::average_fidelity_with_on(
-        &pool,
-        &tc,
-        &noise,
-        trajectories,
-        seed,
-        |_reg, _rng, out: &mut State| {
+    let dense = Estimator::new(&tc, &noise)
+        .with_input(|_reg, _rng, out: &mut State| {
             out.fill_product_with(|_, lvl| if lvl == 0 { C64::ONE } else { C64::ZERO });
-        },
-    );
+        })
+        .on(&pool)
+        .estimate(trajectories, seed);
     let basis = |_reg: &Register, _rng: &mut StdRng, out: &mut SparseState| out.fill_basis(0);
     let densify_now = SparsePolicy {
         density_threshold: 0.0,
         epsilon: 0.0,
     };
-    let adaptive = trajectory::average_fidelity_adaptive_with_on(
-        &pool,
-        &tc,
-        &noise,
-        trajectories,
-        seed,
-        &densify_now,
-        basis,
-    );
+    let adaptive = Estimator::adaptive(&tc, &noise, &densify_now, basis)
+        .on(&pool)
+        .estimate(trajectories, seed);
     assert_eq!(dense.mean.to_bits(), adaptive.mean.to_bits());
     assert_eq!(dense.std_error.to_bits(), adaptive.std_error.to_bits());
 
@@ -464,15 +428,9 @@ fn adaptive_estimator_matches_dense_estimator() {
         density_threshold: 2.0,
         epsilon: 0.0,
     };
-    let sparse = trajectory::average_fidelity_adaptive_with_on(
-        &pool,
-        &tc,
-        &noise,
-        trajectories,
-        seed,
-        &never_densify,
-        basis,
-    );
+    let sparse = Estimator::adaptive(&tc, &noise, &never_densify, basis)
+        .on(&pool)
+        .estimate(trajectories, seed);
     assert!(
         (sparse.mean - dense.mean).abs() < TOL,
         "sparse-path estimate drifted: {} vs {}",
@@ -489,25 +447,13 @@ fn adaptive_estimates_are_bit_identical_across_thread_counts() {
     let noise = NoiseModel::paper();
     let policy = SparsePolicy::default();
     let basis = |_reg: &Register, _rng: &mut StdRng, out: &mut SparseState| out.fill_basis(0);
-    let reference = trajectory::average_fidelity_adaptive_with_on(
-        &TrajectoryPool::serial(),
-        &tc,
-        &noise,
-        21,
-        777,
-        &policy,
-        basis,
-    );
+    let reference = Estimator::adaptive(&tc, &noise, &policy, basis)
+        .on(&TrajectoryPool::serial())
+        .estimate(21, 777);
     for threads in [2usize, 4] {
-        let pooled = trajectory::average_fidelity_adaptive_with_on(
-            &TrajectoryPool::new(threads),
-            &tc,
-            &noise,
-            21,
-            777,
-            &policy,
-            basis,
-        );
+        let pooled = Estimator::adaptive(&tc, &noise, &policy, basis)
+            .on(&TrajectoryPool::new(threads))
+            .estimate(21, 777);
         assert_eq!(reference.mean.to_bits(), pooled.mean.to_bits());
         assert_eq!(reference.std_error.to_bits(), pooled.std_error.to_bits());
     }
@@ -581,14 +527,11 @@ fn twenty_six_qubit_ladder_fits_a_256_mib_budget() {
         "acceptance needs a register the dense engine cannot afford"
     );
 
-    let mut ws = Workspace::serial();
-    ws.set_sparse_density_threshold(SparsePolicy::default().density_threshold);
-    ws.set_sparse_epsilon(0.0);
+    let mut session = Session::adaptive(&tc, &SparsePolicy::default());
 
     // Noiseless: the ladder walks |0..0> to |1..1> exactly.
     let initial = SparseState::zero(&reg);
-    let mut out = AdaptiveState::zero(&reg);
-    ideal::run_adaptive_into(&tc, &initial, &mut out, &mut ws);
+    let out = session.run_ideal(&tc, &initial);
     assert!(!out.is_dense(), "permutation ladder must stay sparse");
     assert_eq!(out.nnz(), 1);
     assert_eq!(out.peak_nnz(), 1);
@@ -605,8 +548,7 @@ fn twenty_six_qubit_ladder_fits_a_256_mib_budget() {
     // the budget too.
     let noise = NoiseModel::paper();
     let mut rng = StdRng::seed_from_u64(2023);
-    let mut noisy = AdaptiveState::zero(&reg);
-    trajectory::run_trajectory_adaptive_into(&tc, &initial, &noise, &mut rng, &mut noisy, &mut ws);
+    let noisy = session.run_trajectory(&tc, &initial, &noise, &mut rng);
     assert!(!noisy.is_dense());
     assert!(noisy.peak_state_bytes() <= BUDGET);
     assert!((noisy.norm() - 1.0).abs() < 1e-9);

@@ -17,32 +17,17 @@
 use quantum_waltz::prelude::*;
 use rand::rngs::StdRng;
 use waltz_circuits::qram;
-use waltz_sim::{ideal, trajectory, AdaptiveState, Register, SparsePolicy, SparseState, Workspace};
+use waltz_sim::trajectory::FidelityEstimate;
+use waltz_sim::{Register, Session, SparsePolicy, SparseState};
 
 /// Noiseless adaptive run from |0...0>: (peak nnz, peak sparse bytes,
 /// final nnz, wall time).
 fn trace_support(compiled: &CompiledCircuit) -> (usize, usize, usize, std::time::Duration) {
-    let policy = SparsePolicy::default();
-    let mut ws = Workspace::serial();
-    ws.set_sparse_density_threshold(policy.density_threshold);
-    ws.set_sparse_epsilon(policy.epsilon);
+    let schedule = compiled.sim_schedule();
     let t0 = std::time::Instant::now();
-    let out = match compiled.sim_segments() {
-        Some(seg) => {
-            let initial = SparseState::basis(seg.first_register(), 0);
-            let mut out = AdaptiveState::zero(seg.first_register());
-            let mut scratch = AdaptiveState::zero(seg.first_register());
-            ideal::run_segmented_adaptive_into(seg, &initial, &mut out, &mut scratch, &mut ws);
-            out
-        }
-        None => {
-            let tc = compiled.sim_circuit();
-            let initial = SparseState::basis(&tc.register, 0);
-            let mut out = AdaptiveState::zero(&tc.register);
-            ideal::run_adaptive_into(tc, &initial, &mut out, &mut ws);
-            out
-        }
-    };
+    let mut session = Session::adaptive(schedule, &SparsePolicy::default());
+    let initial = SparseState::basis(schedule.first_register(), 0);
+    let out = session.run_ideal(schedule, &initial);
     (
         out.peak_nnz(),
         out.peak_state_bytes(),
@@ -57,30 +42,14 @@ fn adaptive_sweep(
     noise: &NoiseModel,
     trajectories: usize,
     seed: u64,
-) -> (quantum_waltz::sim::trajectory::FidelityEstimate, f64) {
+) -> (FidelityEstimate, f64) {
     let policy = SparsePolicy::default();
     let basis = |_reg: &Register, _rng: &mut StdRng, out: &mut SparseState| {
         out.fill_basis(0);
     };
     let t0 = std::time::Instant::now();
-    let est = match compiled.sim_segments() {
-        Some(seg) => trajectory::average_fidelity_segmented_adaptive_with(
-            seg,
-            noise,
-            trajectories,
-            seed,
-            &policy,
-            basis,
-        ),
-        None => trajectory::average_fidelity_adaptive_with(
-            compiled.sim_circuit(),
-            noise,
-            trajectories,
-            seed,
-            &policy,
-            basis,
-        ),
-    };
+    let est = Estimator::adaptive(compiled.sim_schedule(), noise, &policy, basis)
+        .estimate(trajectories, seed);
     (
         est,
         trajectories as f64 / t0.elapsed().as_secs_f64().max(1e-9),
@@ -115,18 +84,9 @@ fn main() {
         });
     };
     let t0 = std::time::Instant::now();
-    let dense_est = match compiled.sim_segments() {
-        Some(seg) => {
-            trajectory::average_fidelity_segmented_with(seg, &noise, trajectories, 7, basis_dense)
-        }
-        None => trajectory::average_fidelity_with(
-            compiled.sim_circuit(),
-            &noise,
-            trajectories,
-            7,
-            basis_dense,
-        ),
-    };
+    let dense_est = Estimator::new(compiled.sim_schedule(), &noise)
+        .with_input(basis_dense)
+        .estimate(trajectories, 7);
     let dense_rate = trajectories as f64 / t0.elapsed().as_secs_f64().max(1e-9);
     let (adaptive_est, adaptive_rate) = adaptive_sweep(&compiled, &noise, trajectories, 7);
     println!(
@@ -163,10 +123,7 @@ fn main() {
     // --- 38 qubits: dense is out of the question — 4 TiB of state. ----
     let circuit = qram(5);
     let compiled = compiler.compile(&circuit).expect("compiles");
-    let reg_amps: u128 = match compiled.sim_segments() {
-        Some(seg) => seg.first_register().total_dim() as u128,
-        None => compiled.sim_circuit().register.total_dim() as u128,
-    };
+    let reg_amps = compiled.sim_schedule().first_register().total_dim() as u128;
     println!(
         "\nqram(5): {} qubits, {reg_amps} dense amplitudes \
          ({:.1} TiB — not allocatable here)",

@@ -94,5 +94,5 @@ pub mod prelude {
     pub use waltz_gates::GateLibrary;
     pub use waltz_noise::{CoherenceModel, NoiseModel};
     pub use waltz_serve::{ServeClient, Server, ServerConfig};
-    pub use waltz_sim::trajectory::average_fidelity;
+    pub use waltz_sim::trajectory::Estimator;
 }

@@ -21,8 +21,8 @@ use waltz_core::{Compiler, Strategy, Target};
 use waltz_math::{linalg, vector, Matrix, C64};
 use waltz_noise::{pauli, CoherenceModel, NoiseModel};
 use waltz_sim::{
-    trajectory, AdaptiveState, Register, SegmentedCircuit, SimdLevel, SparseState, State,
-    TimedCircuit, TimedOp, Workspace,
+    AdaptiveState, Register, SegmentedCircuit, Session, SimdLevel, SparsePolicy, SparseState,
+    State, TimedCircuit, TimedOp, Workspace,
 };
 
 const TOL: f64 = 1e-12;
@@ -505,14 +505,14 @@ fn cnu6q_trajectories_match_the_reference_runner() {
         let tc = artifact.sim_circuit();
         let n = tc.register.n_qudits();
         let mut ws = Workspace::new();
-        let mut out = State::zero(&tc.register);
+        let mut session = Session::new(tc);
         for t in 0..60u64 {
             let mut rng = StdRng::seed_from_u64(1000 + t);
             let mut initial = State::zero(&tc.register);
             artifact.write_random_product_initial_state(&mut rng, &mut initial);
             let mut rng_new = StdRng::seed_from_u64(t);
             let mut rng_ref = StdRng::seed_from_u64(t);
-            trajectory::run_trajectory_into(tc, &initial, &noise, &mut rng_new, &mut out, &mut ws);
+            let out = session.run_trajectory(tc, &initial, &noise, &mut rng_new);
             let mut want = initial.clone();
             let mut free_at = vec![0.0; n];
             reference_ops(
@@ -532,7 +532,7 @@ fn cnu6q_trajectories_match_the_reference_runner() {
                 &free_at,
                 &mut jumps,
             );
-            assert_same_trajectory(&out, &want, &mut rng_new, &mut rng_ref);
+            assert_same_trajectory(out, &want, &mut rng_new, &mut rng_ref);
         }
     }
     assert!(jumps > 0, "no trajectory took a jump branch");
@@ -550,7 +550,7 @@ fn windowed_cnu6q_trajectories_match_the_reference_runner() {
     let seg: &SegmentedCircuit = artifact.sim_segments().expect("mixed-radix cnu-6q windows");
     let n = seg.first_register().n_qudits();
     let mut ws = Workspace::new();
-    let (mut out, mut scratch) = seg.rolling_buffers();
+    let mut session = Session::new(seg);
     let mut jumps = 0usize;
     for t in 0..60u64 {
         let mut rng = StdRng::seed_from_u64(2000 + t);
@@ -558,15 +558,7 @@ fn windowed_cnu6q_trajectories_match_the_reference_runner() {
         artifact.write_random_product_initial_state(&mut rng, &mut initial);
         let mut rng_new = StdRng::seed_from_u64(t);
         let mut rng_ref = StdRng::seed_from_u64(t);
-        trajectory::run_trajectory_segmented_into(
-            seg,
-            &initial,
-            &noise,
-            &mut rng_new,
-            &mut out,
-            &mut scratch,
-            &mut ws,
-        );
+        let out = session.run_trajectory(seg, &initial, &noise, &mut rng_new);
         let mut want = initial.clone();
         let mut free_at = vec![0.0; n];
         for (k, segment) in seg.segments.iter().enumerate() {
@@ -593,7 +585,7 @@ fn windowed_cnu6q_trajectories_match_the_reference_runner() {
             &free_at,
             &mut jumps,
         );
-        assert_same_trajectory(&out, &want, &mut rng_new, &mut rng_ref);
+        assert_same_trajectory(out, &want, &mut rng_new, &mut rng_ref);
     }
     assert!(jumps > 0, "no trajectory took a jump branch");
 }
@@ -638,14 +630,14 @@ fn short_t1_cnu6q_trajectories_match_the_reference_runner() {
         let tc = artifact.sim_circuit();
         let n = tc.register.n_qudits();
         let mut ws = Workspace::new();
-        let mut out = State::zero(&tc.register);
+        let mut session = Session::new(tc);
         for t in 0..40u64 {
             let mut rng = StdRng::seed_from_u64(3000 + t);
             let mut initial = State::zero(&tc.register);
             artifact.write_random_product_initial_state(&mut rng, &mut initial);
             let mut rng_new = StdRng::seed_from_u64(t);
             let mut rng_ref = StdRng::seed_from_u64(t);
-            trajectory::run_trajectory_into(tc, &initial, &noise, &mut rng_new, &mut out, &mut ws);
+            let out = session.run_trajectory(tc, &initial, &noise, &mut rng_new);
             let mut want = initial.clone();
             let mut free_at = vec![0.0; n];
             let mut jumps = 0usize;
@@ -666,7 +658,7 @@ fn short_t1_cnu6q_trajectories_match_the_reference_runner() {
                 &free_at,
                 &mut jumps,
             );
-            assert_same_trajectory(&out, &want, &mut rng_new, &mut rng_ref);
+            assert_same_trajectory(out, &want, &mut rng_new, &mut rng_ref);
             runs += 1;
             jumped += usize::from(jumps > 0);
         }
@@ -700,7 +692,7 @@ fn windowed_runner_matches_the_reference_across_leaking_reshapes() {
     let seg = artifact.sim_segments().expect("windowed");
     let n = seg.first_register().n_qudits();
     let mut ws = Workspace::new();
-    let (mut out, mut scratch) = seg.rolling_buffers();
+    let mut session = Session::new(seg);
     let mut leaks = 0usize;
     for noise in [short_t1_noise(), NoiseModel::paper()] {
         for t in 0..400u64 {
@@ -709,15 +701,7 @@ fn windowed_runner_matches_the_reference_across_leaking_reshapes() {
             artifact.write_random_product_initial_state(&mut rng, &mut initial);
             let mut rng_new = StdRng::seed_from_u64(t);
             let mut rng_ref = StdRng::seed_from_u64(t);
-            trajectory::run_trajectory_segmented_into(
-                seg,
-                &initial,
-                &noise,
-                &mut rng_new,
-                &mut out,
-                &mut scratch,
-                &mut ws,
-            );
+            let out = session.run_trajectory(seg, &initial, &noise, &mut rng_new);
             let mut want = initial.clone();
             let mut free_at = vec![0.0; n];
             let mut jumps = 0usize;
@@ -747,7 +731,7 @@ fn windowed_runner_matches_the_reference_across_leaking_reshapes() {
                 &free_at,
                 &mut jumps,
             );
-            assert_same_trajectory(&out, &want, &mut rng_new, &mut rng_ref);
+            assert_same_trajectory(out, &want, &mut rng_new, &mut rng_ref);
         }
     }
     assert!(leaks > 0, "no reshape clipped any population");
@@ -789,21 +773,13 @@ fn leaked_population_weighs_the_next_read_by_the_surviving_norm() {
     let seg = SegmentedCircuit::new(vec![first, second], 1570.0);
     let noise = short_t1_noise();
     let mut ws = Workspace::new();
-    let (mut out, mut scratch) = seg.rolling_buffers();
+    let mut session = Session::new(&seg);
     let initial = State::zero(seg.first_register());
     let mut leaks = 0usize;
     for t in 0..200u64 {
         let mut rng_new = StdRng::seed_from_u64(t);
         let mut rng_ref = StdRng::seed_from_u64(t);
-        trajectory::run_trajectory_segmented_into(
-            &seg,
-            &initial,
-            &noise,
-            &mut rng_new,
-            &mut out,
-            &mut scratch,
-            &mut ws,
-        );
+        let out = session.run_trajectory(&seg, &initial, &noise, &mut rng_new);
         let mut want = initial.clone();
         let mut free_at = vec![0.0];
         let mut jumps = 0usize;
@@ -833,7 +809,7 @@ fn leaked_population_weighs_the_next_read_by_the_surviving_norm() {
             &free_at,
             &mut jumps,
         );
-        assert_same_trajectory(&out, &want, &mut rng_new, &mut rng_ref);
+        assert_same_trajectory(out, &want, &mut rng_new, &mut rng_ref);
     }
     assert!(
         leaks > 100,
@@ -873,11 +849,11 @@ fn short_t1_adaptive_runners_equal_the_dense_runners_to_the_bit() {
     let noise = short_t1_noise();
     for artifact in cnu6q_artifacts() {
         let tc = artifact.sim_circuit();
-        let mut dense_ws = scalar_ws(0.0);
-        let mut dense = State::zero(&tc.register);
-        let mut adaptive = AdaptiveState::zero(&tc.register);
+        let mut dense = Session::new(tc);
+        *dense.workspace_mut() = scalar_ws(0.0);
+        let mut adaptive = Session::adaptive(tc, &SparsePolicy::default());
         for threshold in [0.25, 2.0] {
-            let mut ws = scalar_ws(threshold);
+            *adaptive.workspace_mut() = scalar_ws(threshold);
             for t in 0..30u64 {
                 let mut rng = StdRng::seed_from_u64(5000 + t);
                 let mut initial = State::zero(&tc.register);
@@ -885,24 +861,10 @@ fn short_t1_adaptive_runners_equal_the_dense_runners_to_the_bit() {
                 let sparse = SparseState::from_dense(&initial, 0.0);
                 let mut rng_dense = StdRng::seed_from_u64(t);
                 let mut rng_adaptive = StdRng::seed_from_u64(t);
-                trajectory::run_trajectory_into(
-                    tc,
-                    &initial,
-                    &noise,
-                    &mut rng_dense,
-                    &mut dense,
-                    &mut dense_ws,
-                );
-                trajectory::run_trajectory_adaptive_into(
-                    tc,
-                    &sparse,
-                    &noise,
-                    &mut rng_adaptive,
-                    &mut adaptive,
-                    &mut ws,
-                );
+                let dense = dense.run_trajectory(tc, &initial, &noise, &mut rng_dense);
+                let adaptive = adaptive.run_trajectory(tc, &sparse, &noise, &mut rng_adaptive);
                 let context = format!("{}, threshold {threshold}, t {t}", artifact.strategy.name());
-                assert_adaptive_bits(&dense, &adaptive, &context);
+                assert_adaptive_bits(dense, adaptive, &context);
                 assert_eq!(
                     rng_dense.gen::<u64>(),
                     rng_adaptive.gen::<u64>(),
@@ -914,13 +876,12 @@ fn short_t1_adaptive_runners_equal_the_dense_runners_to_the_bit() {
 
     let artifact = windowed_cnu6q();
     let seg = artifact.sim_segments().expect("windowed");
-    let mut dense_ws = scalar_ws(0.0);
-    let (mut dense, mut dense_scratch) = seg.rolling_buffers();
+    let mut dense = Session::new(seg);
+    *dense.workspace_mut() = scalar_ws(0.0);
     let first = seg.first_register();
-    let (mut adaptive, mut adaptive_scratch) =
-        (AdaptiveState::zero(first), AdaptiveState::zero(first));
+    let mut adaptive = Session::adaptive(seg, &SparsePolicy::default());
     for threshold in [0.25, 2.0] {
-        let mut ws = scalar_ws(threshold);
+        *adaptive.workspace_mut() = scalar_ws(threshold);
         for t in 0..60u64 {
             let mut rng = StdRng::seed_from_u64(6000 + t);
             let mut initial = State::zero(first);
@@ -928,26 +889,10 @@ fn short_t1_adaptive_runners_equal_the_dense_runners_to_the_bit() {
             let sparse = SparseState::from_dense(&initial, 0.0);
             let mut rng_dense = StdRng::seed_from_u64(t);
             let mut rng_adaptive = StdRng::seed_from_u64(t);
-            trajectory::run_trajectory_segmented_into(
-                seg,
-                &initial,
-                &noise,
-                &mut rng_dense,
-                &mut dense,
-                &mut dense_scratch,
-                &mut dense_ws,
-            );
-            trajectory::run_trajectory_segmented_adaptive_into(
-                seg,
-                &sparse,
-                &noise,
-                &mut rng_adaptive,
-                &mut adaptive,
-                &mut adaptive_scratch,
-                &mut ws,
-            );
+            let dense = dense.run_trajectory(seg, &initial, &noise, &mut rng_dense);
+            let adaptive = adaptive.run_trajectory(seg, &sparse, &noise, &mut rng_adaptive);
             let context = format!("windowed, threshold {threshold}, t {t}");
-            assert_adaptive_bits(&dense, &adaptive, &context);
+            assert_adaptive_bits(dense, adaptive, &context);
             assert_eq!(
                 rng_dense.gen::<u64>(),
                 rng_adaptive.gen::<u64>(),

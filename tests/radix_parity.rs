@@ -15,7 +15,8 @@ use waltz_circuit::Circuit;
 use waltz_circuits::generalized_toffoli;
 use waltz_core::{CompileArtifact, CompileOptions, Compiler, Strategy, Target};
 use waltz_math::C64;
-use waltz_sim::{ideal, trajectory, Register, State};
+use waltz_sim::trajectory::Estimator;
+use waltz_sim::{ideal, Register, State};
 
 const TOL: f64 = 1e-12;
 
@@ -131,20 +132,12 @@ fn cnu6q_noisy_parity_within_one_standard_error() {
     let noise = waltz_noise::NoiseModel::paper();
     let (demoted, padded) = compile_both(&circuit, Strategy::mixed_radix_ccz());
     let trajectories = 4000;
-    let est_d = trajectory::average_fidelity_with(
-        demoted.sim_circuit(),
-        &noise,
-        trajectories,
-        11,
-        |_, rng, out| demoted.write_random_product_initial_state(rng, out),
-    );
-    let est_p = trajectory::average_fidelity_with(
-        padded.sim_circuit(),
-        &noise,
-        trajectories,
-        12,
-        |_, rng, out| padded.write_random_product_initial_state(rng, out),
-    );
+    let est_d = Estimator::new(demoted.sim_circuit(), &noise)
+        .with_input(|_, rng, out| demoted.write_random_product_initial_state(rng, out))
+        .estimate(trajectories, 11);
+    let est_p = Estimator::new(padded.sim_circuit(), &noise)
+        .with_input(|_, rng, out| padded.write_random_product_initial_state(rng, out))
+        .estimate(trajectories, 12);
     let spread = est_d.std_error + est_p.std_error;
     assert!(
         (est_d.mean - est_p.mean).abs() <= spread,

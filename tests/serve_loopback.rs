@@ -337,6 +337,13 @@ fn remote_simulation_matches_a_local_replay_of_the_same_seed() {
     );
     let mean = local.iter().sum::<f64>() / trajectories as f64;
     assert_eq!(remote.mean, mean);
+    // And the summary is the local estimator's, to the bit.
+    let estimate = artifact
+        .simulate()
+        .with_seed(seed)
+        .average_fidelity(trajectories);
+    assert_eq!(remote.mean.to_bits(), estimate.mean.to_bits());
+    assert_eq!(remote.std_error.to_bits(), estimate.std_error.to_bits());
 
     // Shipping the artifact inline reaches the same code path and the
     // same numbers.

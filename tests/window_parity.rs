@@ -16,7 +16,8 @@ use waltz_circuit::Circuit;
 use waltz_circuits::{generalized_toffoli, qram};
 use waltz_core::{CompileArtifact, CompileOptions, Compiler, Strategy, Target};
 use waltz_math::C64;
-use waltz_sim::{ideal, trajectory, Register, State, Workspace};
+use waltz_sim::trajectory::Estimator;
+use waltz_sim::{ideal, Register, State, Workspace};
 
 const TOL: f64 = 1e-12;
 
@@ -94,17 +95,11 @@ fn check_noiseless_parity(circuit: &Circuit, strategy: Strategy, seed: u64) {
             whole.write_random_product_initial_state(&mut rng_whole, &mut init);
             ideal::run(whole.sim_circuit(), &init)
         };
-        let out_win = match windowed.sim_segments() {
-            Some(segments) => {
-                let mut init = State::zero(segments.first_register());
-                windowed.write_random_product_initial_state(&mut rng_win, &mut init);
-                ideal::run_segmented(segments, &init)
-            }
-            None => {
-                let mut init = State::zero(&windowed.timed.register);
-                windowed.write_random_product_initial_state(&mut rng_win, &mut init);
-                ideal::run(windowed.sim_circuit(), &init)
-            }
+        let out_win = {
+            let schedule = windowed.sim_schedule();
+            let mut init = State::zero(schedule.first_register());
+            windowed.write_random_product_initial_state(&mut rng_win, &mut init);
+            ideal::run(schedule, &init)
         };
         assert_final_states_match(&whole, &out_whole, &out_win);
     }
@@ -225,20 +220,12 @@ fn cnu6q_windowed_noisy_parity_within_one_standard_error() {
     let (windowed, whole) = compile_both(&circuit, Strategy::mixed_radix_ccz());
     let segments = windowed.sim_segments().expect("cnu-6q windows");
     let trajectories = 4000;
-    let est_win = trajectory::average_fidelity_segmented_with(
-        segments,
-        &noise,
-        trajectories,
-        21,
-        |_, rng, out| windowed.write_random_product_initial_state(rng, out),
-    );
-    let est_whole = trajectory::average_fidelity_with(
-        whole.sim_circuit(),
-        &noise,
-        trajectories,
-        22,
-        |_, rng, out| whole.write_random_product_initial_state(rng, out),
-    );
+    let est_win = Estimator::new(segments, &noise)
+        .with_input(|_, rng, out| windowed.write_random_product_initial_state(rng, out))
+        .estimate(trajectories, 21);
+    let est_whole = Estimator::new(whole.sim_circuit(), &noise)
+        .with_input(|_, rng, out| whole.write_random_product_initial_state(rng, out))
+        .estimate(trajectories, 22);
     let spread = est_win.std_error + est_whole.std_error;
     assert!(
         (est_win.mean - est_whole.mean).abs() <= spread,
