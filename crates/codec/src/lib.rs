@@ -52,7 +52,7 @@ use std::fmt;
 /// Version of the wire format. Bump on **any** change to **any** canonical
 /// encoding, and regenerate the golden fixture (`tests/golden/`) in the
 /// same change — CI gates on the pair moving together.
-pub const CODEC_VERSION: u32 = 1;
+pub const CODEC_VERSION: u32 = 2;
 
 /// Four magic bytes opening every versioned envelope.
 pub const MAGIC: [u8; 4] = *b"WLTZ";

@@ -204,10 +204,12 @@ impl<'a> Simulation<'a> {
 
     /// Trajectory-method average fidelity over random logical product
     /// inputs embedded at the compiler's placement (§6.4): the paper's
-    /// headline simulation ([`CompiledCircuit::estimator`]). The windowed
-    /// schedule, when the compiler produced one, is statistically
-    /// equivalent to the whole-program one, pinned by the
-    /// `window_parity` suite.
+    /// headline simulation ([`CompiledCircuit::estimator`]). Each noisy
+    /// final state is scored against the source circuit's output on the
+    /// same logical input, so with noise off the estimate is 1 only if
+    /// the schedule implements the circuit. The windowed schedule, when
+    /// the compiler produced one, is statistically equivalent to the
+    /// whole-program one, pinned by the `window_parity` suite.
     ///
     /// # Panics
     ///
@@ -431,5 +433,25 @@ mod tests {
             .with_noise(NoiseModel::noiseless())
             .average_fidelity(5);
         assert!((noiseless.mean - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn neighbouring_seeds_share_no_sample() {
+        // Trajectory seeds are mixed from (seed, index): seed 101 is not
+        // seed 100 shifted by one trajectory.
+        let mut c = Circuit::new(6);
+        c.ccx(0, 1, 3).ccx(2, 3, 4).ccx(2, 4, 5);
+        let a = Compiler::new(Target::paper(Strategy::mixed_radix_ccz()))
+            .compile(&c)
+            .unwrap();
+        let first = a.simulate().with_seed(100).fidelity_samples(1000);
+        let second = a.simulate().with_seed(101).fidelity_samples(1000);
+        // An orthogonal collapse scores exactly 0 in any trajectory; every
+        // other sample carries its trajectory's random input in its bits.
+        let shared = second
+            .iter()
+            .filter(|&&f| f != 0.0 && first.iter().any(|g| g.to_bits() == f.to_bits()))
+            .count();
+        assert_eq!(shared, 0, "seeds 100 and 101 share {shared} samples");
     }
 }

@@ -5,10 +5,11 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use waltz_arch::Site;
+use waltz_circuit::Circuit;
 use waltz_math::C64;
 use waltz_noise::CoherenceModel;
-use waltz_sim::trajectory::Estimator;
-use waltz_sim::{Register, Schedule, SegmentedCircuit, State, TimedCircuit};
+use waltz_sim::trajectory::{Estimator, LogicalReference};
+use waltz_sim::{Register, Schedule, SegmentedCircuit, State, TimedCircuit, TimedOp};
 
 use crate::eps::{self, CoherenceSpan, EpsBreakdown};
 use crate::lower::LowerOutput;
@@ -201,6 +202,10 @@ pub struct CompiledCircuit {
     /// Aggregate statistics.
     pub stats: CompileStats,
     pub(crate) slots_per_device: usize,
+    /// The circuit as submitted to the compiler: the program every
+    /// estimate of this artifact scores its trajectories against
+    /// ([`CompiledCircuit::estimator`]).
+    pub logical: Circuit,
 }
 
 impl CompiledCircuit {
@@ -259,25 +264,76 @@ impl CompiledCircuit {
     /// logical product inputs embedded at the compiler's placement
     /// (§6.4), on the process-wide pool — the one estimate behind
     /// [`crate::Simulation`] and the bench runner.
+    ///
+    /// Each trajectory is scored against the source circuit
+    /// ([`CompiledCircuit::logical`]) run on the `2^n` logical amplitudes
+    /// of its input, read out of the noisy state at the final placement
+    /// ([`LogicalReference`]), never against a replay of the schedule.
+    /// With noise off every estimate is therefore also an end-to-end
+    /// check that the schedule implements the circuit. The program and
+    /// both placement maps are built once per call.
     pub fn estimator<'a>(
         &'a self,
         noise: &'a waltz_noise::NoiseModel,
     ) -> Estimator<'a, State, impl Fn(&Register, &mut StdRng, &mut State) + Sync + 'a> {
-        Estimator::new(self.sim_schedule(), noise).with_input(
+        let schedule = self.sim_schedule();
+        let n = self.logical.n_qubits();
+        let mut program = TimedCircuit::new(Register::qubits(n));
+        for gate in self.logical.iter() {
+            program.ops.push(TimedOp::new(
+                "logical",
+                gate.kind.unitary(),
+                gate.qubits.clone(),
+                vec![2; gate.arity()],
+                0.0,
+                0.0,
+                1.0,
+            ));
+        }
+        let reference = LogicalReference::new(
+            program,
+            self.site_map(&self.initial_sites, schedule.first_register()),
+            self.site_map(&self.final_sites, schedule.last_register()),
+        );
+        Estimator::new(schedule, noise).with_logical_input(
             |_: &Register, rng: &mut StdRng, out: &mut State| {
                 self.write_random_product_initial_state(rng, out)
             },
+            reference,
         )
     }
 
     /// Encoded-basis weight of a logical qubit sitting at `site`: its bit
     /// contributes `weight * bit` to the device's level.
-    fn site_weight(&self, site: Site) -> usize {
+    pub(crate) fn site_weight(&self, site: Site) -> usize {
         if self.slots_per_device == 2 && site.slot == 0 {
             2
         } else {
             1
         }
+    }
+
+    /// Where each logical basis state sits on `register` with logical
+    /// qubit `q` at `sites[q]`: entry `l` is the index of basis state `l`
+    /// (qubit 0 = most significant bit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a site names a device `register` does not have.
+    pub(crate) fn site_map(&self, sites: &[Site], register: &Register) -> Vec<usize> {
+        let n = sites.len();
+        assert!(n < usize::BITS as usize, "too many logical qubits");
+        let mut map = Vec::with_capacity(1 << n);
+        map.push(0);
+        // From the least significant qubit up: appending each entry plus
+        // qubit q's offset sets bit q of every index so far.
+        for &site in sites.iter().rev() {
+            let offset = self.site_weight(site) * register.stride(site.device);
+            for i in 0..map.len() {
+                map.push(map[i] + offset);
+            }
+        }
+        map
     }
 
     /// A product of Haar-random single-qubit states over the *logical*
@@ -425,22 +481,12 @@ impl CompiledCircuit {
     pub fn embed_logical_state(&self, amps: &[C64], sites: &[Site]) -> State {
         let n = sites.len();
         assert_eq!(amps.len(), 1usize << n, "logical amplitude count mismatch");
-        let register: Register = self.timed.register.clone();
+        let register = &self.timed.register;
         let mut out = vec![C64::ZERO; register.total_dim()];
-        // One digit buffer reused across the whole amplitude loop.
-        let mut digits = vec![0usize; register.n_qudits()];
-        for (logical_idx, &amp) in amps.iter().enumerate() {
-            if amp == C64::ZERO {
-                continue;
-            }
-            digits.fill(0);
-            for (q, &site) in sites.iter().enumerate() {
-                let bit = (logical_idx >> (n - 1 - q)) & 1;
-                digits[site.device] += bit * self.site_weight(site);
-            }
-            out[register.index_of(&digits)] = amp;
+        for (&amp, idx) in amps.iter().zip(self.site_map(sites, register)) {
+            out[idx] = amp;
         }
-        State::from_amplitudes(&register, out)
+        State::from_amplitudes(register, out)
     }
 }
 

@@ -615,6 +615,7 @@ impl Compiler {
             coherence_spans,
             stats,
             slots_per_device: out.graph.slots_per_device(),
+            logical: circuit.clone(),
         };
         // Lower assembles spans and stats without touching the ops, so its
         // op/depth fields report the simulation schedule unchanged.

@@ -5,7 +5,14 @@
 //! placement, ideal-simulates the scheduled hardware circuit, and compares
 //! against the logical reference state embedded through the *final*
 //! placement (routing permutes qubits). Exponential in qubit count — used
-//! by tests on small circuits.
+//! by tests on circuits of up to ~12 qubits — and it checks the hardware
+//! schedule ([`CompiledCircuit::timed`]).
+//!
+//! Every compiled estimate is an end-to-end check too:
+//! [`CompiledCircuit::estimator`] scores each trajectory against the
+//! source circuit run on the trajectory's own logical input, so a noise-off
+//! estimate is 1 only if the *simulation* schedule (fused, windowed)
+//! implements the circuit, at every size the simulator can run.
 
 use rand::rngs::StdRng;
 use rand::Rng;

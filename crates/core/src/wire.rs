@@ -295,6 +295,7 @@ impl Encode for CompiledCircuit {
         self.coherence_spans.encode(w);
         self.stats.encode(w);
         w.put_usize(self.slots_per_device);
+        self.logical.encode(w);
     }
 }
 
@@ -310,21 +311,69 @@ impl Decode for CompiledCircuit {
             coherence_spans: Vec::decode(r)?,
             stats: CompileStats::decode(r)?,
             slots_per_device: r.get_usize()?,
+            logical: Decode::decode(r)?,
         };
-        let n_devices = compiled.timed.register.n_qudits();
-        if compiled
-            .initial_sites
-            .iter()
-            .chain(&compiled.final_sites)
-            .any(|s| s.device >= n_devices)
-        {
-            return Err(DecodeError::Invalid("site names a device out of range"));
-        }
         if !(1..=2).contains(&compiled.slots_per_device) {
             return Err(DecodeError::Invalid("slots per device must be 1 or 2"));
         }
+        let n = compiled.logical.n_qubits();
+        if n == 0 {
+            return Err(DecodeError::Invalid("logical circuit has no qubits"));
+        }
+        if compiled.initial_sites.len() != n || compiled.final_sites.len() != n {
+            return Err(DecodeError::Invalid(
+                "site count differs from the logical circuit's width",
+            ));
+        }
+        let schedule = compiled.sim_schedule();
+        let n_devices = compiled.timed.register.n_qudits();
+        for (sites, register) in [
+            (&compiled.initial_sites, schedule.first_register()),
+            (&compiled.final_sites, schedule.last_register()),
+        ] {
+            if register.n_qudits() != n_devices {
+                return Err(DecodeError::Invalid(
+                    "simulation schedule spans a different device count",
+                ));
+            }
+            check_placement(&compiled, sites, register)?;
+        }
         Ok(compiled)
     }
+}
+
+/// Checks that `sites` place distinct logical qubits on `register`'s
+/// devices, in slots below `compiled`'s slots per device, such that no
+/// device can reach a level at or above its dimension — what the input
+/// writer and the estimator's placement maps index by.
+fn check_placement(
+    compiled: &CompiledCircuit,
+    sites: &[waltz_arch::Site],
+    register: &waltz_sim::Register,
+) -> Result<(), DecodeError> {
+    let mut top_level = vec![0usize; register.n_qudits()];
+    for (i, site) in sites.iter().enumerate() {
+        if site.device >= register.n_qudits() {
+            return Err(DecodeError::Invalid("site names a device out of range"));
+        }
+        if site.slot >= compiled.slots_per_device {
+            return Err(DecodeError::Invalid("site names a slot out of range"));
+        }
+        if sites[..i].contains(site) {
+            return Err(DecodeError::Invalid("two logical qubits share a site"));
+        }
+        top_level[site.device] += compiled.site_weight(*site);
+    }
+    if top_level
+        .iter()
+        .enumerate()
+        .any(|(d, &level)| level >= register.dim(d))
+    {
+        return Err(DecodeError::Invalid(
+            "sites reach a level above their device's dimension",
+        ));
+    }
+    Ok(())
 }
 
 impl Encode for CompileArtifact {
@@ -813,6 +862,97 @@ mod tests {
         };
         let bytes = encode_to_vec(&stats);
         assert_eq!(decode_from_slice::<CacheStats>(&bytes).unwrap(), stats);
+    }
+
+    /// The reason decoding `compiled`'s encoding is refused with.
+    fn rejection(compiled: &CompiledCircuit) -> &'static str {
+        match decode_from_slice::<CompiledCircuit>(&encode_to_vec(compiled)) {
+            Err(DecodeError::Invalid(why)) => why,
+            other => panic!("expected an Invalid rejection, got {other:?}"),
+        }
+    }
+
+    /// A full-ququart artifact with a 3-level device holding one qubit in
+    /// slot 0, and the index of a qubit on another device.
+    fn three_level_artifact() -> (CompiledCircuit, usize, usize) {
+        let mut c = Circuit::new(5);
+        c.h(0).ccx(0, 1, 2);
+        let compiled = Compiler::new(Target::paper(Strategy::full_ququart()))
+            .compile(&c)
+            .unwrap()
+            .into_compiled();
+        let first = compiled.sim_schedule().first_register().clone();
+        let host = (0..5)
+            .find(|&q| {
+                let site = compiled.initial_sites[q];
+                site.slot == 0 && first.dim(site.device) == 3
+            })
+            .expect("a slot-0 qubit on a 3-level device");
+        let device = compiled.initial_sites[host].device;
+        let other = (0..5)
+            .find(|&q| compiled.initial_sites[q].device != device)
+            .unwrap();
+        (compiled, host, other)
+    }
+
+    #[test]
+    fn decode_rejects_sites_that_do_not_match_the_logical_width() {
+        let compiled = cnu_artifact(Strategy::mixed_radix_ccz()).into_compiled();
+        let expected = "site count differs from the logical circuit's width";
+        let mut narrow = compiled.clone();
+        narrow.logical = Circuit::new(5);
+        assert_eq!(rejection(&narrow), expected);
+        let mut short = compiled.clone();
+        short.initial_sites.pop();
+        assert_eq!(rejection(&short), expected);
+        let mut short = compiled.clone();
+        short.final_sites.pop();
+        assert_eq!(rejection(&short), expected);
+        let mut empty = compiled;
+        empty.logical = Circuit::new(0);
+        empty.initial_sites.clear();
+        empty.final_sites.clear();
+        assert_eq!(rejection(&empty), "logical circuit has no qubits");
+    }
+
+    #[test]
+    fn decode_rejects_repeated_sites() {
+        let compiled = cnu_artifact(Strategy::qubit_only()).into_compiled();
+        let mut twice = compiled.clone();
+        twice.initial_sites[1] = twice.initial_sites[0];
+        assert_eq!(rejection(&twice), "two logical qubits share a site");
+        let mut twice = compiled;
+        twice.final_sites[5] = twice.final_sites[2];
+        assert_eq!(rejection(&twice), "two logical qubits share a site");
+    }
+
+    #[test]
+    fn decode_rejects_slots_past_the_devices_slots() {
+        let mut compiled = cnu_artifact(Strategy::mixed_radix_ccz()).into_compiled();
+        assert_eq!(compiled.slots_per_device, 1);
+        compiled.final_sites[3].slot = 1;
+        assert_eq!(rejection(&compiled), "site names a slot out of range");
+    }
+
+    #[test]
+    fn decode_rejects_sites_that_reach_past_a_devices_dimension() {
+        // A slot-1 qubit beside the slot-0 one needs level 3 of a 3-level
+        // device, checked on the schedule's first register for initial
+        // sites and its last for final sites.
+        let expected = "sites reach a level above their device's dimension";
+        let (compiled, host, other) = three_level_artifact();
+        let device = compiled.initial_sites[host].device;
+        let mut crowded = compiled.clone();
+        crowded.initial_sites[other] = waltz_arch::Site::new(device, 1);
+        assert_eq!(rejection(&crowded), expected);
+        let device = compiled.final_sites[host].device;
+        assert_eq!(compiled.sim_schedule().last_register().dim(device), 3);
+        let mut crowded = compiled.clone();
+        crowded.final_sites[other] = waltz_arch::Site::new(device, 1);
+        assert_eq!(rejection(&crowded), expected);
+        // The untouched artifact decodes.
+        let bytes = encode_to_vec(&compiled);
+        assert!(decode_from_slice::<CompiledCircuit>(&bytes).is_ok());
     }
 
     #[test]

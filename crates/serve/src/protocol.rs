@@ -37,7 +37,11 @@
 //!
 //! Anything the server declines — malformed frames, full queues, failed
 //! jobs — arrives as a typed [`ErrorFrame`] with a stable [`ErrorCode`],
-//! never as a dropped connection with no explanation. Job-scoped errors
+//! never as a dropped connection with no explanation. A whole frame whose
+//! payload does not decode (say, an inline artifact that fails the
+//! codec's checks) leaves the stream at a frame boundary, so the
+//! connection keeps serving after its error frame; a broken frame (bad
+//! magic, foreign version, oversized or truncated) closes it. Job-scoped errors
 //! carry the job index plus the original [`CompileError`], so a client
 //! can rebuild the exact [`waltz_core::JobReport`] the supervisor
 //! produced ([`ErrorFrame::to_job_report`]).

@@ -449,6 +449,9 @@ enum Inbound {
     /// Cancel decoded *after* it reliably cancels it even when the
     /// handler has not started it yet.
     Request(Request, u64),
+    /// A whole frame whose payload is no valid request (reported; the
+    /// stream is still at a frame boundary, so the connection stays up).
+    Undecodable(FrameError),
     /// The stream failed to frame-decode (reported, then closed).
     Bad(FrameError),
 }
@@ -477,8 +480,12 @@ fn reader_loop(
                         }
                     }
                     Err(e) => {
-                        let _ = tx.send(Inbound::Bad(FrameError::Decode(e)));
-                        return;
+                        if tx
+                            .send(Inbound::Undecodable(FrameError::Decode(e)))
+                            .is_err()
+                        {
+                            return;
+                        }
                     }
                 }
             }
@@ -515,6 +522,13 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             Ok(Inbound::Request(request, gen)) => {
                 if !conn.handle(request, gen) {
                     break;
+                }
+            }
+            Ok(Inbound::Undecodable(err)) => {
+                if let Some((code, message)) = frame_error_code(&err) {
+                    if !conn.send(&Response::Error(ErrorFrame::connection(code, message))) {
+                        break;
+                    }
                 }
             }
             Ok(Inbound::Bad(err)) => {

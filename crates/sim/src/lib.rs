@@ -20,7 +20,11 @@
 //!   [`trajectory`] module docs).
 //! * [`trajectory::Estimator`] — the one Monte-Carlo fidelity estimate
 //!   over a [`Schedule`], dense or density-adaptive, plain or
-//!   health-supervised, on the [`TrajectoryPool`].
+//!   health-supervised, on the [`TrajectoryPool`]. It scores each
+//!   trajectory against a [`trajectory::LogicalReference`] (the source
+//!   program on its own `2^n` amplitudes, read out through placement
+//!   maps) when it has one, and against a noiseless replay of the
+//!   schedule otherwise.
 //!
 //! # The kernel layer
 //!

@@ -48,6 +48,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
+use waltz_math::C64;
 use waltz_noise::{pauli, NoiseModel, PauliOp};
 
 use crate::damping::{DampingTarget, StepTables};
@@ -100,6 +101,12 @@ pub trait Representation: DampingTarget + Sized {
     fn norm(&self) -> f64;
     #[doc(hidden)]
     fn fidelity(&self, other: &Self) -> f64;
+    /// Writes `input[map[l]]` into `out[l]` for every `l`.
+    #[doc(hidden)]
+    fn gather(input: &Self::Input, map: &[usize], out: &mut [C64]);
+    /// `Σ_l conj(reference[l]) · self[map[l]]`.
+    #[doc(hidden)]
+    fn overlap_mapped(&self, reference: &[C64], map: &[usize]) -> C64;
     #[cfg(feature = "fault-inject")]
     #[doc(hidden)]
     fn fault_tick(&mut self);
@@ -138,6 +145,14 @@ impl Representation for State {
     }
     fn fidelity(&self, other: &Self) -> f64 {
         State::fidelity(self, other)
+    }
+    fn gather(input: &State, map: &[usize], out: &mut [C64]) {
+        for (o, &i) in out.iter_mut().zip(map) {
+            *o = input.amps[i];
+        }
+    }
+    fn overlap_mapped(&self, reference: &[C64], map: &[usize]) -> C64 {
+        mapped_overlap(reference, map, |i| self.amps[i])
     }
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self) {
@@ -178,10 +193,32 @@ impl Representation for AdaptiveState {
     fn fidelity(&self, other: &Self) -> f64 {
         AdaptiveState::fidelity(self, other)
     }
+    fn gather(input: &SparseState, map: &[usize], out: &mut [C64]) {
+        for (o, &i) in out.iter_mut().zip(map) {
+            *o = input.amplitude(i);
+        }
+    }
+    fn overlap_mapped(&self, reference: &[C64], map: &[usize]) -> C64 {
+        match (self.as_dense(), self.as_sparse()) {
+            (Some(dense), _) => Representation::overlap_mapped(dense, reference, map),
+            (None, Some(sparse)) => mapped_overlap(reference, map, |i| sparse.amplitude(i)),
+            (None, None) => unreachable!("an adaptive state is dense or sparse"),
+        }
+    }
     #[cfg(feature = "fault-inject")]
     fn fault_tick(&mut self) {
         crate::fault::tick_op_with(|| self.poison_first_amplitude());
     }
+}
+
+/// `Σ_l conj(reference[l]) · amplitude(map[l])`, summed in `l` order by
+/// both representations.
+fn mapped_overlap(reference: &[C64], map: &[usize], amplitude: impl Fn(usize) -> C64) -> C64 {
+    reference
+        .iter()
+        .zip(map)
+        .map(|(r, &i)| r.conj() * amplitude(i))
+        .sum()
 }
 
 /// The noise calls of one trajectory, in the order the runner makes
@@ -598,10 +635,21 @@ impl SharedSlots {
 /// Deterministic RNG seed of the trajectory with global index `g` — a
 /// function of `(seed, g)` only, never of which worker ran it or how the
 /// indices were distributed, which is what makes every estimate
-/// thread-count-invariant.
+/// thread-count-invariant. Two SplitMix64 finalizer rounds, the first
+/// over the estimate's seed and the second over that with `g` folded in,
+/// so neighbouring seeds draw unrelated trajectories: a sum such as
+/// `seed + g` would make trajectory `g` of seed `s + 1` trajectory
+/// `g + 1` of seed `s`.
 fn trajectory_seed(seed: u64, g: usize) -> u64 {
-    seed.wrapping_add(g as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    mix(mix(seed.wrapping_add(0x9E37_79B9_7F4A_7C15)) ^ g as u64)
+}
+
+/// The SplitMix64 finalizer: a bijection of `u64` in which every input
+/// bit flips about half the output bits.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// The input writer of [`Estimator::new`]: a random qubit-product state
@@ -611,8 +659,8 @@ type RandomProduct = fn(&Register, &mut StdRng, &mut State);
 
 /// A Monte-Carlo fidelity estimate over one [`Schedule`] (§6.4): every
 /// trajectory writes an input state on the schedule's first register,
-/// runs the schedule noiselessly for the reference and once through the
-/// noise loop, and records the overlap of the two final states.
+/// runs it once through the noise loop, and records the overlap of the
+/// noisy final state with a noiseless reference.
 ///
 /// [`Estimator::new`] runs dense states from random qubit-product inputs,
 /// [`Estimator::with_input`] replaces the input writer
@@ -621,18 +669,35 @@ type RandomProduct = fn(&Register, &mut StdRng, &mut State);
 /// [`SparsePolicy`]. Work runs on the process-wide [`TrajectoryPool`]
 /// unless [`Estimator::on`] names another.
 ///
+/// The reference comes from one of two places:
+///
+/// * **The source program** ([`Estimator::with_logical_input`]): the
+///   writer embeds a logical `n`-qubit state, the trajectory gathers that
+///   state's `2^n` amplitudes back out of the input through a
+///   [`LogicalReference`]'s input map, runs the logical ops on them, and
+///   scores `|Σ_l conj(ref[l]) · noisy[output_map[l]]|²`. The reference
+///   never touches the schedule, so a schedule that does not implement
+///   the program scores below 1 with noise off.
+/// * **The schedule itself**, for an estimator built from a bare
+///   schedule: it is run noiselessly from the same input, and the score
+///   is the overlap of the two final states. A writer that repeats its
+///   input (a fixed basis state, say) runs this replay once per worker.
+///
+/// Neither reference draws from the RNG, so both score the same noisy
+/// states.
+///
 /// Trajectory `g` draws its input and its noise from an RNG seeded by
 /// `(seed, g)` alone, so the samples are bit-identical for any pool
 /// width, and the adaptive engine returns the dense engine's samples for
 /// the same schedule, inputs and seed.
 ///
-/// Each pool worker owns one [`Workspace`] and a fixed set of state
-/// buffers reused across every trajectory it claims: the input, the
-/// reference and noisy outputs, the input the reference was last run
-/// from, and — for a split schedule only — one scratch buffer per output
-/// to roll through the reshapes. The steady-state loop therefore
-/// allocates nothing per trajectory, and when the writer repeats an input
-/// (a fixed basis state, say) the reference runs once per worker.
+/// Each pool worker owns one [`Workspace`] and a fixed set of buffers
+/// reused across every trajectory it claims: the input, the noisy
+/// output, for a split schedule one scratch buffer to roll it through
+/// the reshapes, and the reference's own: one `2^n`-amplitude logical
+/// state, or for a replay the reference output, its scratch and the
+/// input it was last run from. The steady-state loop therefore
+/// allocates nothing per trajectory.
 ///
 /// # Panics
 ///
@@ -656,9 +721,53 @@ pub struct Estimator<'a, S, W> {
     schedule: Schedule<'a>,
     noise: &'a NoiseModel,
     write_initial: W,
+    /// The source program the reference runs; `None` replays the
+    /// schedule.
+    logical: Option<LogicalReference>,
     policy: SparsePolicy,
     pool: Option<&'a TrajectoryPool>,
     representation: PhantomData<fn() -> S>,
+}
+
+/// The source program of an [`Estimator`]'s reference and where its
+/// basis states sit in the hardware registers (see
+/// [`Estimator::with_logical_input`]).
+#[derive(Debug, Clone)]
+pub struct LogicalReference {
+    /// The logical ops, kernel-classified, on `n` qubits.
+    program: TimedCircuit,
+    /// `input_map[l]`: the index of logical basis state `l` on the
+    /// schedule's first register.
+    input_map: Vec<usize>,
+    /// `output_map[l]`: the index of logical basis state `l` on the
+    /// schedule's last register.
+    output_map: Vec<usize>,
+}
+
+impl LogicalReference {
+    /// The reference of `program`, whose register must be `n` qubits,
+    /// with logical basis state `l` at `input_map[l]` on the input
+    /// register and at `output_map[l]` on the output register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program`'s register has a qudit that is not a qubit,
+    /// or either map does not have `2^n` entries.
+    pub fn new(program: TimedCircuit, input_map: Vec<usize>, output_map: Vec<usize>) -> Self {
+        let register = &program.register;
+        assert!(
+            register.dims().iter().all(|&d| d == 2),
+            "a logical program runs on qubits"
+        );
+        let amps = register.total_dim();
+        assert_eq!(input_map.len(), amps, "input map needs 2^n entries");
+        assert_eq!(output_map.len(), amps, "output map needs 2^n entries");
+        LogicalReference {
+            program,
+            input_map,
+            output_map,
+        }
+    }
 }
 
 impl<'a> Estimator<'a, State, RandomProduct> {
@@ -669,6 +778,7 @@ impl<'a> Estimator<'a, State, RandomProduct> {
             schedule: schedule.into(),
             noise,
             write_initial: |_, rng, out| out.fill_random_qubit_product(rng),
+            logical: None,
             policy: SparsePolicy::default(),
             pool: None,
             representation: PhantomData,
@@ -695,6 +805,7 @@ where
             schedule: schedule.into(),
             noise,
             write_initial,
+            logical: None,
             policy: *policy,
             pool: None,
             representation: PhantomData,
@@ -703,7 +814,9 @@ where
 }
 
 impl<'a, S: Representation, W> Estimator<'a, S, W> {
-    /// Replaces the input writer.
+    /// Replaces the input writer. The reference becomes the schedule's
+    /// replay: a [`LogicalReference`] reads its inputs as embeddings of
+    /// logical states, which an arbitrary writer's are not.
     pub fn with_input<V>(self, write_initial: V) -> Estimator<'a, S, V>
     where
         V: Fn(&Register, &mut StdRng, &mut S::Input) + Sync,
@@ -712,9 +825,45 @@ impl<'a, S: Representation, W> Estimator<'a, S, W> {
             schedule: self.schedule,
             noise: self.noise,
             write_initial,
+            logical: None,
             policy: self.policy,
             pool: self.pool,
             representation: PhantomData,
+        }
+    }
+
+    /// Replaces the input writer with one that embeds logical states, and
+    /// scores every trajectory against `reference`'s program run on the
+    /// logical state the writer embedded. The writer must leave each
+    /// input zero outside `reference`'s input map; it then consumes the
+    /// RNG as before, so the samples are the replay's up to rounding
+    /// wherever the schedule implements the program.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a map entry is out of range for its register: the input
+    /// map on the schedule's first, the output map on its last.
+    pub fn with_logical_input<V>(
+        self,
+        write_initial: V,
+        reference: LogicalReference,
+    ) -> Estimator<'a, S, V>
+    where
+        V: Fn(&Register, &mut StdRng, &mut S::Input) + Sync,
+    {
+        let fits =
+            |map: &[usize], register: &Register| map.iter().all(|&i| i < register.total_dim());
+        assert!(
+            fits(&reference.input_map, self.schedule.first_register()),
+            "input map exceeds the schedule's first register"
+        );
+        assert!(
+            fits(&reference.output_map, self.schedule.last_register()),
+            "output map exceeds the schedule's last register"
+        );
+        Estimator {
+            logical: Some(reference),
+            ..self.with_input(write_initial)
         }
     }
 
@@ -823,7 +972,10 @@ where
     /// The one pool loop: workers claim global trajectory indices one
     /// at a time, each carrying one [`Worker`] across the indices it
     /// claims, and hand every trajectory's fidelity and worker to
-    /// `record`. Indices claimed after `stop` is set are skipped.
+    /// `record`. A trajectory writes its input, runs its [`Reference`]
+    /// from it (the logical program when the estimator holds one, else
+    /// the replay), runs the noise loop and scores the noisy state.
+    /// Indices claimed after `stop` is set are skipped.
     fn drive(
         &self,
         trajectories: usize,
@@ -844,7 +996,7 @@ where
         };
         pool.run_units(
             trajectories,
-            |_| Worker::new(schedule, &self.policy),
+            |_| Worker::new(schedule, self.logical.as_ref(), &self.policy),
             |w: &mut Worker<S>, g| {
                 if stop.load(Ordering::Relaxed) {
                     return;
@@ -853,17 +1005,7 @@ where
                 crate::fault::begin_trajectory(g);
                 let mut rng = StdRng::seed_from_u64(trajectory_seed(seed, g));
                 (self.write_initial)(schedule.first_register(), &mut rng, &mut w.initial);
-                if !(w.ideal_cached && w.cached_initial == w.initial) {
-                    ideal::run_schedule(
-                        schedule,
-                        &w.initial,
-                        &mut w.ideal,
-                        w.ideal_scratch.as_mut(),
-                        &mut w.ws,
-                    );
-                    S::copy_input(&mut w.cached_initial, &w.initial);
-                    w.ideal_cached = true;
-                }
+                w.reference.run(schedule, &w.initial, &mut w.ws);
                 run_noisy(
                     schedule,
                     &steps,
@@ -874,36 +1016,98 @@ where
                     w.noisy_scratch.as_mut(),
                     &mut w.ws,
                 );
-                record(g, w.ideal.fidelity(&w.noisy), w);
+                record(g, w.reference.fidelity(&w.noisy), w);
             },
         );
     }
 }
 
 /// The buffers one pool worker reuses across its trajectories.
-struct Worker<S: Representation> {
+struct Worker<'e, S: Representation> {
     ws: Workspace,
     initial: S::Input,
-    /// The input `ideal` was last run from (valid once `ideal_cached`).
-    cached_initial: S::Input,
-    ideal_cached: bool,
-    ideal: S,
-    ideal_scratch: Option<S>,
+    reference: Reference<'e, S>,
     noisy: S,
     noisy_scratch: Option<S>,
 }
 
-impl<S: Representation> Worker<S> {
-    fn new(schedule: Schedule, policy: &SparsePolicy) -> Self {
+impl<'e, S: Representation> Worker<'e, S> {
+    fn new(
+        schedule: Schedule,
+        logical: Option<&'e LogicalReference>,
+        policy: &SparsePolicy,
+    ) -> Self {
+        let reference = match logical {
+            Some(logical) => Reference::Logical {
+                logical,
+                state: State::zero(&logical.program.register),
+            },
+            None => Reference::Replay {
+                ideal: schedule.buffer(),
+                scratch: schedule.scratch(),
+                from: S::zero_input(schedule.first_register()),
+                cached: false,
+            },
+        };
         Worker {
             ws: policy.workspace(),
             initial: S::zero_input(schedule.first_register()),
-            cached_initial: S::zero_input(schedule.first_register()),
-            ideal_cached: false,
-            ideal: schedule.buffer(),
-            ideal_scratch: schedule.scratch(),
+            reference,
             noisy: schedule.buffer(),
             noisy_scratch: schedule.scratch(),
+        }
+    }
+}
+
+/// A worker's reference for the trajectory it is running.
+enum Reference<'e, S: Representation> {
+    /// The source program on its own `2^n` amplitudes.
+    Logical {
+        logical: &'e LogicalReference,
+        state: State,
+    },
+    /// The schedule run noiselessly into `ideal` (through `scratch` when
+    /// split), last from the input `from` once `cached`.
+    Replay {
+        ideal: S,
+        scratch: Option<S>,
+        from: S::Input,
+        cached: bool,
+    },
+}
+
+impl<S: Representation> Reference<'_, S> {
+    /// Computes the reference of the trajectory that starts from `input`.
+    fn run(&mut self, schedule: Schedule, input: &S::Input, ws: &mut Workspace) {
+        match self {
+            Reference::Logical { logical, state } => {
+                S::gather(input, &logical.input_map, &mut state.amps);
+                for op in &logical.program.ops {
+                    state.apply_op(op, ws);
+                }
+            }
+            Reference::Replay {
+                ideal,
+                scratch,
+                from,
+                cached,
+            } => {
+                if !(*cached && *from == *input) {
+                    ideal::run_schedule(schedule, input, ideal, scratch.as_mut(), ws);
+                    S::copy_input(from, input);
+                    *cached = true;
+                }
+            }
+        }
+    }
+
+    /// The fidelity of `noisy` with the reference.
+    fn fidelity(&self, noisy: &S) -> f64 {
+        match self {
+            Reference::Logical { logical, state } => noisy
+                .overlap_mapped(&state.amps, &logical.output_map)
+                .norm_sqr(),
+            Reference::Replay { ideal, .. } => ideal.fidelity(noisy),
         }
     }
 }
@@ -1230,6 +1434,89 @@ mod tests {
         seg.total_duration_ns = 10_000_000.0; // 10 ms >> T1
         let est = Estimator::new(&seg, &NoiseModel::paper()).estimate(60, 3);
         assert!(est.mean < 0.8, "mean {} should collapse", est.mean);
+    }
+
+    /// The logical program `cx(0, 1)` of [`one_gate_circuit`], with both
+    /// qubits where the schedule keeps them.
+    fn cx_reference() -> LogicalReference {
+        let identity: Vec<usize> = (0..4).collect();
+        LogicalReference::new(one_gate_circuit(1.0, 0.0), identity.clone(), identity)
+    }
+
+    #[test]
+    fn logical_reference_scores_the_replays_samples() {
+        let tc = one_gate_circuit(0.9, 300.0);
+        let noise = NoiseModel::paper();
+        let replay = Estimator::new(&tc, &noise).samples(64, 5);
+        let logical = Estimator::new(&tc, &noise)
+            .with_logical_input(
+                |_, rng, out| out.fill_random_qubit_product(rng),
+                cx_reference(),
+            )
+            .samples(64, 5);
+        for (a, b) in replay.iter().zip(&logical) {
+            assert!((a - b).abs() < 1e-12, "replay {a} vs logical {b}");
+        }
+    }
+
+    #[test]
+    fn sparse_logical_reference_scores_the_dense_samples() {
+        // Basis inputs drawn from the RNG, once into a dense and once
+        // into a sparse buffer.
+        let draw = |rng: &mut StdRng| (rng.gen::<f64>() * 4.0) as usize;
+        let dense_basis = move |_: &Register, rng: &mut StdRng, out: &mut State| {
+            let idx = draw(rng);
+            out.fill_product_with(|q, level| {
+                if level == (idx >> (1 - q)) & 1 {
+                    C64::ONE
+                } else {
+                    C64::ZERO
+                }
+            });
+        };
+        let sparse_basis =
+            move |_: &Register, rng: &mut StdRng, out: &mut SparseState| out.fill_basis(draw(rng));
+        let tc = one_gate_circuit(0.9, 300.0);
+        let noise = NoiseModel::paper();
+        let dense = Estimator::new(&tc, &noise)
+            .with_logical_input(dense_basis, cx_reference())
+            .samples(64, 8);
+        let never_densify = SparsePolicy {
+            density_threshold: 2.0,
+            epsilon: 0.0,
+        };
+        let sparse = Estimator::adaptive(&tc, &noise, &never_densify, sparse_basis)
+            .with_logical_input(sparse_basis, cx_reference())
+            .samples(64, 8);
+        assert!(dense.iter().any(|&f| f < 0.99), "no noisy sample");
+        for (a, b) in dense.iter().zip(&sparse) {
+            assert!((a - b).abs() < 1e-12, "dense {a} vs sparse {b}");
+        }
+    }
+
+    #[test]
+    fn replacing_the_writer_drops_the_logical_reference() {
+        // A reference whose program is not the schedule's scores below 1
+        // with noise off; the replay the writer swap falls back to scores
+        // exactly 1.
+        let schedule = TimedCircuit::new(Register::qubits(2));
+        let noise = NoiseModel::noiseless();
+        let write =
+            |_: &Register, rng: &mut StdRng, out: &mut State| out.fill_random_qubit_product(rng);
+        let logical = Estimator::new(&schedule, &noise).with_logical_input(write, cx_reference());
+        assert!(logical.logical.is_some());
+        assert!(logical.estimate(32, 1).mean < 0.99);
+        let rewritten = logical.with_input(write);
+        assert!(rewritten.logical.is_none());
+        assert!((rewritten.estimate(32, 1).mean - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn neighbouring_seeds_share_no_trajectory_seed() {
+        let a: Vec<u64> = (0..1000).map(|g| trajectory_seed(100, g)).collect();
+        for g in 0..1000 {
+            assert!(!a.contains(&trajectory_seed(101, g)), "trajectory {g}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use quantum_waltz::arch::Site;
 use quantum_waltz::circuit::Circuit;
 use quantum_waltz::core::{CompileError, Compiler, Strategy, Target};
 use quantum_waltz::serve::protocol::{read_frame, read_message, write_frame};
@@ -190,6 +191,71 @@ fn hostile_trajectory_counts_answer_over_budget_on_a_live_connection() {
     // A count within the cap still runs on the same connection.
     let result = client.simulate(cached(), 8, 1, 0).expect("simulate");
     assert_eq!(result.fidelities.len(), 8);
+}
+
+#[test]
+fn hostile_inline_artifact_answers_malformed_frame_on_a_live_connection() {
+    // A full-ququart artifact whose 3-level device keeps its
+    // slot-0 qubit (level 2) and is handed a second qubit in slot 1
+    // (level 1): its input would need level 3. Unchecked, the simulate's
+    // input writer panics ("register clips level(s) ..."); the codec's
+    // placement checks reject the artifact while decoding the request,
+    // and the connection keeps serving.
+    let mut c = Circuit::new(5);
+    c.h(0).ccx(0, 1, 2);
+    let artifact = Compiler::new(Target::paper(Strategy::full_ququart()))
+        .compile(&c)
+        .expect("compile");
+    let mut hostile = artifact.compiled().clone();
+    let first = hostile.sim_schedule().first_register().clone();
+    let q = (0..5)
+        .find(|&q| {
+            let site = hostile.initial_sites[q];
+            site.slot == 0 && first.dim(site.device) == 3
+        })
+        .expect("a slot-0 qubit on a 3-level device");
+    let device = hostile.initial_sites[q].device;
+    let other = (0..5)
+        .find(|&p| hostile.initial_sites[p].device != device)
+        .expect("a qubit on another device");
+    hostile.initial_sites[other] = Site::new(device, 1);
+    let honest = waltz_codec::encode_to_vec(artifact.compiled());
+    let forged = waltz_codec::encode_to_vec(&hostile);
+    assert_eq!(honest.len(), forged.len(), "sites encode at a fixed width");
+    let mut payload = waltz_codec::encode_to_vec(&Request::Simulate {
+        source: ArtifactSource::Inline(Box::new(artifact)),
+        trajectories: 8,
+        seed: 1,
+        chunk: 0,
+    });
+    let at = payload
+        .windows(honest.len())
+        .position(|w| w == honest.as_slice())
+        .expect("the request carries the artifact's bytes");
+    payload[at..at + honest.len()].copy_from_slice(&forged);
+
+    let mut stream = connect_raw();
+    let frame = raw_frame(
+        FRAME_MAGIC,
+        PROTOCOL_VERSION,
+        payload.len() as u32,
+        &payload,
+    );
+    stream.write_all(&frame).expect("write");
+    match read_message::<_, Response>(&mut stream).expect("an answer") {
+        Response::Error(frame) => {
+            assert_eq!(frame.code, ErrorCode::MALFORMED_FRAME);
+            assert!(frame.job.is_none(), "the refusal is connection-scoped");
+            assert!(frame.message.contains("level"), "{}", frame.message);
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    write_frame(&mut stream, &Request::Ping { token: 41 }).expect("same connection");
+    assert!(matches!(
+        read_message::<_, Response>(&mut stream).expect("pong"),
+        Response::Pong { token: 41 }
+    ));
+    assert_server_alive();
 }
 
 // ---------------------------------------------------------------------
