@@ -10,7 +10,7 @@ use waltz_core::{Compiler, Strategy, Target};
 use waltz_math::Matrix;
 use waltz_noise::{CoherenceModel, NoiseModel};
 use waltz_sim::trajectory::Estimator;
-use waltz_sim::{GateKernel, Register, State, Workspace};
+use waltz_sim::{GateKernel, Register, Schedule, State, Workspace};
 
 fn bench_gate_application(c: &mut Criterion) {
     let mut group = c.benchmark_group("state");
@@ -81,10 +81,14 @@ fn bench_trajectories(c: &mut Criterion) {
             .compile(&circuit)
             .unwrap();
         // Unfused hardware schedule vs. the fused simulation schedule.
-        for (tag, timed) in [("", &compiled.timed), ("/fused", compiled.sim_circuit())] {
+        let schedules: [(&str, Schedule); 2] = [
+            ("", (&compiled.timed).into()),
+            ("/fused", compiled.sim_schedule()),
+        ];
+        for (tag, schedule) in schedules {
             group.bench_function(format!("cnu-6q/{}{tag}", strategy.name()), |b| {
                 b.iter(|| {
-                    Estimator::new(timed, &noise)
+                    Estimator::new(schedule, &noise)
                         .with_input(|_, rng, out| {
                             compiled.write_random_product_initial_state(rng, out)
                         })

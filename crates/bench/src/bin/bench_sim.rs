@@ -199,7 +199,7 @@ fn main() {
         .compile(&circuit)
         .unwrap();
         let mut dense = unfused.compiled().clone();
-        for op in &mut dense.timed.ops {
+        for op in dense.sim.segments.iter_mut().flat_map(|s| &mut s.ops) {
             op.kernel = GateKernel::GeneralDense;
         }
         // Interleave the variants over RATE_ROUNDS rounds of
@@ -341,7 +341,7 @@ fn main() {
             .str("segment_dims", &segment_dims)
             .obj("occupancy", &occupancy)
             .int("hw_ops", compiled.timed.len() as u64)
-            .int("fused_ops", compiled.sim_circuit().len() as u64)
+            .int("fused_ops", compiled.sim.len() as u64)
             .int("trajectories", RATE_TRAJECTORIES as u64)
             .int("rate_rounds", RATE_ROUNDS as u64)
             .num("mean_fidelity", est.mean)

@@ -8,7 +8,7 @@ use rand::Rng;
 
 use waltz_noise::NoiseModel;
 use waltz_sim::trajectory::{FidelityEstimate, HealthPolicy, RunHealth};
-use waltz_sim::{Schedule, Session, State, TrajectoryPool};
+use waltz_sim::{Session, State, TrajectoryPool};
 
 use crate::compile::CompiledCircuit;
 use crate::eps::EpsBreakdown;
@@ -24,8 +24,8 @@ const DEFAULT_SEED: u64 = 20230617;
 /// further plumbing.
 ///
 /// Dereferences to the wrapped [`CompiledCircuit`], so all of its
-/// accessors (`stats`, `sim_circuit()`, `sample_decoded()`, …) are
-/// available directly on the artifact.
+/// fields and accessors (`stats`, `sim`, `sim_schedule()`,
+/// `sample_decoded()`, …) are available directly on the artifact.
 #[derive(Debug, Clone)]
 pub struct CompileArtifact {
     compiled: CompiledCircuit,
@@ -137,7 +137,8 @@ impl CompileArtifact {
 
     /// A simulation session over this artifact: owns the kernel workspace
     /// and state buffers, defaults to the target's noise model, and runs
-    /// the simulation schedule ([`CompiledCircuit::sim_schedule`]).
+    /// the simulation schedule ([`CompiledCircuit::sim_schedule`]) and no
+    /// other ([`Simulation::run_trajectory`]).
     pub fn simulate(&self) -> Simulation<'_> {
         Simulation {
             compiled: &self.compiled,
@@ -156,7 +157,8 @@ impl CompileArtifact {
 /// across the pool with per-worker buffer reuse; the serial entry points
 /// ([`Simulation::run_trajectory`], [`Simulation::run_ideal`]) reuse this
 /// session's own buffers, so shot-by-shot loops allocate nothing per
-/// shot. Every run goes through [`CompiledCircuit::sim_schedule`].
+/// shot. Every run goes through [`CompiledCircuit::sim_schedule`], from
+/// its first register to its last; there is no fallback schedule.
 #[derive(Debug)]
 pub struct Simulation<'a> {
     compiled: &'a CompiledCircuit,
@@ -207,9 +209,9 @@ impl<'a> Simulation<'a> {
     /// headline simulation ([`CompiledCircuit::estimator`]). Each noisy
     /// final state is scored against the source circuit's output on the
     /// same logical input, so with noise off the estimate is 1 only if
-    /// the schedule implements the circuit. The windowed schedule, when
-    /// the compiler produced one, is statistically equivalent to the
-    /// whole-program one, pinned by the `window_parity` suite.
+    /// the schedule implements the circuit. A windowed schedule is
+    /// statistically equivalent to a whole-program one, pinned by the
+    /// `window_parity` suite.
     ///
     /// # Panics
     ///
@@ -260,52 +262,35 @@ impl<'a> Simulation<'a> {
             .supervised(trajectories, self.seed, policy)
     }
 
-    /// The schedule a serial run from `initial` takes: the simulation
-    /// schedule when `initial` lives on its first register, else the
-    /// fused whole-program schedule ([`CompiledCircuit::sim_circuit`]).
-    fn schedule_for(&self, initial: &State) -> Schedule<'a> {
-        let schedule = self.compiled.sim_schedule();
-        if initial.register() == schedule.first_register() {
-            schedule
-        } else {
-            self.compiled.sim_circuit().into()
-        }
-    }
-
-    /// Runs one noisy trajectory from `initial` into the session's output
-    /// buffer and returns it.
-    ///
-    /// An `initial` on the first register of
-    /// [`CompiledCircuit::sim_schedule`] (which is what
-    /// [`Simulation::random_initial_state`] returns) runs that schedule,
-    /// and the output lives on its **last** register — the measurement
-    /// decode paths ([`CompiledCircuit::sample_decoded`],
+    /// Runs one noisy trajectory of [`CompiledCircuit::sim_schedule`]
+    /// from `initial` (on its first register, which is where
+    /// [`Simulation::random_initial_state`] puts it) into the session's
+    /// output buffer and returns it, on the schedule's **last** register.
+    /// The measurement decode paths ([`CompiledCircuit::sample_decoded`],
     /// [`CompiledCircuit::decode_index_on`]) read any register, so
-    /// shot-sampling loops run windowed end to end. An `initial` on the
-    /// whole-program register runs the fused whole-program schedule
-    /// ([`CompiledCircuit::sim_circuit`]).
+    /// shot-sampling loops run windowed end to end.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` lives on neither register.
+    /// Panics if `initial` does not live on the schedule's first register
+    /// (`timed`'s for an unsplit schedule, a window's for a split one).
     pub fn run_trajectory<R: Rng + ?Sized>(&mut self, initial: &State, rng: &mut R) -> &State {
-        let schedule = self.schedule_for(initial);
+        let schedule = self.compiled.sim_schedule();
         self.session
             .get_or_insert_with(|| Session::new(schedule))
             .run_trajectory(schedule, initial, &self.noise, rng)
     }
 
-    /// Runs the circuit noiselessly from `initial` into the session's
-    /// output buffer and returns it, on the schedule
-    /// [`Simulation::run_trajectory`] would pick.
+    /// Runs [`CompiledCircuit::sim_schedule`] noiselessly from `initial`
+    /// into the session's output buffer and returns it, on the schedule's
+    /// last register.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` lives on neither the compiled circuit's
-    /// whole-program register nor the simulation schedule's first
-    /// register.
+    /// Panics if `initial` does not live on the schedule's first
+    /// register, as [`Simulation::run_trajectory`] does.
     pub fn run_ideal(&mut self, initial: &State) -> &State {
-        let schedule = self.schedule_for(initial);
+        let schedule = self.compiled.sim_schedule();
         self.session
             .get_or_insert_with(|| Session::new(schedule))
             .run_ideal(schedule, initial)
@@ -356,11 +341,12 @@ mod tests {
         let mut rng_a = StdRng::seed_from_u64(17);
         let mut rng_b = StdRng::seed_from_u64(17);
         let out = sim.run_trajectory(&initial, &mut rng_a).clone();
+        let schedule = a.sim_schedule();
         let reference =
-            waltz_sim::trajectory::run_trajectory(a.sim_circuit(), &initial, a.noise(), &mut rng_b);
+            waltz_sim::trajectory::run_trajectory(schedule, &initial, a.noise(), &mut rng_b);
         assert!((out.fidelity(&reference) - 1.0).abs() < 1e-12);
         let ideal = sim.run_ideal(&initial).clone();
-        let reference = waltz_sim::ideal::run(a.sim_circuit(), &initial);
+        let reference = waltz_sim::ideal::run(schedule, &initial);
         assert!((ideal.fidelity(&reference) - 1.0).abs() < 1e-12);
     }
 
@@ -379,16 +365,23 @@ mod tests {
         )
         .compile(&c)
         .unwrap();
-        let segments = a.sim_segments().expect("cnu-6q windows");
+        let segments = &a.sim;
+        assert!(segments.n_segments() > 1, "cnu-6q windows");
         let mut sim = a.simulate();
         let mut rng = StdRng::seed_from_u64(11);
         let initial = sim.random_initial_state(&mut rng);
         assert_eq!(initial.register(), segments.first_register());
         let ideal = sim.run_ideal(&initial).clone();
         assert_eq!(ideal.register(), segments.last_register());
+        let whole = Compiler::with_options(
+            Target::paper(Strategy::mixed_radix_ccz()),
+            CompileOptions::default().with_windowed_registers(false),
+        )
+        .compile(&c)
+        .unwrap();
         let reference = waltz_sim::ideal::run(
-            a.sim_circuit(),
-            &a.random_product_initial_state(&mut StdRng::seed_from_u64(11)),
+            whole.sim_schedule(),
+            &whole.random_product_initial_state(&mut StdRng::seed_from_u64(11)),
         );
         // Same logical input (identical RNG consumption), same unitary:
         // the decoded shot distributions must agree exactly.
@@ -400,12 +393,12 @@ mod tests {
         assert_eq!(noisy.register(), segments.last_register());
         let shots = a.sample_decoded(&noisy, 16, &mut rng);
         assert_eq!(shots.values().sum::<usize>(), 16);
-        // The whole-program register still takes the fallback path.
+        // A state on the whole-program register is a register mismatch.
         let whole_initial = a.random_product_initial_state(&mut rng);
-        assert_eq!(
-            sim.run_ideal(&whole_initial).register(),
-            &a.sim_circuit().register
-        );
+        let mismatch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_ideal(&whole_initial);
+        }));
+        assert!(mismatch.is_err(), "a whole-register input must panic");
     }
 
     #[test]

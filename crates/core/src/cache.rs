@@ -485,4 +485,40 @@ mod tests {
         assert!(cache.lookup((9, 9)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn disk_file_from_another_codec_version_is_a_miss() {
+        use waltz_codec::CODEC_VERSION;
+        let dir = std::env::temp_dir().join(format!("waltz-cache-version-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_, artifact) = artifact_for(1);
+        let circuit = artifact.logical.clone();
+        let compiler = || {
+            Compiler::new(Target::paper(Strategy::qubit_only()))
+                .with_artifact_cache(ArtifactCache::new().with_disk_dir(&dir))
+        };
+        // The same artifact's payload in the previous format version's
+        // envelope, at the key the compile looks up.
+        let first = compiler();
+        let key = (waltz_codec::content_hash(&circuit), first.fingerprint());
+        let path = ArtifactCache::path_for(&dir, key);
+        let mut stale = encode_versioned(&artifact);
+        stale[4..8].copy_from_slice(&(CODEC_VERSION - 1).to_le_bytes());
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, &stale).unwrap();
+        let cold = first.compile(&circuit).unwrap();
+        assert!(!cold.is_cached());
+        let cache = first.artifact_cache().unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        // The compile replaced the stale file with a current one...
+        let fresh = std::fs::read(&path).unwrap();
+        assert_eq!(fresh[4..8], CODEC_VERSION.to_le_bytes());
+        assert!(decode_versioned::<CompileArtifact>(&fresh).is_ok());
+        // ...which a second compiler over the same directory hits.
+        let second = compiler();
+        assert!(second.compile(&circuit).unwrap().is_cached());
+        let cache = second.artifact_cache().unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -168,29 +168,24 @@ pub struct CompileStats {
 
 /// The compiler's output: a scheduled circuit plus everything needed to
 /// simulate, estimate and verify it.
+///
+/// It carries two programs: the hardware schedule ([`Self::timed`]),
+/// which every pulse statistic and EPS estimate reads, and the
+/// simulation schedule ([`Self::sim`]), which every estimate, session
+/// run and remote simulate executes.
 #[derive(Debug, Clone)]
 pub struct CompiledCircuit {
     /// The scheduled hardware circuit.
     pub timed: TimedCircuit,
-    /// The fused simulation schedule ([`TimedCircuit::fuse`]) when the
-    /// [`crate::Fusion`] option is on: the same circuit with adjacent-op
-    /// runs
-    /// multiplied into dense blocks. All pulse statistics and EPS
-    /// estimates still come from `timed`; simulation should go through
-    /// [`CompiledCircuit::sim_circuit`].
-    pub fused: Option<TimedCircuit>,
-    /// The windowed-register simulation schedule when the analysis found
-    /// more than one worthwhile segment
+    /// The simulation schedule: the windowed segments when the Analyze
+    /// pass keeps more than one register window
     /// ([`crate::CompileOptions::with_windowed_registers`], on by
-    /// default): the same pulses cut at the points where a device's
-    /// occupied dimension changes, each segment on its own register with
-    /// the state reshaped in flight at the boundaries. Fused per segment
-    /// when fusion is on. Batch fidelity estimation
-    /// ([`crate::Simulation::average_fidelity`]) runs this schedule when
-    /// present; `None` means the whole-program register is already
-    /// optimal (or windowing was disabled) and simulation falls back to
-    /// [`CompiledCircuit::sim_circuit`].
-    pub windowed: Option<SegmentedCircuit>,
+    /// default) — the same pulses cut where a device's occupied dimension
+    /// changes, each segment on its own register — else one
+    /// whole-program segment. Fused per segment when the
+    /// [`crate::Fusion`] option is on, so it equals `timed` only for an
+    /// unfused, unsplit compile.
+    pub sim: SegmentedCircuit,
     /// The strategy that produced it.
     pub strategy: Strategy,
     /// Logical-qubit sites at circuit start.
@@ -214,40 +209,39 @@ impl CompiledCircuit {
         eps::eps(&self.timed, &self.coherence_spans, model)
     }
 
-    /// The schedule the simulator should run: the fused program when the
-    /// compile options requested fusion, the raw hardware schedule
-    /// otherwise. Both produce identical noiseless outputs (1e-12
-    /// parity). Noisy trajectory estimates are *statistically*
+    /// The schedule every simulation of this circuit runs, borrowed from
+    /// [`CompiledCircuit::sim`]. A run starts on
+    /// [`Schedule::first_register`] and ends on
+    /// [`Schedule::last_register`]; every runner panics on an input on
+    /// any other register, and there is no fallback to another schedule.
+    /// For an unsplit schedule the first register is `timed`'s.
+    ///
+    /// The fused schedule produces the same noiseless output as `timed`
+    /// (1e-12 parity). Noisy trajectory estimates are *statistically*
     /// equivalent — per-pulse error probabilities and per-device
     /// idle/busy damping times are preserved exactly — but individual
-    /// draws differ (the engines consume the RNG in different orders,
-    /// and noise inside a block is replayed around one unitary apply
-    /// rather than interleaved), so same-seed means differ by sampling
-    /// noise. Use [`crate::CompileOptions::unfused`] when exact
+    /// draws differ (noise inside a block is replayed around one unitary
+    /// apply rather than interleaved), so same-seed means differ by
+    /// sampling noise. Use [`crate::CompileOptions::unfused`] when exact
     /// pulse-by-pulse noise interleaving matters.
-    pub fn sim_circuit(&self) -> &TimedCircuit {
-        self.fused.as_ref().unwrap_or(&self.timed)
-    }
-
-    /// The windowed (segmented) simulation schedule, when the occupancy
-    /// analysis found more than one worthwhile segment. Segmented
-    /// simulation starts on the first segment's register and ends on the
-    /// last segment's — use [`SegmentedCircuit::first_register`] /
-    /// [`SegmentedCircuit::last_register`] for buffer setup.
-    pub fn sim_segments(&self) -> Option<&SegmentedCircuit> {
-        self.windowed.as_ref()
-    }
-
-    /// The schedule every simulation of this circuit runs: the windowed
-    /// one when the compiler produced it ([`CompiledCircuit::sim_segments`]),
-    /// else [`CompiledCircuit::sim_circuit`] as one segment. A run starts
-    /// on [`Schedule::first_register`] and ends on
-    /// [`Schedule::last_register`].
     pub fn sim_schedule(&self) -> Schedule<'_> {
-        match &self.windowed {
-            Some(windowed) => windowed.into(),
-            None => self.sim_circuit().into(),
+        (&self.sim).into()
+    }
+
+    /// The one segment of an unsplit simulation schedule, or `timed` when
+    /// it is split. A shim the benchmark package (`perfbench/`) still
+    /// calls; everything else reads [`CompiledCircuit::sim_schedule`].
+    pub fn sim_circuit(&self) -> &TimedCircuit {
+        match self.sim.segments.as_slice() {
+            [single] => single,
+            _ => &self.timed,
         }
+    }
+
+    /// The simulation schedule when it is split, else `None`. A shim like
+    /// [`CompiledCircuit::sim_circuit`].
+    pub fn sim_segments(&self) -> Option<&SegmentedCircuit> {
+        (self.sim.n_segments() > 1).then_some(&self.sim)
     }
 
     /// Peak state-vector bytes a simulation of this artifact sizes its
@@ -411,23 +405,13 @@ impl CompiledCircuit {
         out.fill_product_with(|q, level| factors[q][level]);
     }
 
-    /// Decodes a measured device-register basis index into the logical
-    /// bitstring (qubit 0 = most significant bit), reading each qubit out
-    /// of its *final* site — "the measured state would be decoded
-    /// according to the compression strategy" (§5.2). Reads the
-    /// whole-program register; for states produced by the windowed
-    /// (segmented) engine use [`CompiledCircuit::decode_index_on`] with
-    /// the last segment's register.
-    pub fn decode_device_index(&self, device_index: usize) -> usize {
-        self.decode_index_on(&self.timed.register, device_index)
-    }
-
-    /// [`CompiledCircuit::decode_device_index`] on an explicit register
-    /// spanning the same devices — in particular the **last segment's**
-    /// register of the windowed schedule
-    /// ([`waltz_sim::SegmentedCircuit::last_register`]), whose dimensions
-    /// bound every level a final state populates; final sites address
-    /// devices, not amplitudes, so the decode is register-agnostic.
+    /// Decodes a basis index of `register` (measured from a final state)
+    /// into the logical bitstring (qubit 0 = most significant bit),
+    /// reading each qubit out of its *final* site — "the measured state
+    /// would be decoded according to the compression strategy" (§5.2).
+    /// Final sites address devices, not amplitudes, so any register
+    /// spanning the same devices decodes: `timed`'s, or the last register
+    /// of the simulation schedule ([`Schedule::last_register`]).
     ///
     /// # Panics
     ///
@@ -451,10 +435,9 @@ impl CompiledCircuit {
 
     /// Samples `shots` measurement outcomes from a final device state and
     /// returns decoded logical bitstring counts. Decodes against the
-    /// *state's own* register, so final states from either engine work:
-    /// the whole-program schedule's ([`CompiledCircuit::sim_circuit`])
-    /// and the windowed schedule's last segment
-    /// ([`CompiledCircuit::sim_segments`]).
+    /// *state's own* register, so a final state of the simulation
+    /// schedule (on its last register, [`CompiledCircuit::sim_schedule`])
+    /// and one on `timed`'s register both work.
     pub fn sample_decoded<R: rand::Rng + ?Sized>(
         &self,
         state: &State,
@@ -591,7 +574,7 @@ mod tests {
                     .position(|a| a.abs() > 0.999)
                     .expect("basis state stays basis");
                 assert_eq!(
-                    compiled.decode_device_index(raw),
+                    compiled.decode_index_on(state.register(), raw),
                     logical,
                     "{} logical {logical}",
                     strategy.name()
@@ -626,14 +609,21 @@ mod tests {
             Strategy::mixed_radix_ccz(),
             Strategy::full_ququart(),
         ] {
-            let fused = build(&c, &strategy);
-            let unfused =
-                Compiler::with_options(Target::paper(strategy), crate::CompileOptions::unfused())
-                    .compile(&c)
-                    .unwrap();
-            assert!(unfused.fused.is_none());
-            assert!(std::ptr::eq(unfused.sim_circuit(), &unfused.timed));
-            let sim = fused.sim_circuit();
+            // Whole-program compiles: one segment on `timed`'s register.
+            let options = crate::CompileOptions::default().with_windowed_registers(false);
+            let fused = Compiler::with_options(Target::paper(strategy), options)
+                .compile(&c)
+                .unwrap();
+            let unfused = Compiler::with_options(
+                Target::paper(strategy),
+                crate::CompileOptions::unfused().with_windowed_registers(false),
+            )
+            .compile(&c)
+            .unwrap();
+            assert_eq!(unfused.sim.n_segments(), 1);
+            assert_eq!(unfused.sim.len(), unfused.timed.len());
+            let sim = &fused.sim;
+            assert_eq!(sim.n_segments(), 1, "{}", strategy.name());
             assert!(
                 sim.len() < fused.timed.len(),
                 "{}: fusion should shrink {} ops",

@@ -290,23 +290,19 @@ impl HwProgram {
     }
 
     /// ASAP-schedules the program with the library's calibrated durations,
-    /// embedding each unitary to the device dimensions. On a demoted
-    /// register ([`HwProgram::demote_to_occupancy`]) a gate whose logical
+    /// embedding each unitary to the device dimensions: the one-window
+    /// case of [`HwProgram::schedule_windowed`]. On a demoted register
+    /// ([`HwProgram::demote_to_occupancy`]) a gate whose logical
     /// dimension exceeds an operand's device dimension is *restricted* to
     /// the occupied subspace instead — sound because demotion verified the
     /// gate keeps that subspace closed.
     pub fn schedule(&self, lib: &GateLibrary) -> TimedCircuit {
-        let register = Register::new(self.dims.clone());
-        let mut free_at = vec![0.0f64; self.dims.len()];
-        let mut timed = TimedCircuit::new(register);
-        let mut total: f64 = 0.0;
-        for op in &self.ops {
-            timed
-                .ops
-                .push(schedule_op(op, &self.dims, lib, &mut free_at, &mut total));
-        }
-        timed.total_duration_ns = total;
-        timed
+        let whole = RegisterWindow {
+            ops: 0..self.ops.len(),
+            dims: self.dims.clone(),
+        };
+        let mut scheduled = self.schedule_windowed(lib, std::slice::from_ref(&whole));
+        scheduled.segments.pop().expect("one window, one segment")
     }
 
     /// The per-op required dimensions of the windowed analysis: during op
@@ -486,9 +482,40 @@ impl HwProgram {
             cursor = w.ops.end;
             let mut segment = TimedCircuit::new(Register::new(w.dims.clone()));
             for op in &self.ops[w.ops.clone()] {
-                segment
-                    .ops
-                    .push(schedule_op(op, &w.dims, lib, &mut free_at, &mut total));
+                let logical_dims = op.gate.logical_dims();
+                let dev_dims: Vec<usize> = op.devices.iter().map(|&d| w.dims[d] as usize).collect();
+                let unitary = embed_demoted(&op.gate.unitary(), &logical_dims, &dev_dims);
+                let start = op
+                    .devices
+                    .iter()
+                    .map(|&d| free_at[d])
+                    .fold(0.0f64, f64::max);
+                let duration = lib.duration(&op.gate);
+                for &d in &op.devices {
+                    free_at[d] = start + duration;
+                }
+                total = total.max(start + duration);
+                // The error channel is drawn on the gate's calibrated
+                // logical dimensions, clipped to the device: a demoted
+                // device's errors are confined to the subspace it can
+                // actually populate.
+                let error_dims: Vec<u8> = logical_dims
+                    .iter()
+                    .zip(&dev_dims)
+                    .map(|(&l, &d)| l.min(d) as u8)
+                    .collect();
+                // TimedOp::new classifies the embedded unitary into its
+                // GateKernel here, once per compile, so every simulation
+                // of the schedule reuses the specialized apply path.
+                segment.ops.push(TimedOp::new(
+                    label_of(&op.gate),
+                    unitary,
+                    op.devices.clone(),
+                    error_dims,
+                    start,
+                    duration,
+                    lib.fidelity(&op.gate),
+                ));
             }
             segments.push(segment);
         }
@@ -521,53 +548,6 @@ impl RegisterWindow {
     pub fn state_bytes(&self) -> usize {
         self.amplitudes() * std::mem::size_of::<waltz_math::C64>()
     }
-}
-
-/// ASAP-schedules one op against the given register dimensions, advancing
-/// the shared per-device `free_at` timeline and the running `total` —
-/// the single scheduling body behind [`HwProgram::schedule`] (whole
-/// register) and [`HwProgram::schedule_windowed`] (per-segment
-/// registers, one global timeline).
-fn schedule_op(
-    op: &HwOp,
-    dims: &[u8],
-    lib: &GateLibrary,
-    free_at: &mut [f64],
-    total: &mut f64,
-) -> TimedOp {
-    let logical_dims = op.gate.logical_dims();
-    let dev_dims: Vec<usize> = op.devices.iter().map(|&d| dims[d] as usize).collect();
-    let unitary = embed_demoted(&op.gate.unitary(), &logical_dims, &dev_dims);
-    let start = op
-        .devices
-        .iter()
-        .map(|&d| free_at[d])
-        .fold(0.0f64, f64::max);
-    let duration = lib.duration(&op.gate);
-    for &d in &op.devices {
-        free_at[d] = start + duration;
-    }
-    *total = total.max(start + duration);
-    // The error channel is drawn on the gate's calibrated logical
-    // dimensions, clipped to the device: a demoted device's errors
-    // are confined to the subspace it can actually populate.
-    let error_dims: Vec<u8> = logical_dims
-        .iter()
-        .zip(&dev_dims)
-        .map(|(&l, &d)| l.min(d) as u8)
-        .collect();
-    // TimedOp::new classifies the embedded unitary into its
-    // GateKernel here, once per compile, so every simulation of
-    // the schedule reuses the specialized apply path.
-    TimedOp::new(
-        label_of(&op.gate),
-        unitary,
-        op.devices.clone(),
-        error_dims,
-        start,
-        duration,
-        lib.fidelity(&op.gate),
-    )
 }
 
 /// Short display label for a hardware gate.

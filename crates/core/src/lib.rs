@@ -54,15 +54,20 @@
 //!    noiselessly and within one standard error under the trajectory
 //!    noise model.
 //! 5. [`Pass::Schedule`] — ASAP, tracking per-device busy/idle windows,
-//!    producing a [`waltz_sim::TimedCircuit`] over the (possibly
-//!    heterogeneous) register — plus, when the analysis split the
-//!    program, a [`waltz_sim::SegmentedCircuit`] whose segments share
-//!    the same timeline but carry per-window registers
-//!    ([`CompiledCircuit::sim_segments`]; every simulation runs it
-//!    through [`CompiledCircuit::sim_schedule`]).
-//! 6. [`Pass::Fuse`] — batch the simulation schedule with the gate-fusion
-//!    pass (checked-in cost constants, optional block-span cap);
-//!    block products are memoized in a compiler-wide
+//!    producing the hardware schedule ([`CompiledCircuit::timed`], a
+//!    [`waltz_sim::TimedCircuit`] over the (possibly heterogeneous)
+//!    register) — plus, when the analysis kept more than one window,
+//!    the windowed segments on the same timeline with per-window
+//!    registers ([`HwProgram::schedule_windowed`]; `timed` is its
+//!    one-window case).
+//! 6. [`Pass::Fuse`] — build the one simulation schedule
+//!    ([`CompiledCircuit::sim`], a [`waltz_sim::SegmentedCircuit`]: the
+//!    windowed segments, or `timed` as one segment) and fuse it once,
+//!    per segment, with the gate-fusion pass (checked-in cost
+//!    constants, optional block-span cap). Every estimate, serial run
+//!    and remote simulate runs this schedule through
+//!    [`CompiledCircuit::sim_schedule`]; the Fuse and Lower reports
+//!    count its ops. Block products are memoized in a compiler-wide
 //!    [`waltz_sim::FuseCache`], so batches of structurally similar
 //!    circuits multiply each repeated block shape once.
 //! 7. [`Pass::Lower`] — the coherence-span timeline the EPS model

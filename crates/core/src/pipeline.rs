@@ -10,7 +10,7 @@ use std::time::Instant;
 use waltz_arch::InteractionGraph;
 use waltz_circuit::{Circuit, GateKind};
 use waltz_gates::Q1Gate;
-use waltz_sim::{FuseCache, FuseOptions, GateKernel, TimedCircuit};
+use waltz_sim::{FuseCache, FuseOptions, GateKernel, Schedule, SegmentedCircuit};
 
 use crate::artifact::CompileArtifact;
 use crate::cache::ArtifactCache;
@@ -46,11 +46,14 @@ pub enum Pass {
     /// (`state_bytes_peak`, `state_bytes_mean`).
     Analyze,
     /// ASAP scheduling with calibrated durations, embedding each unitary
-    /// to device dimensions and classifying its [`waltz_sim::GateKernel`].
+    /// to device dimensions and classifying its [`waltz_sim::GateKernel`];
+    /// when the analysis kept more than one window, also the windowed
+    /// segments on the same timeline.
     Schedule,
-    /// Gate fusion of the simulation schedule
-    /// ([`waltz_sim::TimedCircuit::fuse_with`]); a no-op pass when the
-    /// options disable fusion.
+    /// Gate fusion of the simulation schedule, once per segment
+    /// ([`waltz_sim::SegmentedCircuit::fuse_with_cache`]); a no-op pass
+    /// when the options disable fusion. Its report counts the ops and
+    /// start times of the schedule simulations run.
     Fuse,
     /// Final lowering into the simulation-ready artifact: the coherence
     /// timeline (§6.3) and aggregate statistics.
@@ -158,10 +161,11 @@ fn predict_sparse_peak_nnz(compiled: &crate::compile::CompiledCircuit) -> usize 
     peak.min(usize::MAX as u128) as usize
 }
 
-/// Number of distinct pulse start times — the scheduled analogue of
-/// circuit depth.
-fn schedule_depth(timed: &TimedCircuit) -> usize {
-    let mut starts: Vec<u64> = timed.ops.iter().map(|op| op.start_ns.to_bits()).collect();
+/// Number of distinct op start times across a schedule's segments (one
+/// shared timeline) — the scheduled analogue of circuit depth.
+fn schedule_depth<'a>(schedule: impl Into<Schedule<'a>>) -> usize {
+    let ops = schedule.into().segments().iter().flat_map(|s| &s.ops);
+    let mut starts: Vec<u64> = ops.map(|op| op.start_ns.to_bits()).collect();
     starts.sort_unstable();
     starts.dedup();
     starts.len()
@@ -525,10 +529,13 @@ impl Compiler {
         });
 
         // -- Schedule -----------------------------------------------------
+        // The hardware schedule, plus the windowed segments when the
+        // analysis kept more than one window; an unsplit program
+        // simulates `timed` itself.
         begin_pass(Pass::Schedule, deadline, budget_ms)?;
         let t0 = Instant::now();
         let timed = out.prog.schedule(lib);
-        let windowed_raw = windowed_active.then(|| out.prog.schedule_windowed(lib, &windows));
+        let windowed = windowed_active.then(|| out.prog.schedule_windowed(lib, &windows));
         let timed_depth = schedule_depth(&timed);
         reports.push(PassReport {
             pass: Pass::Schedule,
@@ -544,20 +551,23 @@ impl Compiler {
         });
 
         // -- Fuse ---------------------------------------------------------
+        // The simulation schedule fuses once, per segment (never across a
+        // reshape boundary), sharing the compiler-wide block cache. Only
+        // an unfused, unsplit compile copies `timed`.
         begin_pass(Pass::Fuse, deadline, budget_ms)?;
         let t0 = Instant::now();
-        let fused = match self.options.fusion {
-            Fusion::Off => None,
-            Fusion::TwoQudit => Some(timed.fuse_with_cache(&self.fuse, &self.fuse_cache)),
+        let sim = match (self.options.fusion, windowed) {
+            (Fusion::Off, Some(windowed)) => windowed,
+            (Fusion::Off, None) => SegmentedCircuit::single(timed.clone()),
+            (Fusion::TwoQudit, Some(windowed)) => {
+                windowed.fuse_with_cache(&self.fuse, &self.fuse_cache)
+            }
+            (Fusion::TwoQudit, None) => {
+                SegmentedCircuit::single(timed.fuse_with_cache(&self.fuse, &self.fuse_cache))
+            }
         };
-        // The windowed schedule fuses per segment (never across a reshape
-        // boundary), sharing the compiler-wide block cache.
-        let windowed = windowed_raw.map(|seg| match self.options.fusion {
-            Fusion::Off => seg,
-            Fusion::TwoQudit => seg.fuse_with_cache(&self.fuse, &self.fuse_cache),
-        });
-        let sim_ops = fused.as_ref().map_or(timed.len(), TimedCircuit::len);
-        let sim_depth = fused.as_ref().map_or(timed_depth, schedule_depth);
+        let sim_ops = sim.len();
+        let sim_depth = schedule_depth(&sim);
         reports.push(PassReport {
             pass: Pass::Fuse,
             wall_ms: t0.elapsed().as_secs_f64() * 1e3,
@@ -607,8 +617,7 @@ impl Compiler {
         };
         let compiled = CompiledCircuit {
             timed,
-            fused,
-            windowed,
+            sim,
             strategy,
             initial_sites: out.initial_sites,
             final_sites: out.final_sites,
@@ -964,9 +973,8 @@ mod tests {
             segments
         );
         // The artifact carries the matching segmented schedule.
-        let windowed = artifact.sim_segments().expect("windowed schedule");
-        assert_eq!(windowed.n_segments(), segments);
-        assert_eq!(windowed.peak_state_bytes(), peak);
+        assert_eq!(artifact.sim.n_segments(), segments);
+        assert_eq!(artifact.sim.peak_state_bytes(), peak);
     }
 
     #[test]
@@ -977,7 +985,7 @@ mod tests {
             CompileOptions::default().with_windowed_registers(false),
         );
         let artifact = compiler.compile(&circuit).unwrap();
-        assert!(artifact.sim_segments().is_none());
+        assert!(!artifact.sim_schedule().is_split());
         let analyze = artifact.report(Pass::Analyze);
         assert_eq!(analyze.diagnostic("windowed").unwrap(), "false");
         assert_eq!(analyze.diagnostic("segments").unwrap(), "1");
@@ -988,7 +996,7 @@ mod tests {
         )
         .compile(&circuit)
         .unwrap();
-        assert!(padded.sim_segments().is_none());
+        assert!(!padded.sim_schedule().is_split());
     }
 
     #[test]
@@ -998,7 +1006,7 @@ mod tests {
             CompileOptions::unfused(),
         );
         let artifact = compiler.compile(&small_circuit()).unwrap();
-        assert!(artifact.fused.is_none());
+        assert_eq!(artifact.sim.len(), artifact.timed.len());
         let fuse = artifact.report(Pass::Fuse);
         assert_eq!(fuse.ops_in, fuse.ops_out);
         assert_eq!(fuse.diagnostic("enabled").unwrap(), "false");
@@ -1014,7 +1022,7 @@ mod tests {
         assert_eq!(compiler.fuse_options().sweep_fixed, 256);
         assert_eq!(compiler.fuse_options().max_block_span, 3);
         let artifact = compiler.compile(&small_circuit()).unwrap();
-        for op in &artifact.sim_circuit().ops {
+        for op in artifact.sim.segments.iter().flat_map(|s| &s.ops) {
             let span = op.noise_events.as_ref().map_or(1, Vec::len);
             assert!(span <= 3, "block spans {span} pulses");
         }
@@ -1107,8 +1115,7 @@ mod tests {
             "recompiling the same circuit must hit the cache"
         );
         // Cache hits are bit-identical.
-        let a = first.sim_circuit();
-        let b = second.sim_circuit();
+        let (a, b) = (&first.sim.segments[0], &second.sim.segments[0]);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.ops.iter().zip(&b.ops) {
             assert_eq!(x.unitary, y.unitary);
@@ -1142,7 +1149,7 @@ mod tests {
             let got = got.as_ref().unwrap();
             assert_eq!(got.timed.len(), want.timed.len());
             assert_eq!(got.timed.register.dims(), want.timed.register.dims());
-            assert_eq!(got.sim_circuit().len(), want.sim_circuit().len());
+            assert_eq!(got.sim.len(), want.sim.len());
         }
     }
 

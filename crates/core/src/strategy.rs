@@ -11,12 +11,12 @@
 /// (gather-once/apply-many, SU(4) block compilation in the spirit of
 /// Zulehner & Wille), then re-classifies each block through the
 /// [`waltz_sim::GateKernel`] probes so structured runs keep their cheap
-/// apply paths. The fused schedule lives in
-/// [`crate::CompiledCircuit::fused`] next to the untouched hardware
-/// schedule: gate EPS, pulse statistics and the coherence timeline are
-/// always computed from the real pulses, while trajectory simulation
-/// picks the fused program up through
-/// [`crate::CompiledCircuit::sim_circuit`]. Fused blocks replay their
+/// apply paths. The fused schedule is the artifact's simulation
+/// schedule ([`crate::CompiledCircuit::sim`], fused per segment) next to
+/// the untouched hardware schedule: gate EPS, pulse statistics and the
+/// coherence timeline are always computed from the real pulses, while
+/// every simulation runs the fused program
+/// ([`crate::CompiledCircuit::sim_schedule`]). Fused blocks replay their
 /// constituents' error channels per pulse
 /// ([`waltz_sim::NoiseEvent`]), so noiseless outputs are bit-compatible
 /// (pinned at 1e-12 by the fusion parity suite) and noisy estimates are

@@ -41,7 +41,7 @@ use waltz_circuit::Circuit;
 use crate::artifact::CompileArtifact;
 use crate::compile::CompileError;
 use crate::pipeline::{Compiler, Pass};
-use crate::strategy::{CompileOptions, Fusion};
+use crate::strategy::CompileOptions;
 
 thread_local! {
     /// The pass currently running on this thread, so a supervisor's
@@ -578,10 +578,6 @@ impl Supervisor {
         report
     }
 }
-
-// Degradation rungs disable fusion only on the safe pipeline; keep the
-// import used in all configurations.
-const _: Fusion = Fusion::Off;
 
 #[cfg(test)]
 mod tests {

@@ -11,8 +11,11 @@
 //! Every compiled estimate is an end-to-end check too:
 //! [`CompiledCircuit::estimator`] scores each trajectory against the
 //! source circuit run on the trajectory's own logical input, so a noise-off
-//! estimate is 1 only if the *simulation* schedule (fused, windowed)
-//! implements the circuit, at every size the simulator can run.
+//! estimate is 1 only if the *simulation* schedule
+//! ([`CompiledCircuit::sim`]: fused, and windowed when the analysis split
+//! the program) implements the circuit, at every size the simulator can
+//! run. Between them the two checks cover both programs an artifact
+//! carries.
 
 use rand::rngs::StdRng;
 use rand::Rng;

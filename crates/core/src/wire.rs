@@ -287,8 +287,7 @@ impl Decode for TopologySpec {
 impl Encode for CompiledCircuit {
     fn encode(&self, w: &mut ByteWriter) {
         self.timed.encode(w);
-        self.fused.encode(w);
-        self.windowed.encode(w);
+        self.sim.encode(w);
         self.strategy.encode(w);
         self.initial_sites.encode(w);
         self.final_sites.encode(w);
@@ -303,8 +302,7 @@ impl Decode for CompiledCircuit {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
         let compiled = CompiledCircuit {
             timed: Decode::decode(r)?,
-            fused: Option::decode(r)?,
-            windowed: Option::decode(r)?,
+            sim: Decode::decode(r)?,
             strategy: Strategy::decode(r)?,
             initial_sites: Vec::decode(r)?,
             final_sites: Vec::decode(r)?,

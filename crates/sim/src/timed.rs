@@ -952,23 +952,11 @@ impl SegmentedCircuit {
         Ok(())
     }
 
-    /// Per-segment gate fusion: [`TimedCircuit::fuse`] applied inside
-    /// each segment independently. Fusion never crosses a reshape
-    /// boundary — a block's unitary lives on one register, and the
-    /// registers differ across the boundary by construction.
-    #[must_use]
-    pub fn fuse(&self) -> SegmentedCircuit {
-        self.fuse_with(&FuseOptions::default())
-    }
-
-    /// [`SegmentedCircuit::fuse`] with explicit cost-model constants.
-    #[must_use]
-    pub fn fuse_with(&self, opts: &FuseOptions) -> SegmentedCircuit {
-        self.fuse_with_cache(opts, &FuseCache::new())
-    }
-
-    /// [`SegmentedCircuit::fuse_with`] memoizing block products in a
-    /// caller-owned [`FuseCache`]. The cache key carries the block's
+    /// Per-segment gate fusion: [`TimedCircuit::fuse_with_cache`]
+    /// applied inside each segment independently. Fusion never crosses a
+    /// reshape boundary — a block's unitary lives on one register, and
+    /// the registers differ across the boundary by construction. The
+    /// cache key carries the block's
     /// operand dimensions *in the segment's register* (the `dims` field
     /// of the internal block key), so the same gate run fused in a dim-4
     /// window and in a demoted dim-2 segment occupies two distinct
@@ -1432,7 +1420,7 @@ mod tests {
     #[test]
     fn segmented_fuse_never_crosses_a_boundary() {
         let seg = segmented_fixture();
-        let fused = seg.fuse();
+        let fused = seg.fuse_with_cache(&FuseOptions::default(), &FuseCache::new());
         assert_eq!(fused.n_segments(), 2);
         // The two ops of the second segment fuse; the window op cannot
         // join them (different segment, different register).

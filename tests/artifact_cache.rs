@@ -15,7 +15,7 @@ use waltz_circuits::generalized_toffoli;
 use waltz_core::{
     ArtifactCache, CompileArtifact, Compiler, JobStatus, Pass, Strategy, Supervisor, Target,
 };
-use waltz_sim::ideal;
+use waltz_sim::{ideal, State};
 
 const TOL: f64 = 1e-12;
 
@@ -43,14 +43,15 @@ fn default_compiler(strategy: Strategy) -> Compiler {
 }
 
 /// Noiseless 1e-12 parity: same seeded product input through both
-/// artifacts' schedules, amplitude by amplitude.
+/// artifacts' simulation schedules, amplitude by amplitude.
 fn assert_noiseless_parity(a: &CompileArtifact, b: &CompileArtifact, seed: u64) {
-    let mut rng_a = StdRng::seed_from_u64(seed);
-    let mut rng_b = StdRng::seed_from_u64(seed);
-    let init_a = a.random_product_initial_state(&mut rng_a);
-    let init_b = b.random_product_initial_state(&mut rng_b);
-    let out_a = ideal::run(a.sim_circuit(), &init_a);
-    let out_b = ideal::run(b.sim_circuit(), &init_b);
+    let run = |artifact: &CompileArtifact| {
+        let schedule = artifact.sim_schedule();
+        let mut init = State::zero(schedule.first_register());
+        artifact.write_random_product_initial_state(&mut StdRng::seed_from_u64(seed), &mut init);
+        ideal::run(schedule, &init)
+    };
+    let (out_a, out_b) = (run(a), run(b));
     let (amps_a, amps_b) = (out_a.amplitudes(), out_b.amplitudes());
     assert_eq!(amps_a.len(), amps_b.len(), "register shape diverged");
     for (i, (&x, &y)) in amps_a.iter().zip(amps_b).enumerate() {
@@ -219,10 +220,7 @@ fn compile_shapes() -> Vec<String> {
         ] {
             let compiler = default_compiler(strategy);
             let artifact = compiler.compile(&circuit).unwrap();
-            let (sim_ops, segments) = match artifact.sim_segments() {
-                Some(seg) => (seg.len(), seg.n_segments()),
-                None => (artifact.sim_circuit().len(), 1),
-            };
+            let (sim_ops, segments) = (artifact.sim.len(), artifact.sim.n_segments());
             lines.push(format!(
                 "{name} {}: fingerprint {:016x} hw_ops {} sim_ops {sim_ops} segments {segments} \
                  peak_bytes {}",

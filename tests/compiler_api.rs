@@ -55,7 +55,10 @@ fn batch_equals_sequential_for_every_regime() {
                 .unwrap_or_else(|e| panic!("{}: batch circuit {i} failed: {e}", strategy.name()));
             let what = format!("{} circuit {i}", strategy.name());
             assert_timed_eq(&b.timed, &s.timed, &what);
-            assert_timed_eq(b.sim_circuit(), s.sim_circuit(), &format!("{what} (sim)"));
+            assert_eq!(b.sim.n_segments(), s.sim.n_segments(), "{what}: segments");
+            for (k, (x, y)) in b.sim.segments.iter().zip(&s.sim.segments).enumerate() {
+                assert_timed_eq(x, y, &format!("{what} (sim segment {k})"));
+            }
             assert_eq!(b.stats, s.stats, "{what}: stats");
             assert_eq!(b.initial_sites, s.initial_sites, "{what}: initial sites");
             assert_eq!(b.final_sites, s.final_sites, "{what}: final sites");
@@ -111,7 +114,7 @@ fn span_cap_bounds_blocks_through_the_whole_pipeline() {
             CompileOptions::default().with_max_fused_span(cap),
         );
         let artifact = compiler.compile(&circuit).unwrap();
-        for op in &artifact.sim_circuit().ops {
+        for op in artifact.sim.segments.iter().flat_map(|s| &s.ops) {
             let span = op.noise_events.as_ref().map_or(1, Vec::len);
             assert!(span <= cap, "cap {cap}: block spans {span} pulses");
         }

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use waltz_circuits::generalized_toffoli;
-use waltz_core::{Compiler, Strategy, Target};
+use waltz_core::{CompileArtifact, CompileOptions, Compiler, Strategy, Target};
 use waltz_math::{linalg, vector, Matrix, C64};
 use waltz_noise::{pauli, CoherenceModel, NoiseModel};
 use waltz_sim::{
@@ -488,21 +488,40 @@ fn assert_same_trajectory(got: &State, want: &State, rng_new: &mut StdRng, rng_r
     assert_eq!(rng_new.gen::<u64>(), rng_ref.gen::<u64>(), "RNG position");
 }
 
-#[test]
-fn cnu6q_trajectories_match_the_reference_runner() {
-    let noise = NoiseModel::paper();
-    let circuit = generalized_toffoli(3);
-    let strategies = [
+/// The three strategies' whole-program cnu-6q compiles (windowing off):
+/// each simulation schedule is one fused segment on `timed`'s register.
+fn cnu6q_artifacts() -> Vec<CompileArtifact> {
+    [
         Strategy::qubit_only(),
         Strategy::mixed_radix_ccz(),
         Strategy::full_ququart(),
-    ];
+    ]
+    .into_iter()
+    .map(|strategy| {
+        Compiler::with_options(
+            Target::paper(strategy),
+            CompileOptions::default().with_windowed_registers(false),
+        )
+        .compile(&generalized_toffoli(3))
+        .expect("compile cnu-6q")
+    })
+    .collect()
+}
+
+/// The one segment of a whole-program compile's simulation schedule.
+fn whole_program(artifact: &CompileArtifact) -> &TimedCircuit {
+    match artifact.sim.segments.as_slice() {
+        [single] => single,
+        _ => panic!("a whole-program compile has one segment"),
+    }
+}
+
+#[test]
+fn cnu6q_trajectories_match_the_reference_runner() {
+    let noise = NoiseModel::paper();
     let mut jumps = 0usize;
-    for strategy in strategies {
-        let artifact = Compiler::new(Target::paper(strategy))
-            .compile(&circuit)
-            .expect("compile cnu-6q");
-        let tc = artifact.sim_circuit();
+    for artifact in cnu6q_artifacts() {
+        let tc = whole_program(&artifact);
         let n = tc.register.n_qudits();
         let mut ws = Workspace::new();
         let mut session = Session::new(tc);
@@ -544,10 +563,8 @@ fn windowed_cnu6q_trajectories_match_the_reference_runner() {
     // reshapes its normalized state, the production runner its unscaled
     // amplitudes.
     let noise = NoiseModel::paper();
-    let artifact = Compiler::new(Target::paper(Strategy::mixed_radix_ccz()))
-        .compile(&generalized_toffoli(3))
-        .expect("compile cnu-6q");
-    let seg: &SegmentedCircuit = artifact.sim_segments().expect("mixed-radix cnu-6q windows");
+    let artifact = windowed_cnu6q();
+    let seg: &SegmentedCircuit = &artifact.sim;
     let n = seg.first_register().n_qudits();
     let mut ws = Workspace::new();
     let mut session = Session::new(seg);
@@ -606,28 +623,12 @@ fn short_t1_noise() -> NoiseModel {
     noise
 }
 
-/// The three strategies' cnu-6q compiles.
-fn cnu6q_artifacts() -> Vec<waltz_core::CompileArtifact> {
-    [
-        Strategy::qubit_only(),
-        Strategy::mixed_radix_ccz(),
-        Strategy::full_ququart(),
-    ]
-    .into_iter()
-    .map(|strategy| {
-        Compiler::new(Target::paper(strategy))
-            .compile(&generalized_toffoli(3))
-            .expect("compile cnu-6q")
-    })
-    .collect()
-}
-
 #[test]
 fn short_t1_cnu6q_trajectories_match_the_reference_runner() {
     let noise = short_t1_noise();
     let (mut runs, mut jumped) = (0usize, 0usize);
     for artifact in cnu6q_artifacts() {
-        let tc = artifact.sim_circuit();
+        let tc = whole_program(&artifact);
         let n = tc.register.n_qudits();
         let mut ws = Workspace::new();
         let mut session = Session::new(tc);
@@ -670,14 +671,11 @@ fn short_t1_cnu6q_trajectories_match_the_reference_runner() {
 }
 
 /// The windowed mixed-radix cnu-6q compile.
-fn windowed_cnu6q() -> waltz_core::CompileArtifact {
+fn windowed_cnu6q() -> CompileArtifact {
     let artifact = Compiler::new(Target::paper(Strategy::mixed_radix_ccz()))
         .compile(&generalized_toffoli(3))
         .expect("compile cnu-6q");
-    assert!(
-        artifact.sim_segments().is_some(),
-        "mixed-radix cnu-6q windows"
-    );
+    assert!(artifact.sim.n_segments() > 1, "mixed-radix cnu-6q windows");
     artifact
 }
 
@@ -689,7 +687,7 @@ fn windowed_runner_matches_the_reference_across_leaking_reshapes() {
     // unnormalized amplitudes with pending factors applied and must
     // weigh them alike, through the norm it records at the reshape.
     let artifact = windowed_cnu6q();
-    let seg = artifact.sim_segments().expect("windowed");
+    let seg = &artifact.sim;
     let n = seg.first_register().n_qudits();
     let mut ws = Workspace::new();
     let mut session = Session::new(seg);
@@ -848,7 +846,7 @@ fn scalar_ws(threshold: f64) -> Workspace {
 fn short_t1_adaptive_runners_equal_the_dense_runners_to_the_bit() {
     let noise = short_t1_noise();
     for artifact in cnu6q_artifacts() {
-        let tc = artifact.sim_circuit();
+        let tc = whole_program(&artifact);
         let mut dense = Session::new(tc);
         *dense.workspace_mut() = scalar_ws(0.0);
         let mut adaptive = Session::adaptive(tc, &SparsePolicy::default());
@@ -875,7 +873,7 @@ fn short_t1_adaptive_runners_equal_the_dense_runners_to_the_bit() {
     }
 
     let artifact = windowed_cnu6q();
-    let seg = artifact.sim_segments().expect("windowed");
+    let seg = &artifact.sim;
     let mut dense = Session::new(seg);
     *dense.workspace_mut() = scalar_ws(0.0);
     let first = seg.first_register();

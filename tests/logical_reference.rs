@@ -103,15 +103,12 @@ fn a_schedule_missing_an_op_scores_below_one_without_noise() {
         Strategy::full_ququart(),
     ] {
         let mut broken = compile(&circuit, strategy);
-        let segment = match (&mut broken.windowed, &mut broken.fused) {
-            (Some(windowed), _) => windowed
-                .segments
-                .iter_mut()
-                .max_by_key(|s| s.ops.len())
-                .expect("a segment"),
-            (None, Some(fused)) => fused,
-            (None, None) => &mut broken.timed,
-        };
+        let segment = broken
+            .sim
+            .segments
+            .iter_mut()
+            .max_by_key(|s| s.ops.len())
+            .expect("a segment");
         let middle = segment.ops.len() / 2;
         segment.ops.remove(middle);
         let estimate = broken.estimator(&noise).estimate(24, 5);

@@ -118,6 +118,45 @@ fn compile_stats_are_consistent() {
 }
 
 #[test]
+fn pass_reports_describe_the_schedule_that_runs() {
+    let mut cases = Vec::new();
+    for (name, circuit) in [
+        ("cnu-6q", generalized_toffoli(3)),
+        ("cnu-10q", generalized_toffoli(5)),
+    ] {
+        for strategy in [
+            Strategy::qubit_only(),
+            Strategy::mixed_radix_ccz(),
+            Strategy::full_ququart(),
+        ] {
+            cases.push((name, circuit.clone(), strategy));
+        }
+    }
+    cases.push(("qram(3)", qram(3), Strategy::mixed_radix_ccz()));
+    for (name, circuit, strategy) in cases {
+        let what = format!("{name} {}", strategy.name());
+        let compiled = Compiler::new(Target::paper(strategy))
+            .compile(&circuit)
+            .unwrap();
+        let segments = compiled.sim_schedule().segments();
+        let ops: usize = segments.iter().map(|s| s.len()).sum();
+        let mut starts: Vec<u64> = segments
+            .iter()
+            .flat_map(|s| s.ops.iter().map(|op| op.start_ns.to_bits()))
+            .collect();
+        starts.sort_unstable();
+        starts.dedup();
+        let fuse = compiled.report(Pass::Fuse);
+        assert_eq!(fuse.ops_in, compiled.timed.len(), "{what}: fuse ops_in");
+        assert_eq!(fuse.ops_out, ops, "{what}: fuse ops_out");
+        assert_eq!(fuse.depth_out, starts.len(), "{what}: fuse depth_out");
+        let lower = compiled.report(Pass::Lower);
+        assert_eq!(lower.ops_in, ops, "{what}: lower ops_in");
+        assert_eq!(lower.ops_out, ops, "{what}: lower ops_out");
+    }
+}
+
+#[test]
 fn empty_circuit_is_rejected() {
     let c = Circuit::new(0);
     assert!(Compiler::new(Target::paper(Strategy::qubit_only()))

@@ -20,11 +20,16 @@ use waltz_sim::{ideal, Register, State};
 
 const TOL: f64 = 1e-12;
 
-/// Compiles with the default (occupancy-demoted) and padded registers.
+/// Compiles with the occupancy-demoted and padded registers, both on one
+/// whole-program register (windowing off), so each simulation schedule
+/// is one fused segment on `timed`'s register.
 fn compile_both(circuit: &Circuit, strategy: Strategy) -> (CompileArtifact, CompileArtifact) {
-    let demoted = Compiler::new(Target::paper(strategy))
-        .compile(circuit)
-        .expect("demoted compile");
+    let demoted = Compiler::with_options(
+        Target::paper(strategy),
+        CompileOptions::default().with_windowed_registers(false),
+    )
+    .compile(circuit)
+    .expect("demoted compile");
     let padded = Compiler::with_options(
         Target::paper(strategy),
         CompileOptions::default().with_padded_registers(),
@@ -77,8 +82,8 @@ fn check_noiseless_parity(circuit: &Circuit, strategy: Strategy, seed: u64) {
         let mut rng_p = StdRng::seed_from_u64(seed ^ trial);
         let init_d = demoted.random_product_initial_state(&mut rng_d);
         let init_p = padded.random_product_initial_state(&mut rng_p);
-        let out_d = ideal::run(demoted.sim_circuit(), &init_d);
-        let out_p = ideal::run(padded.sim_circuit(), &init_p);
+        let out_d = ideal::run(demoted.sim_schedule(), &init_d);
+        let out_p = ideal::run(padded.sim_schedule(), &init_p);
         assert_states_match(
             &padded.timed.register,
             &demoted.timed.register,
@@ -132,10 +137,10 @@ fn cnu6q_noisy_parity_within_one_standard_error() {
     let noise = waltz_noise::NoiseModel::paper();
     let (demoted, padded) = compile_both(&circuit, Strategy::mixed_radix_ccz());
     let trajectories = 4000;
-    let est_d = Estimator::new(demoted.sim_circuit(), &noise)
+    let est_d = Estimator::new(demoted.sim_schedule(), &noise)
         .with_input(|_, rng, out| demoted.write_random_product_initial_state(rng, out))
         .estimate(trajectories, 11);
-    let est_p = Estimator::new(padded.sim_circuit(), &noise)
+    let est_p = Estimator::new(padded.sim_schedule(), &noise)
         .with_input(|_, rng, out| padded.write_random_product_initial_state(rng, out))
         .estimate(trajectories, 12);
     let spread = est_d.std_error + est_p.std_error;

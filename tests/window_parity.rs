@@ -93,7 +93,7 @@ fn check_noiseless_parity(circuit: &Circuit, strategy: Strategy, seed: u64) {
         let out_whole = {
             let mut init = State::zero(&whole.timed.register);
             whole.write_random_product_initial_state(&mut rng_whole, &mut init);
-            ideal::run(whole.sim_circuit(), &init)
+            ideal::run(whole.sim_schedule(), &init)
         };
         let out_win = {
             let schedule = windowed.sim_schedule();
@@ -121,10 +121,11 @@ fn cnu6q_windowed_vs_whole_noiseless_parity_at_1e12() {
 fn cnu6q_actually_windows_and_shrinks_the_peak() {
     let circuit = generalized_toffoli(3);
     let (windowed, whole) = compile_both(&circuit, Strategy::mixed_radix_ccz());
-    let segments = windowed
-        .sim_segments()
-        .expect("three disjoint ENC windows must be worth splitting");
-    assert!(segments.n_segments() > 1);
+    let segments = &windowed.sim;
+    assert!(
+        segments.n_segments() > 1,
+        "three disjoint ENC windows must be worth splitting"
+    );
     assert_eq!(segments.reshape_count(), segments.n_segments() - 1);
     assert!(
         segments.peak_state_bytes() < whole.timed.register.state_bytes(),
@@ -151,9 +152,8 @@ fn disjoint_windows_beat_whole_program_demotion() {
     // And the CSWAP-heavy QRAM fetch (2 address bits, 7 qubits).
     for circuit in [ladder, qram(2)] {
         let (windowed, whole) = compile_both(&circuit, Strategy::mixed_radix_ccz());
-        let segments = windowed
-            .sim_segments()
-            .expect("disjoint ENC windows must split");
+        let segments = &windowed.sim;
+        assert!(segments.n_segments() > 1, "disjoint ENC windows must split");
         assert!(
             segments.peak_state_bytes() < whole.timed.register.state_bytes(),
             "windowed peak {} !< whole-program {}",
@@ -182,8 +182,7 @@ fn calibrated_sweep_cost_merges_marginal_splits() {
             .compile(circuit)
             .expect("compile")
     };
-    let seg_count =
-        |artifact: &CompileArtifact| artifact.sim_segments().map_or(1, |s| s.n_segments());
+    let seg_count = |artifact: &CompileArtifact| artifact.sim.n_segments();
 
     let mut ladder = Circuit::new(6);
     ladder.ccz(0, 1, 2).ccz(3, 4, 5);
@@ -194,8 +193,9 @@ fn calibrated_sweep_cost_merges_marginal_splits() {
             "pure byte pricing must split the disjoint ENC windows"
         );
         let taxed = compile_fixed(&circuit, Some(1 << 30));
-        assert!(
-            taxed.sim_segments().is_none(),
+        assert_eq!(
+            seg_count(&taxed),
+            1,
             "a prohibitive fixed term must merge every boundary"
         );
         let default = compile_fixed(&circuit, None);
@@ -218,12 +218,13 @@ fn cnu6q_windowed_noisy_parity_within_one_standard_error() {
     let circuit = generalized_toffoli(3);
     let noise = waltz_noise::NoiseModel::paper();
     let (windowed, whole) = compile_both(&circuit, Strategy::mixed_radix_ccz());
-    let segments = windowed.sim_segments().expect("cnu-6q windows");
+    let segments = &windowed.sim;
+    assert!(segments.n_segments() > 1, "cnu-6q windows");
     let trajectories = 4000;
     let est_win = Estimator::new(segments, &noise)
         .with_input(|_, rng, out| windowed.write_random_product_initial_state(rng, out))
         .estimate(trajectories, 21);
-    let est_whole = Estimator::new(whole.sim_circuit(), &noise)
+    let est_whole = Estimator::new(whole.sim_schedule(), &noise)
         .with_input(|_, rng, out| whole.write_random_product_initial_state(rng, out))
         .estimate(trajectories, 22);
     let spread = est_win.std_error + est_whole.std_error;
@@ -347,7 +348,8 @@ proptest! {
         let windowed = Compiler::new(Target::paper(Strategy::mixed_radix_ccz()))
             .compile(&circuit)
             .expect("compile");
-        if let Some(segments) = windowed.sim_segments() {
+        let segments = &windowed.sim;
+        if segments.n_segments() > 1 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut state = State::zero(segments.first_register());
             windowed.write_random_product_initial_state(&mut rng, &mut state);
