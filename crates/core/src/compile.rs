@@ -332,7 +332,14 @@ impl CompiledCircuit {
 
     /// A product of Haar-random single-qubit states over the *logical*
     /// qubits, embedded at the compiler's initial placement — the random
-    /// inputs of the paper's §6.4 simulations.
+    /// inputs of the paper's §6.4 simulations — on `timed`'s register.
+    ///
+    /// `timed`'s register is not the input register of a split
+    /// simulation schedule, which [`crate::Simulation::run_trajectory`]
+    /// and [`crate::Simulation::run_ideal`] require: draw those inputs
+    /// with [`crate::Simulation::random_initial_state`], and embed a
+    /// chosen logical state with
+    /// [`CompiledCircuit::embed_logical_state_on`].
     pub fn random_product_initial_state<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> State {
         let mut out = State::zero(&self.timed.register);
         self.write_random_product_initial_state(rng, &mut out);
@@ -454,17 +461,62 @@ impl CompiledCircuit {
         counts
     }
 
-    /// Embeds an `n`-qubit logical state into the device register using the
-    /// given per-qubit sites (use [`CompiledCircuit::initial_sites`] to
-    /// prepare inputs, [`CompiledCircuit::final_sites`] to decode outputs).
+    /// Embeds an `n`-qubit logical state into `timed`'s register using
+    /// the given per-qubit sites (use [`CompiledCircuit::initial_sites`]
+    /// to prepare inputs, [`CompiledCircuit::final_sites`] to decode
+    /// outputs): [`CompiledCircuit::embed_logical_state_on`] at
+    /// `timed`'s register.
+    ///
+    /// A state on `timed`'s register is not an input of a split
+    /// simulation schedule: for [`crate::Simulation::run_trajectory`] and
+    /// [`crate::Simulation::run_ideal`], embed on
+    /// `sim_schedule().first_register()` with
+    /// [`CompiledCircuit::embed_logical_state_on`], or draw a random
+    /// input with [`crate::Simulation::random_initial_state`].
     ///
     /// # Panics
     ///
     /// Panics if `amps.len() != 2^n` with `n = sites.len()`.
     pub fn embed_logical_state(&self, amps: &[C64], sites: &[Site]) -> State {
+        self.embed_logical_state_on(&self.timed.register, amps, sites)
+    }
+
+    /// Embeds an `n`-qubit logical state into `register` using the given
+    /// per-qubit sites. `register` must span the compiled circuit's
+    /// devices with room for every level the sites address: `timed`'s
+    /// register, or the first register of the simulation schedule
+    /// (`sim_schedule().first_register()`), the input register of
+    /// [`crate::Simulation::run_trajectory`] and
+    /// [`crate::Simulation::run_ideal`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amps.len() != 2^n` with `n = sites.len()`, if
+    /// `register` spans a different device count than the compiled
+    /// circuit, or if it clips a level the sites address.
+    pub fn embed_logical_state_on(
+        &self,
+        register: &Register,
+        amps: &[C64],
+        sites: &[Site],
+    ) -> State {
         let n = sites.len();
         assert_eq!(amps.len(), 1usize << n, "logical amplitude count mismatch");
-        let register = &self.timed.register;
+        assert_eq!(
+            register.n_qudits(),
+            self.timed.register.n_qudits(),
+            "register does not span the compiled circuit's devices"
+        );
+        let mut top = vec![0usize; register.n_qudits()];
+        for &site in sites {
+            top[site.device] += self.site_weight(site);
+        }
+        for (device, &level) in top.iter().enumerate() {
+            assert!(
+                level < register.dim(device),
+                "register clips level {level} the sites address on device {device}"
+            );
+        }
         let mut out = vec![C64::ZERO; register.total_dim()];
         for (&amp, idx) in amps.iter().zip(self.site_map(sites, register)) {
             out[idx] = amp;

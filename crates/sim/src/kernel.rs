@@ -12,15 +12,40 @@
 //!   generalized Paulis: an in-place index remap along precomputed
 //!   permutation cycles.
 //! * [`GateKernel::SingleQudit`] / [`GateKernel::TwoQudit`] — small dense
-//!   blocks applied through unrolled stride-aware loops on stack buffers.
+//!   blocks applied through loops unrolled to their size.
 //! * [`GateKernel::GeneralDense`] — the fallback dense block matvec.
 //!
-//! All paths share one sweep over the configurations of the non-operand
-//! qudits, run on the caller's thread: the [`crate::TrajectoryPool`] is
-//! the simulator's parallelism, one trajectory per worker. Scratch that
-//! cannot live on the stack is borrowed from a reusable [`Workspace`] so
-//! steady-state trajectory simulation performs no heap allocation per
-//! gate.
+//! All paths share one run-major sweep over the configurations of the
+//! non-operand qudits, run on the caller's thread: the
+//! [`crate::TrajectoryPool`] is the simulator's parallelism, one
+//! trajectory per worker.
+//!
+//! # The sweep
+//!
+//! The non-operand qudits split into chains: the runs of consecutive
+//! non-operand qudits between operands. The lowest chain is the *run*,
+//! a flat loop whose configurations lie a fixed step apart (one
+//! contiguous span when the innermost qudit is not an operand). The
+//! chains above it are the digits of an odometer that steps once per
+//! run, its lowest digit counted apart so that a step without a carry
+//! touches no array. The layout (`Sweep`) is built once per apply.
+//!
+//! Each body hoists what the op fixes out of its loops. Diagonals and
+//! permutations go offset by offset and cycle by cycle over the whole
+//! sweep, with the offsets and phases held throughout. Dense blocks
+//! read their coefficients from the matrix in place. Structurally
+//! sparse blocks run over a list of their nonzeros built once per apply,
+//! so no test on a coefficient runs inside a sweep. The vector arms
+//! ([`crate::simd`]) are inlined per block size (dense 2, 4 and 8, tiles
+//! for 16 and up; sparse 4, 8 and 16), so their gather and row loops
+//! unroll. Every
+//! amplitude gets the same arithmetic in the same order as a
+//! configuration-at-a-time sweep; `tests/kernel_parity.rs` pins each
+//! arm to such a reference to the bit.
+//!
+//! Scratch that cannot live on the stack is borrowed from a reusable
+//! [`Workspace`] so steady-state trajectory simulation performs no heap
+//! allocation per gate.
 
 use waltz_math::structure::{self, MatrixStructure};
 use waltz_math::{Matrix, C64};
@@ -34,13 +59,14 @@ use crate::Register;
 /// at most `block * 1e-14 <= 6.4e-13`, inside the 1e-12 parity budget.
 pub const CLASSIFY_TOL: f64 = 1e-14;
 
-/// Largest dense block applied through stack buffers; bigger blocks fall
-/// back to a heap-allocating path (beyond any gate this workspace
-/// compiles — three ququart operands give a block of 64).
+/// Largest dense block applied through stack buffers (the vector arms,
+/// the sparse gather-scatter); bigger blocks — beyond any gate this
+/// workspace compiles, as three ququart operands give a block of 64 —
+/// run the scalar body over workspace scratch.
 pub(crate) const MAX_STACK_BLOCK: usize = 64;
 
-/// Largest two-qudit dense block (two ququarts) — the dedicated
-/// gather-once/apply-many path below uses scratch of exactly this size.
+/// Largest two-qudit dense block (two ququarts) classified as
+/// [`GateKernel::TwoQudit`].
 const MAX_TWO_QUDIT_BLOCK: usize = 16;
 
 /// The specialized apply strategy chosen for one gate matrix.
@@ -65,10 +91,9 @@ pub enum GateKernel {
         /// Cycle decomposition of `perm`.
         cycles: Vec<Vec<usize>>,
     },
-    /// Dense matrix on one qudit: unrolled stride loops for d = 2 and 4.
+    /// Dense matrix on one qudit: unrolled loops for d = 2 and 4.
     SingleQudit,
-    /// Dense matrix on two qudits with a block of at most 16: gathered
-    /// into a stack buffer per configuration.
+    /// Dense matrix on two qudits with a block of at most 16.
     TwoQudit,
     /// No exploitable structure (or more than two operands): dense block
     /// matvec.
@@ -143,8 +168,12 @@ fn cycles_of(perm: &[usize], phases: &[C64]) -> Vec<Vec<usize>> {
 pub struct Workspace {
     /// Amplitude offset of each operand-block configuration.
     pub(crate) offsets: Vec<usize>,
-    /// Non-operand qudit indices of the current sweep.
-    pub(crate) others: Vec<usize>,
+    /// Structural nonzeros of the current dense block (see
+    /// [`Nonzeros`]).
+    pub(crate) nz_entries: Vec<(usize, C64)>,
+    pub(crate) nz_ends: Vec<usize>,
+    /// Gathered block of the scalar dense body.
+    pub(crate) scratch: Vec<C64>,
     /// Per-qudit busy-until times (trajectory runner).
     pub(crate) free_at: Vec<f64>,
     /// No-jump damping factors the running trajectory has not applied
@@ -172,7 +201,9 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace {
             offsets: Vec::new(),
-            others: Vec::new(),
+            nz_entries: Vec::new(),
+            nz_ends: Vec::new(),
+            scratch: Vec::new(),
             free_at: Vec::new(),
             pending: Pending::default(),
             steps: StepTables::default(),
@@ -258,24 +289,28 @@ impl Default for Workspace {
 
 /// Fills `offsets` with the amplitude offset of every operand-block
 /// configuration (last operand least significant) and returns the block
-/// size.
+/// size. The offsets are counted up digit by digit, with no division.
 pub(crate) fn compute_offsets(
     reg: &Register,
     operands: &[usize],
     offsets: &mut Vec<usize>,
 ) -> usize {
     let block: usize = operands.iter().map(|&q| reg.dim(q)).product();
+    assert!(operands.len() <= MAX_QUDITS, "too many operands");
     offsets.clear();
-    offsets.resize(block, 0);
-    for (sub, off) in offsets.iter_mut().enumerate() {
-        let mut rem = sub;
-        let mut acc = 0usize;
-        for &q in operands.iter().rev() {
-            let d = reg.dim(q);
-            acc += (rem % d) * reg.stride(q);
-            rem /= d;
+    let mut digits = [0usize; MAX_QUDITS];
+    let mut off = 0usize;
+    for _ in 0..block {
+        offsets.push(off);
+        for (pos, &q) in operands.iter().enumerate().rev() {
+            digits[pos] += 1;
+            off += reg.stride(q);
+            if digits[pos] < reg.dim(q) {
+                break;
+            }
+            off -= digits[pos] * reg.stride(q);
+            digits[pos] = 0;
         }
-        *off = acc;
     }
     block
 }
@@ -285,49 +320,142 @@ pub(crate) fn compute_offsets(
 /// reach.
 pub(crate) const MAX_QUDITS: usize = 64;
 
-/// Calls `f(base)` for every position of a mixed-radix counter over
-/// `dims` (last digit fastest) with per-digit strides, walking the bases
-/// incrementally (amortized O(1) per step, no divisions in the loop).
-/// Shared by the scalar sweep bodies and the vector arms in
-/// [`crate::simd`], whose paired layouts substitute their own
-/// dims/strides; `#[inline(always)]` so it specializes into the
-/// `#[target_feature]` callers.
-#[inline(always)]
-pub(crate) fn walk_bases(dims: &[usize], strides: &[usize], mut f: impl FnMut(usize)) {
-    assert!(dims.len() <= MAX_QUDITS, "register too large for sweep");
-    let mut counter = [0usize; MAX_QUDITS];
-    let mut base = 0usize;
-    for _ in 0..dims.iter().product::<usize>() {
-        f(base);
-        let mut pos = dims.len();
-        loop {
-            if pos == 0 {
-                break;
+/// Most chains of non-operand qudits a sweep can have: one more than
+/// its operands. Sixteen operands of dimension >= 2 already need a
+/// 2^16-dimensional matrix (64 GiB dense), far past any gate the
+/// simulator can hold.
+const MAX_CHAINS: usize = 16;
+
+/// The run-major layout of one sweep over the configurations of the
+/// non-operand qudits.
+///
+/// The non-operand qudits split into *chains*: maximal runs of
+/// consecutive non-operand qudits between operands. A chain is one
+/// digit of `dim = ∏ dims` at the stride of its least significant
+/// qudit. The lowest chain is the *run*: its `run` configurations lie
+/// `step` amplitudes apart — one contiguous span when the innermost
+/// qudit is not an operand. Only the chains above it form an odometer,
+/// and [`Sweep::bases`] steps it once per run, so every sweep body is
+/// a flat loop over a run inside a short outer walk.
+#[derive(Debug)]
+pub(crate) struct Sweep {
+    /// Outer digits (the chains above the run), most significant first.
+    dims: [usize; MAX_CHAINS],
+    strides: [usize; MAX_CHAINS],
+    digits: usize,
+    /// Runs in the sweep: the product of the outer digits.
+    runs: usize,
+    /// Configurations per run.
+    pub(crate) run: usize,
+    /// Amplitudes between consecutive configurations of a run.
+    pub(crate) step: usize,
+    /// Whether the vector arms take the sweep: the innermost qudit is
+    /// not an operand and has even dimension, so every run is a
+    /// contiguous span of an even number of amplitudes.
+    pub(crate) pairs: bool,
+}
+
+impl Sweep {
+    /// The layout of a sweep of `reg` around `operands`.
+    pub(crate) fn new(reg: &Register, operands: &[usize]) -> Sweep {
+        let n = reg.n_qudits();
+        assert!(n <= MAX_QUDITS, "register too large for sweep");
+        let operand_mask = operands.iter().fold(0u64, |m, &q| m | 1 << q);
+        let mut dims = [0usize; MAX_CHAINS];
+        let mut strides = [0usize; MAX_CHAINS];
+        let mut chains = 0usize;
+        let mut open = false;
+        for q in 0..n {
+            if operand_mask & (1 << q) != 0 {
+                open = false;
+                continue;
             }
-            pos -= 1;
-            counter[pos] += 1;
-            base += strides[pos];
-            if counter[pos] < dims[pos] {
-                break;
+            if !open {
+                assert!(chains < MAX_CHAINS, "too many operands for sweep");
+                dims[chains] = 1;
+                chains += 1;
+                open = true;
             }
-            counter[pos] = 0;
-            base -= dims[pos] * strides[pos];
+            dims[chains - 1] *= reg.dim(q);
+            strides[chains - 1] = reg.stride(q);
+        }
+        let (run, step) = match chains {
+            0 => (1, 1),
+            _ => {
+                chains -= 1;
+                (dims[chains], strides[chains])
+            }
+        };
+        Sweep {
+            dims,
+            strides,
+            digits: chains,
+            runs: dims[..chains].iter().product(),
+            run,
+            step,
+            pairs: open && reg.dim(n - 1).is_multiple_of(2),
+        }
+    }
+
+    /// The amplitude offset of the first configuration of every run.
+    pub(crate) fn bases(&self) -> Bases<'_> {
+        let (low_dim, low_stride) = match self.digits {
+            0 => (1, 0),
+            d => (self.dims[d - 1], self.strides[d - 1]),
+        };
+        Bases {
+            sweep: self,
+            low: 0,
+            low_dim,
+            low_stride,
+            counter: [0; MAX_CHAINS],
+            base: 0,
+            left: self.runs,
         }
     }
 }
 
-/// Calls `f(base)` with the base amplitude offset of every configuration
-/// of the non-operand qudits `others`, via [`walk_bases`].
-fn sweep(reg: &Register, others: &[usize], f: impl FnMut(usize)) {
-    assert!(others.len() <= MAX_QUDITS, "register too large for sweep");
-    let mut dims = [0usize; MAX_QUDITS];
-    let mut strides = [0usize; MAX_QUDITS];
-    for (slot, &q) in others.iter().enumerate() {
-        dims[slot] = reg.dim(q);
-        strides[slot] = reg.stride(q);
+/// The odometer behind [`Sweep::bases`]: amortized O(1) per run, no
+/// division. The lowest outer digit is counted apart from the others,
+/// so a step that does not carry touches no array.
+pub(crate) struct Bases<'a> {
+    sweep: &'a Sweep,
+    low: usize,
+    low_dim: usize,
+    low_stride: usize,
+    counter: [usize; MAX_CHAINS],
+    base: usize,
+    left: usize,
+}
+
+impl Iterator for Bases<'_> {
+    type Item = usize;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let base = self.base;
+        self.low += 1;
+        self.base += self.low_stride;
+        if self.low == self.low_dim {
+            self.low = 0;
+            self.base -= self.low_dim * self.low_stride;
+            let s = self.sweep;
+            for pos in (0..s.digits.saturating_sub(1)).rev() {
+                self.counter[pos] += 1;
+                self.base += s.strides[pos];
+                if self.counter[pos] < s.dims[pos] {
+                    break;
+                }
+                self.counter[pos] = 0;
+                self.base -= s.dims[pos] * s.strides[pos];
+            }
+        }
+        Some(base)
     }
-    let n = others.len();
-    walk_bases(&dims[..n], &strides[..n], f);
 }
 
 /// Raw amplitude pointer the sweep bodies read and write through. Every
@@ -347,6 +475,41 @@ impl SharedAmps {
     pub(crate) unsafe fn at(self, idx: usize) -> *mut C64 {
         unsafe { self.0.add(idx) }
     }
+}
+
+/// The structural nonzeros of a dense block, row by row: row `r`'s
+/// `(column, coefficient)` pairs are `entries[ends[r - 1]..ends[r]]`,
+/// in ascending column order.
+#[derive(Clone, Copy)]
+pub(crate) struct Nonzeros<'a> {
+    pub(crate) entries: &'a [(usize, C64)],
+    pub(crate) ends: &'a [usize],
+}
+
+/// Lists the nonzeros of the row-major `block × block` matrix `m` into
+/// the workspace buffers, or returns `None` when it has no zero (a fully
+/// dense block).
+fn nonzeros<'a>(
+    m: &[C64],
+    block: usize,
+    entries: &'a mut Vec<(usize, C64)>,
+    ends: &'a mut Vec<usize>,
+) -> Option<Nonzeros<'a>> {
+    if !m.contains(&C64::ZERO) {
+        return None;
+    }
+    entries.clear();
+    ends.clear();
+    for row in m.chunks_exact(block) {
+        entries.extend(
+            row.iter()
+                .enumerate()
+                .filter(|(_, &c)| c != C64::ZERO)
+                .map(|(col, &c)| (col, c)),
+        );
+        ends.push(entries.len());
+    }
+    Some(Nonzeros { entries, ends })
 }
 
 /// Applies `kernel` (classified from `u`) to the operand qudits of a raw
@@ -386,16 +549,12 @@ pub(crate) fn apply(
         return apply_diagonal_single(amps, reg, phases, *q, ws.simd);
     }
 
-    ws.others.clear();
-    ws.others
-        .extend((0..reg.n_qudits()).filter(|q| !operands.contains(q)));
     let block = compute_offsets(reg, operands, &mut ws.offsets);
+    let sweep = Sweep::new(reg, operands);
     let shared = SharedAmps(amps.as_mut_ptr());
     let offsets: &[usize] = &ws.offsets;
-    let others: &[usize] = &ws.others;
     let ctx = simd::SweepCtx {
-        reg,
-        others,
+        sweep: &sweep,
         offsets,
         shared,
         level: ws.simd,
@@ -407,187 +566,207 @@ pub(crate) fn apply(
             if simd::diag_sweep(&ctx, phases) {
                 return;
             }
-            // SAFETY: every base + offset is in bounds (see SharedAmps).
-            sweep(reg, others, |base| unsafe {
-                for (sub, &off) in offsets.iter().enumerate() {
-                    let p = shared.at(base + off);
-                    *p *= phases[sub];
+            // Configuration by configuration: on an op whose innermost
+            // qudit is an operand, a pass per offset would stride over
+            // every cache line of the state once per offset.
+            for base in sweep.bases() {
+                for k in 0..sweep.run {
+                    let b = base + k * sweep.step;
+                    for (&off, &phase) in offsets.iter().zip(phases) {
+                        // SAFETY: every base + offset is in bounds (see SharedAmps).
+                        unsafe { *shared.at(b + off) *= phase };
+                    }
                 }
-            });
+            }
         }
         GateKernel::Permutation { cycles, phases, .. } => {
             if simd::perm_sweep(&ctx, cycles, phases) {
                 return;
             }
-            // SAFETY: every base + offset is in bounds (see SharedAmps).
-            sweep(reg, others, |base| unsafe {
-                for cycle in cycles {
-                    walk_cycle(shared, base, offsets, cycle, phases);
-                }
-            });
+            for cycle in cycles {
+                // SAFETY: every base + offset is in bounds (see SharedAmps).
+                unsafe { walk_cycle(shared, &sweep, offsets, cycle, phases) };
+            }
         }
-        GateKernel::SingleQudit if u.rows() == 2 => {
-            if simd::dense_sweep(&ctx, u.as_slice(), false) {
+        GateKernel::SingleQudit | GateKernel::TwoQudit | GateKernel::GeneralDense => {
+            let m = u.as_slice();
+            let nz = nonzeros(m, block, &mut ws.nz_entries, &mut ws.nz_ends);
+            if simd::dense_sweep(&ctx, m, nz) {
                 return;
             }
-            let m = u.as_slice();
-            let (m00, m01, m10, m11) = (m[0], m[1], m[2], m[3]);
+            match (kernel, block) {
+                (GateKernel::SingleQudit, 2) => single_qubit_sweep(&sweep, shared, offsets, m),
+                (GateKernel::SingleQudit, 4) => single_ququart_sweep(&sweep, shared, offsets, m),
+                _ => dense_block_sweep(&sweep, shared, offsets, m, nz, &mut ws.scratch),
+            }
+        }
+    }
+}
+
+/// Scalar 2×2 block: `m00 * a0 + m01 * a1` per output, the coefficients
+/// and offsets held in locals for the whole sweep.
+fn single_qubit_sweep(sweep: &Sweep, shared: SharedAmps, offsets: &[usize], m: &[C64]) {
+    let (m00, m01, m10, m11) = (m[0], m[1], m[2], m[3]);
+    let (o0, o1) = (offsets[0], offsets[1]);
+    for base in sweep.bases() {
+        for k in 0..sweep.run {
+            let b = base + k * sweep.step;
             // SAFETY: every base + offset is in bounds (see SharedAmps).
-            sweep(reg, others, |base| unsafe {
-                let p0 = shared.at(base + offsets[0]);
-                let p1 = shared.at(base + offsets[1]);
+            unsafe {
+                let p0 = shared.at(b + o0);
+                let p1 = shared.at(b + o1);
                 let (a0, a1) = (*p0, *p1);
                 *p0 = m00 * a0 + m01 * a1;
                 *p1 = m10 * a0 + m11 * a1;
-            });
-        }
-        GateKernel::SingleQudit if u.rows() == 4 => {
-            if simd::dense_sweep(&ctx, u.as_slice(), false) {
-                return;
             }
-            let mut m = [C64::ZERO; 16];
-            m.copy_from_slice(u.as_slice());
-            // SAFETY: every base + offset is in bounds (see SharedAmps).
-            sweep(reg, others, |base| unsafe {
-                let p0 = shared.at(base + offsets[0]);
-                let p1 = shared.at(base + offsets[1]);
-                let p2 = shared.at(base + offsets[2]);
-                let p3 = shared.at(base + offsets[3]);
-                let (a0, a1, a2, a3) = (*p0, *p1, *p2, *p3);
-                *p0 = m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3;
-                *p1 = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
-                *p2 = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
-                *p3 = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
-            });
-        }
-        GateKernel::TwoQudit if block <= MAX_TWO_QUDIT_BLOCK => {
-            // Gather-once/apply-many two-qudit path: the vector arm
-            // cache-blocks pair-units into an L1-resident tile; the
-            // scalar form is one shared dense sweep body with the stack
-            // scratch sized to the 16-wide blocks the fusion layer
-            // produces instead of the 64-wide general buffer.
-            if simd::dense_sweep(&ctx, u.as_slice(), true) {
-                return;
-            }
-            dense_block_sweep::<MAX_TWO_QUDIT_BLOCK>(reg, others, shared, offsets, u);
-        }
-        GateKernel::SingleQudit | GateKernel::TwoQudit | GateKernel::GeneralDense
-            if block <= MAX_STACK_BLOCK =>
-        {
-            if simd::dense_sweep(&ctx, u.as_slice(), false) {
-                return;
-            }
-            dense_block_sweep::<MAX_STACK_BLOCK>(reg, others, shared, offsets, u);
-        }
-        _ => {
-            // Oversized dense block: heap-scratch fallback.
-            let mut state = vec![C64::ZERO; block];
-            sweep(reg, others, |base| {
-                for (sub, &off) in offsets.iter().enumerate() {
-                    state[sub] = amps[base + off];
-                }
-                for (row, &off) in offsets.iter().enumerate() {
-                    let mut acc = C64::ZERO;
-                    for (col, &amp) in state.iter().enumerate() {
-                        let coeff = u[(row, col)];
-                        if coeff != C64::ZERO {
-                            acc += coeff * amp;
-                        }
-                    }
-                    amps[base + off] = acc;
-                }
-            });
         }
     }
 }
 
-/// Dense block matvec through a `CAP`-sized stack buffer: each amplitude
-/// group is gathered exactly once per sweep, the (often fused) dense
-/// block applied from the buffer, and the results scattered back.
+/// Scalar 4×4 block: each output the left-to-right sum of its four
+/// products.
+fn single_ququart_sweep(sweep: &Sweep, shared: SharedAmps, offsets: &[usize], m: &[C64]) {
+    let mut c = [C64::ZERO; 16];
+    c.copy_from_slice(m);
+    let o: [usize; 4] = offsets.try_into().expect("4 offsets");
+    for base in sweep.bases() {
+        for k in 0..sweep.run {
+            let b = base + k * sweep.step;
+            // SAFETY: every base + offset is in bounds (see SharedAmps).
+            unsafe {
+                let p = o.map(|off| shared.at(b + off));
+                let a = p.map(|p| *p);
+                for (row, &pr) in p.iter().enumerate() {
+                    let r = &c[4 * row..4 * row + 4];
+                    *pr = r[0] * a[0] + r[1] * a[1] + r[2] * a[2] + r[3] * a[3];
+                }
+            }
+        }
+    }
+}
+
+/// Dense block matvec: each configuration's block is gathered once into
+/// `scratch`, every row accumulated from zero in column order, and the
+/// results scattered back.
 ///
-/// Two inner loops, chosen by one scan of the matrix per apply (256
-/// comparisons, amortized over thousands of configurations): matrices
-/// with structural zeros — embedded qubit gates on ququart pairs are
-/// mostly zeros — keep the per-coefficient skip, while *fully dense*
-/// blocks (Haar unitaries, fused products) run a branchless
-/// multiply-accumulate chain. The branchless form is what fixed the
-/// `gate_apply_4pow8.two-qudit` regression: the always-taken zero test
-/// cost more than it saved and blocked FMA fusion, leaving the
-/// specialized path slower than the generic dense reference (0.78x in
-/// `BENCH_sim.json` v4); dropping it makes the two-qudit arm beat the
-/// reference again on both plain and `target-cpu=native` builds.
-fn dense_block_sweep<const CAP: usize>(
-    reg: &Register,
-    others: &[usize],
+/// Fully dense blocks (Haar unitaries, fused products) run a branchless
+/// multiply-accumulate chain over every column. Blocks with structural
+/// zeros — embedded qubit gates on ququart pairs are mostly zeros — run
+/// over their [`Nonzeros`] list instead, which skips exactly the zero
+/// coefficients without a test inside the sweep. The branchless form is
+/// what fixed the `gate_apply_4pow8.two-qudit` regression: an
+/// always-taken zero test cost more than it saved (0.78x in
+/// `BENCH_sim.json` v4).
+fn dense_block_sweep(
+    sweep: &Sweep,
     shared: SharedAmps,
     offsets: &[usize],
-    u: &Matrix,
+    m: &[C64],
+    nz: Option<Nonzeros<'_>>,
+    scratch: &mut Vec<C64>,
 ) {
     let block = offsets.len();
-    debug_assert!(block <= CAP, "block exceeds scratch capacity");
-    let m = u.as_slice();
-    let mut scratch = [C64::ZERO; CAP];
-    if m.iter().all(|&c| c != C64::ZERO) {
-        // Fully dense: branchless multiply-accumulate.
-        // SAFETY: every base + offset is in bounds (see SharedAmps).
-        sweep(reg, others, |base| unsafe {
-            for (s, &off) in scratch.iter_mut().zip(offsets) {
-                *s = *shared.at(base + off);
-            }
-            for (row_coeffs, &off) in m.chunks_exact(block).zip(offsets) {
-                let mut acc = C64::ZERO;
-                for (&coeff, &amp) in row_coeffs.iter().zip(&scratch[..block]) {
-                    acc += coeff * amp;
+    scratch.clear();
+    scratch.resize(block, C64::ZERO);
+    for base in sweep.bases() {
+        for k in 0..sweep.run {
+            let b = base + k * sweep.step;
+            // SAFETY: every base + offset is in bounds (see SharedAmps).
+            unsafe {
+                for (s, &off) in scratch.iter_mut().zip(offsets) {
+                    *s = *shared.at(b + off);
                 }
-                *shared.at(base + off) = acc;
+                match nz {
+                    None => {
+                        for (row, &off) in m.chunks_exact(block).zip(offsets) {
+                            let mut acc = C64::ZERO;
+                            for (&coeff, &amp) in row.iter().zip(scratch.iter()) {
+                                acc += coeff * amp;
+                            }
+                            *shared.at(b + off) = acc;
+                        }
+                    }
+                    Some(nz) => {
+                        let mut start = 0;
+                        for (&end, &off) in nz.ends.iter().zip(offsets) {
+                            let mut acc = C64::ZERO;
+                            for &(col, coeff) in &nz.entries[start..end] {
+                                acc += coeff * scratch[col];
+                            }
+                            start = end;
+                            *shared.at(b + off) = acc;
+                        }
+                    }
+                }
             }
-        });
-        return;
+        }
     }
-    // Sparse rows: skip structural zeros.
-    // SAFETY: every base + offset is in bounds (see SharedAmps).
-    sweep(reg, others, |base| unsafe {
-        for (s, &off) in scratch.iter_mut().zip(offsets) {
-            *s = *shared.at(base + off);
-        }
-        for (row_coeffs, &off) in m.chunks_exact(block).zip(offsets) {
-            let mut acc = C64::ZERO;
-            for (&coeff, &amp) in row_coeffs.iter().zip(&scratch[..block]) {
-                if coeff != C64::ZERO {
-                    acc += coeff * amp;
-                }
-            }
-            *shared.at(base + off) = acc;
-        }
-    });
 }
 
-/// Walks one permutation cycle in place:
-/// `new[perm[j]] = phases[j] * old[j]` for the cycle's members.
+/// Multiplies the configurations at offset `off` of every run by
+/// `phase`.
 ///
 /// # Safety
 ///
-/// `base + offsets[c]` must be in bounds for every cycle member.
+/// `base + off + k * sweep.step` must be in bounds for every sweep base
+/// and `k < sweep.run`.
+#[inline(always)]
+unsafe fn scale_runs(amps: SharedAmps, sweep: &Sweep, off: usize, phase: C64) {
+    for base in sweep.bases() {
+        for k in 0..sweep.run {
+            unsafe { *amps.at(base + off + k * sweep.step) *= phase };
+        }
+    }
+}
+
+/// Walks one permutation cycle in place over the whole sweep:
+/// `new[perm[j]] = phases[j] * old[j]` for the cycle's members, with the
+/// cycle's offsets and phases held throughout.
+///
+/// # Safety
+///
+/// `base + offsets[c] + k * sweep.step` must be in bounds for every
+/// sweep base, cycle member and `k < sweep.run`.
 unsafe fn walk_cycle(
     amps: SharedAmps,
-    base: usize,
+    sweep: &Sweep,
     offsets: &[usize],
     cycle: &[usize],
     phases: &[C64],
 ) {
+    let (run, step) = (sweep.run, sweep.step);
     unsafe {
-        if let [only] = cycle {
-            let p = amps.at(base + offsets[*only]);
-            *p *= phases[*only];
-            return;
+        match *cycle {
+            [only] => scale_runs(amps, sweep, offsets[only], phases[only]),
+            [a, b] => {
+                let (oa, ob) = (offsets[a], offsets[b]);
+                let (pa, pb) = (phases[a], phases[b]);
+                for base in sweep.bases() {
+                    for k in 0..run {
+                        let b = base + k * step;
+                        let (pa_at, pb_at) = (amps.at(b + oa), amps.at(b + ob));
+                        let tmp = *pb_at;
+                        *pb_at = pa * *pa_at;
+                        *pa_at = pb * tmp;
+                    }
+                }
+            }
+            _ => {
+                let last = cycle[cycle.len() - 1];
+                for base in sweep.bases() {
+                    for k in 0..run {
+                        let b = base + k * step;
+                        let tmp = *amps.at(b + offsets[last]);
+                        for j in (1..cycle.len()).rev() {
+                            let from = cycle[j - 1];
+                            *amps.at(b + offsets[cycle[j]]) =
+                                phases[from] * *amps.at(b + offsets[from]);
+                        }
+                        *amps.at(b + offsets[cycle[0]]) = phases[last] * tmp;
+                    }
+                }
+            }
         }
-        let last = cycle[cycle.len() - 1];
-        let tmp = *amps.at(base + offsets[last]);
-        for k in (1..cycle.len()).rev() {
-            let from = cycle[k - 1];
-            *amps.at(base + offsets[cycle[k]]) = phases[from] * *amps.at(base + offsets[from]);
-        }
-        *amps.at(base + offsets[cycle[0]]) = phases[last] * tmp;
     }
 }
 
@@ -655,6 +834,26 @@ mod tests {
         // A phased fixed point is kept.
         let cycles = cycles_of(&[1, 0, 2], &[C64::ONE, C64::ONE, C64::I]);
         assert_eq!(cycles, vec![vec![0, 1], vec![2]]);
+    }
+
+    #[test]
+    fn sweep_merges_non_operand_chains_around_the_run() {
+        let reg = Register::new(vec![2, 4, 2, 3, 4]);
+        // Operands 1 and 3: chains {0}, {2} and the run {4}.
+        let sweep = Sweep::new(&reg, &[3, 1]);
+        assert_eq!((sweep.run, sweep.step, sweep.pairs), (4, 1, true));
+        assert_eq!(sweep.bases().collect::<Vec<_>>(), vec![0, 12, 96, 108]);
+        // Operand 4 is innermost: the run is the chain {2, 3}, strided.
+        let sweep = Sweep::new(&reg, &[4, 0]);
+        assert_eq!((sweep.run, sweep.step, sweep.pairs), (24, 4, false));
+        assert_eq!(sweep.bases().collect::<Vec<_>>(), vec![0]);
+        // An odd innermost dimension cannot pair.
+        let reg = Register::new(vec![2, 3]);
+        let sweep = Sweep::new(&reg, &[0]);
+        assert_eq!((sweep.run, sweep.pairs), (3, false));
+        // Every qudit an operand: one configuration.
+        let sweep = Sweep::new(&reg, &[1, 0]);
+        assert_eq!((sweep.run, sweep.bases().count()), (1, 1));
     }
 
     #[test]

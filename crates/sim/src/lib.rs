@@ -73,11 +73,12 @@
 //!
 //! The level is probed once per process, stored per [`Workspace`], and
 //! overridable per workspace with [`Workspace::set_simd_level`] (requests
-//! for unavailable levels clamp to scalar). The vector arms pair
-//! consecutive sweep configurations along the innermost stride-1
-//! non-operand qudit — see the [`simd`] module docs — and fall back to
-//! the scalar body whenever no pairing exists, so results never depend on
-//! shape-specific support.
+//! for unavailable levels clamp to scalar). Both forms walk the same
+//! run-major sweep (see the [`kernel`] module docs); the vector arms
+//! take each run two consecutive configurations at a time along the
+//! innermost stride-1 non-operand qudit — see the [`simd`] module docs —
+//! and fall back to the scalar body whenever no pairing exists, so
+//! results never depend on shape-specific support.
 //!
 //! A sweep always runs on the caller's thread. The parallelism is the
 //! persistent [`TrajectoryPool`] (`WALTZ_TRAJ_THREADS` caps its

@@ -14,27 +14,42 @@
 //! A 256-bit lane holds **two** complex amplitudes, but a kernel's
 //! operand offsets are rarely adjacent in memory. What *is* adjacent is
 //! the innermost dimension of the sweep itself: when the lowest-stride
-//! qudit is a non-operand with even dimension, consecutive sweep
-//! configurations touch neighbouring amplitudes (`base` and `base + 1`)
-//! for every operand offset. The vector arms therefore process sweep
-//! configurations **in pairs** — one lane per offset covers two
-//! configurations at once — which vectorizes every kernel class without
-//! reshuffling amplitudes, the same trick high-performance state-vector
-//! simulators use. When no pairing is possible (the innermost qudit is
-//! an operand, or has odd dimension) the scalar body runs instead.
+//! qudit is a non-operand with even dimension, every run of the sweep
+//! ([`crate::kernel`]'s run-major layout) is a contiguous span of an
+//! even number of amplitudes, at the same place under every operand
+//! offset. The vector arms therefore take each run two configurations
+//! at a time — one lane per offset covers two configurations — which
+//! vectorizes every kernel class without reshuffling amplitudes, the
+//! same trick high-performance state-vector simulators use. The odometer
+//! over the chains above the run steps once per run, not once per lane.
+//! When no pairing is possible (the innermost qudit is an operand, or
+//! has odd dimension) the scalar body runs instead: a vector arm there
+//! would change the rounding of those ops.
+//!
+//! Inside a run, the diagonal and permutation arms hold each offset's
+//! (each cycle's) phase broadcasts for the whole sweep; the dense arm
+//! gathers one lane per column and accumulates each row's products in
+//! column order, the fully dense bodies over every column and the
+//! structurally sparse ones over the block's nonzero list. The bodies
+//! are inlined per block size: dense 2, 4 and 8 one lane at a time,
+//! dense 16 and up in tiles of four lanes that share each coefficient
+//! broadcast, sparse 4, 8 and 16 (with a fixed count of nonzeros per
+//! row where the pattern has one), and one body at a run-time size for
+//! the rest. Cycles of three or more elements walk each run in chunks
+//! of 64 configurations, one contiguous stream per element.
 //!
 //! Arithmetic note: the vector complex product uses FMA
 //! (`vfmaddsub231pd`), so results can differ from the scalar two-rounding
 //! form in the last ulp. `tests/simd_parity.rs` pins every arm to the
-//! scalar path at 1e-12.
+//! scalar path at 1e-12, and `tests/kernel_parity.rs` pins every arm to
+//! an `f64::mul_add` mirror of its own lane arithmetic to the bit. A
+//! row's `swap(a) · im` products accumulate unswapped and are swapped
+//! once per row: the broadcast coefficient is the same in every lane,
+//! so each lane sees exactly the same FMAs.
 
 use waltz_math::C64;
 
-use crate::kernel::SharedAmps;
-use crate::Register;
-
-#[cfg(target_arch = "x86_64")]
-use crate::kernel::MAX_QUDITS;
+use crate::kernel::{Nonzeros, SharedAmps, Sweep};
 
 /// The instruction-set tier the sweep bodies run at.
 ///
@@ -98,10 +113,8 @@ fn detect_uncached() -> SimdLevel {
 /// Built once per [`crate::kernel::apply`] call.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub(crate) struct SweepCtx<'a> {
-    /// Register being swept.
-    pub reg: &'a Register,
-    /// Non-operand qudits, ascending.
-    pub others: &'a [usize],
+    /// Run-major layout of the sweep.
+    pub sweep: &'a Sweep,
     /// Amplitude offset per operand-block configuration.
     pub offsets: &'a [usize],
     /// Amplitude pointer (see [`SharedAmps`]).
@@ -110,45 +123,10 @@ pub(crate) struct SweepCtx<'a> {
     pub level: SimdLevel,
 }
 
-/// The paired view of a sweep: the innermost (stride-1, even-dimension)
-/// non-operand qudit is folded in half so one "unit" covers two
-/// consecutive configurations — exactly one 256-bit lane per operand
-/// offset.
-#[cfg(target_arch = "x86_64")]
-struct PairedSweep {
-    dims: [usize; MAX_QUDITS],
-    strides: [usize; MAX_QUDITS],
-    len: usize,
-}
-
-#[cfg(target_arch = "x86_64")]
-impl PairedSweep {
-    fn detect(reg: &Register, others: &[usize]) -> Option<PairedSweep> {
-        let &innermost = others.last()?;
-        if reg.stride(innermost) != 1 || !reg.dim(innermost).is_multiple_of(2) {
-            return None;
-        }
-        debug_assert!(others.len() <= MAX_QUDITS);
-        let mut dims = [0usize; MAX_QUDITS];
-        let mut strides = [0usize; MAX_QUDITS];
-        for (slot, &q) in others.iter().enumerate() {
-            dims[slot] = reg.dim(q);
-            strides[slot] = reg.stride(q);
-        }
-        let len = others.len();
-        // Two configurations per unit: half the innermost count, double
-        // its (unit) stride.
-        dims[len - 1] /= 2;
-        strides[len - 1] = 2;
-        Some(PairedSweep { dims, strides, len })
-    }
-
-    fn dims(&self) -> &[usize] {
-        &self.dims[..self.len]
-    }
-
-    fn strides(&self) -> &[usize] {
-        &self.strides[..self.len]
+impl SweepCtx<'_> {
+    /// Whether a vector arm takes this sweep (see [`Sweep`]'s `pairs`).
+    fn vector(&self) -> bool {
+        self.level.accelerated() && self.sweep.pairs
     }
 }
 
@@ -157,13 +135,9 @@ impl PairedSweep {
 pub(crate) fn diag_sweep(ctx: &SweepCtx<'_>, phases: &[C64]) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if ctx.level.accelerated() {
-            if let Some(ps) = PairedSweep::detect(ctx.reg, ctx.others) {
-                unsafe {
-                    x86::diag_pairs(ctx.shared, ps.dims(), ps.strides(), ctx.offsets, phases);
-                }
-                return true;
-            }
+        if ctx.vector() {
+            unsafe { x86::diag_runs(ctx.shared, ctx.sweep, ctx.offsets, phases) };
+            return true;
         }
     }
     let _ = (ctx, phases);
@@ -174,20 +148,9 @@ pub(crate) fn diag_sweep(ctx: &SweepCtx<'_>, phases: &[C64]) -> bool {
 pub(crate) fn perm_sweep(ctx: &SweepCtx<'_>, cycles: &[Vec<usize>], phases: &[C64]) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if ctx.level.accelerated() {
-            if let Some(ps) = PairedSweep::detect(ctx.reg, ctx.others) {
-                unsafe {
-                    x86::perm_pairs(
-                        ctx.shared,
-                        ps.dims(),
-                        ps.strides(),
-                        ctx.offsets,
-                        cycles,
-                        phases,
-                    );
-                }
-                return true;
-            }
+        if ctx.vector() {
+            unsafe { x86::perm_runs(ctx.shared, ctx.sweep, ctx.offsets, cycles, phases) };
+            return true;
         }
     }
     let _ = (ctx, cycles, phases);
@@ -195,48 +158,23 @@ pub(crate) fn perm_sweep(ctx: &SweepCtx<'_>, cycles: &[Vec<usize>], phases: &[C6
 }
 
 /// Vector arm of the dense-block matvec (single-qudit, two-qudit and
-/// general-dense kernels). `tiled` selects the cache-blocked two-qudit
-/// gather: pair-units are buffered into an L1-resident tile so each
-/// coefficient broadcast is amortized over the whole tile. Returns `true`
-/// when handled.
-pub(crate) fn dense_sweep(ctx: &SweepCtx<'_>, m: &[C64], tiled: bool) -> bool {
+/// general-dense kernels, blocks up to [`x86::MAX_BLOCK`]): `nz` lists
+/// the block's structural nonzeros, `None` when it has none. Returns
+/// `true` when handled.
+pub(crate) fn dense_sweep(ctx: &SweepCtx<'_>, m: &[C64], nz: Option<Nonzeros<'_>>) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        let block = ctx.offsets.len();
-        if ctx.level.accelerated()
-            && block <= x86::MAX_BLOCK
-            && (!tiled || block <= x86::MAX_TILE_BLOCK)
-        {
-            if let Some(ps) = PairedSweep::detect(ctx.reg, ctx.others) {
-                // Embedded gates carry structural zeros worth skipping;
-                // fully dense (Haar / fused) blocks run branch-free.
-                let sparse = m.contains(&C64::ZERO);
-                unsafe {
-                    if tiled {
-                        x86::two_qudit_pairs(
-                            ctx.shared,
-                            ps.dims(),
-                            ps.strides(),
-                            ctx.offsets,
-                            m,
-                            sparse,
-                        );
-                    } else {
-                        x86::dense_pairs(
-                            ctx.shared,
-                            ps.dims(),
-                            ps.strides(),
-                            ctx.offsets,
-                            m,
-                            sparse,
-                        );
-                    }
+        if ctx.vector() && ctx.offsets.len() <= x86::MAX_BLOCK {
+            unsafe {
+                match nz {
+                    None => x86::dense_runs(ctx.shared, ctx.sweep, ctx.offsets, m),
+                    Some(nz) => x86::sparse_runs(ctx.shared, ctx.sweep, ctx.offsets, nz),
                 }
-                return true;
             }
+            return true;
         }
     }
-    let _ = (ctx, m, tiled);
+    let _ = (ctx, m, nz);
     false
 }
 
@@ -276,20 +214,23 @@ pub(crate) fn scale_diag_chunk(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
 
     use waltz_math::C64;
 
-    use crate::kernel::{walk_bases, SharedAmps};
+    use crate::kernel::{Nonzeros, SharedAmps, Sweep};
 
     /// Largest dense block the vector matvec handles (mirrors the
     /// kernel's stack-buffer cap).
     pub(super) const MAX_BLOCK: usize = 64;
-    /// Largest block the tiled two-qudit arm handles.
-    pub(super) const MAX_TILE_BLOCK: usize = 16;
-    /// Pair-units buffered per two-qudit tile. One tile's gather scratch
-    /// is `2 * MAX_TILE_BLOCK * TILE` lanes = 8 KiB — comfortably
-    /// L1-resident next to the amplitudes it mirrors.
-    const TILE: usize = 8;
+    /// Lanes buffered per tile: a tile's `2 * TILE` accumulators, one
+    /// gathered lane and two coefficient broadcasts fit the sixteen
+    /// vector registers. Its gather scratch is at most
+    /// `MAX_BLOCK * TILE` lanes = 8 KiB, L1-resident.
+    const TILE: usize = 4;
+    /// Configurations a cycle of three or more elements walks per
+    /// element before moving on ([`walk_cycle_chunk`]).
+    const CHUNK: usize = 64;
     /// Longest periodic diagonal pattern (in complexes) kept in lane
     /// registers by [`scale_periodic`].
     pub(super) const MAX_PATTERN: usize = 16;
@@ -368,200 +309,390 @@ mod x86 {
         unsafe { _mm256_fmaddsub_pd(a, br, _mm256_mul_pd(swap_halves(a), bi)) }
     }
 
-    /// Paired diagonal sweep: every operand offset of every pair-unit is
-    /// one lane scaled by its broadcast phase.
+    /// Diagonal sweep: offset by offset, each run's span of `run`
+    /// contiguous amplitudes is scaled by the offset's phase, broadcast
+    /// once per offset.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available; `amps` must cover every
-    /// `base + offset (+1)` the paired layout produces, with no
+    /// AVX2+FMA must be available; `sweep.pairs` must hold and `amps`
+    /// must cover every `base + offset + i` the sweep produces, with no
     /// concurrent access to those amplitudes.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn diag_pairs(
+    pub(super) unsafe fn diag_runs(
         amps: SharedAmps,
-        dims: &[usize],
-        strides: &[usize],
+        sweep: &Sweep,
         offsets: &[usize],
         phases: &[C64],
     ) {
-        walk_bases(dims, strides, |base| unsafe {
-            for (&off, p) in offsets.iter().zip(phases) {
-                let v = load2(amps, base + off);
-                store2(amps, base + off, cmul_bcast(v, bcast(p.re), bcast(p.im)));
-            }
-        });
+        for (&off, p) in offsets.iter().zip(phases) {
+            unsafe { scale_spans(amps, sweep, off, *p) };
+        }
     }
 
-    /// Paired permutation sweep: [`crate::kernel`]'s cycle walk with each
-    /// element widened to a two-configuration lane.
+    /// Scales the run at offset `off` of every sweep base by `p`.
     ///
     /// # Safety
     ///
-    /// As [`diag_pairs`].
+    /// As [`diag_runs`].
+    #[inline(always)]
+    unsafe fn scale_spans(amps: SharedAmps, sweep: &Sweep, off: usize, p: C64) {
+        unsafe {
+            let (br, bi) = (bcast(p.re), bcast(p.im));
+            for base in sweep.bases() {
+                let start = base + off;
+                for idx in (start..start + sweep.run).step_by(2) {
+                    store2(amps, idx, cmul_bcast(load2(amps, idx), br, bi));
+                }
+            }
+        }
+    }
+
+    /// Permutation sweep: [`crate::kernel`]'s cycle walk, one cycle at a
+    /// time over the whole sweep with the cycle's offsets and phase
+    /// broadcasts held throughout; two configurations per lane.
+    ///
+    /// # Safety
+    ///
+    /// As [`diag_runs`].
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn perm_pairs(
+    pub(super) unsafe fn perm_runs(
         amps: SharedAmps,
-        dims: &[usize],
-        strides: &[usize],
+        sweep: &Sweep,
         offsets: &[usize],
         cycles: &[Vec<usize>],
         phases: &[C64],
     ) {
-        walk_bases(dims, strides, |base| unsafe {
-            for cycle in cycles {
-                if let [only] = cycle.as_slice() {
-                    let idx = base + offsets[*only];
-                    let p = phases[*only];
-                    store2(
-                        amps,
-                        idx,
-                        cmul_bcast(load2(amps, idx), bcast(p.re), bcast(p.im)),
-                    );
-                    continue;
-                }
-                let last = cycle[cycle.len() - 1];
-                let tmp = load2(amps, base + offsets[last]);
-                for k in (1..cycle.len()).rev() {
-                    let from = cycle[k - 1];
-                    let p = phases[from];
-                    let v = load2(amps, base + offsets[from]);
-                    store2(
-                        amps,
-                        base + offsets[cycle[k]],
-                        cmul_bcast(v, bcast(p.re), bcast(p.im)),
-                    );
-                }
-                let p = phases[last];
-                store2(
-                    amps,
-                    base + offsets[cycle[0]],
-                    cmul_bcast(tmp, bcast(p.re), bcast(p.im)),
-                );
-            }
-        });
-    }
-
-    /// Paired dense-block matvec: gather each pair-unit's block into lane
-    /// scratch (both plain and re/im-swapped forms, so the inner loop is
-    /// two FMAs per coefficient), run the row dot products through split
-    /// real/imag accumulators, combine with one `addsub`, scatter back.
-    ///
-    /// # Safety
-    ///
-    /// As [`diag_pairs`]; additionally `m` must be a `block * block`
-    /// row-major matrix for `block = offsets.len() <= MAX_BLOCK`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dense_pairs(
-        amps: SharedAmps,
-        dims: &[usize],
-        strides: &[usize],
-        offsets: &[usize],
-        m: &[C64],
-        sparse: bool,
-    ) {
-        let block = offsets.len();
-        debug_assert!(block <= MAX_BLOCK);
-        let mut sc = [unsafe { zero() }; MAX_BLOCK];
-        let mut sw = [unsafe { zero() }; MAX_BLOCK];
-        walk_bases(dims, strides, |base| unsafe {
-            for (i, &off) in offsets.iter().enumerate() {
-                let v = load2(amps, base + off);
-                sc[i] = v;
-                sw[i] = swap_halves(v);
-            }
-            for (row, &off) in offsets.iter().enumerate() {
-                let coeffs = &m[row * block..(row + 1) * block];
-                let mut s = zero();
-                let mut t = zero();
-                for (col, c) in coeffs.iter().enumerate() {
-                    if sparse && *c == C64::ZERO {
-                        continue;
+        let run = sweep.run;
+        for cycle in cycles {
+            unsafe {
+                match *cycle.as_slice() {
+                    [only] => scale_spans(amps, sweep, offsets[only], phases[only]),
+                    [a, b] => {
+                        let (oa, ob) = (offsets[a], offsets[b]);
+                        let (ar, ai) = (bcast(phases[a].re), bcast(phases[a].im));
+                        let (br, bi) = (bcast(phases[b].re), bcast(phases[b].im));
+                        for base in sweep.bases() {
+                            for i in (base..base + run).step_by(2) {
+                                let va = load2(amps, i + oa);
+                                let vb = load2(amps, i + ob);
+                                store2(amps, i + ob, cmul_bcast(va, ar, ai));
+                                store2(amps, i + oa, cmul_bcast(vb, br, bi));
+                            }
+                        }
                     }
-                    s = fmadd(sc[col], bcast(c.re), s);
-                    t = fmadd(sw[col], bcast(c.im), t);
+                    _ if run == 2 => {
+                        for base in sweep.bases() {
+                            walk_cycle_lane(amps, base, offsets, cycle, phases);
+                        }
+                    }
+                    _ => {
+                        for base in sweep.bases() {
+                            for start in (base..base + run).step_by(CHUNK) {
+                                let len = CHUNK.min(base + run - start);
+                                walk_cycle_chunk(amps, start, len, offsets, cycle, phases);
+                            }
+                        }
+                    }
                 }
-                store2(amps, base + off, addsub(s, t));
             }
-        });
-    }
-
-    /// The cache-blocked two-qudit gather arm: pair-units are buffered
-    /// [`TILE`] at a time, their 16-wide blocks gathered column-major
-    /// into an L1-resident tile, and every coefficient broadcast is then
-    /// amortized over the whole tile before the results scatter back.
-    ///
-    /// # Safety
-    ///
-    /// As [`dense_pairs`], with `block <= MAX_TILE_BLOCK`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn two_qudit_pairs(
-        amps: SharedAmps,
-        dims: &[usize],
-        strides: &[usize],
-        offsets: &[usize],
-        m: &[C64],
-        sparse: bool,
-    ) {
-        debug_assert!(offsets.len() <= MAX_TILE_BLOCK);
-        let mut bases = [0usize; TILE];
-        let mut n = 0usize;
-        walk_bases(dims, strides, |base| unsafe {
-            bases[n] = base;
-            n += 1;
-            if n == TILE {
-                two_qudit_tile(amps, &bases, offsets, m, sparse);
-                n = 0;
-            }
-        });
-        if n > 0 {
-            unsafe { two_qudit_tile(amps, &bases[..n], offsets, m, sparse) };
         }
     }
 
-    /// One tile of [`two_qudit_pairs`]: gathers every listed pair-unit,
-    /// applies the block matrix, scatters back. All gathers complete
-    /// before the first store (distinct pair-units touch disjoint
-    /// amplitudes, but the row outputs alias the gathered inputs).
+    /// One cycle of three or more elements at one lane of two
+    /// configurations: the walk of [`walk_cycle_chunk`] without its
+    /// chunk loops, for runs of a single lane.
     ///
     /// # Safety
     ///
-    /// As [`two_qudit_pairs`], with `bases.len() <= TILE`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn two_qudit_tile(
+    /// As [`diag_runs`].
+    #[inline(always)]
+    unsafe fn walk_cycle_lane(
         amps: SharedAmps,
-        bases: &[usize],
+        base: usize,
         offsets: &[usize],
-        m: &[C64],
-        sparse: bool,
+        cycle: &[usize],
+        phases: &[C64],
     ) {
-        let block = offsets.len();
         unsafe {
-            let mut sc = [[zero(); TILE]; MAX_TILE_BLOCK];
-            let mut sw = [[zero(); TILE]; MAX_TILE_BLOCK];
-            for (col, &off) in offsets.iter().enumerate() {
-                for (j, &base) in bases.iter().enumerate() {
-                    let v = load2(amps, base + off);
-                    sc[col][j] = v;
-                    sw[col][j] = swap_halves(v);
+            let last = cycle[cycle.len() - 1];
+            let saved = load2(amps, base + offsets[last]);
+            for k in (1..cycle.len()).rev() {
+                let from = cycle[k - 1];
+                let p = phases[from];
+                let v = load2(amps, base + offsets[from]);
+                store2(
+                    amps,
+                    base + offsets[cycle[k]],
+                    cmul_bcast(v, bcast(p.re), bcast(p.im)),
+                );
+            }
+            let p = phases[last];
+            store2(
+                amps,
+                base + offsets[cycle[0]],
+                cmul_bcast(saved, bcast(p.re), bcast(p.im)),
+            );
+        }
+    }
+
+    /// One cycle of three or more elements over `len` (even, at most
+    /// [`CHUNK`]) consecutive configurations from `start`: the last
+    /// element's amplitudes are saved, then each element's span is
+    /// written from its predecessor's, one contiguous stream at a time.
+    ///
+    /// # Safety
+    ///
+    /// As [`diag_runs`].
+    #[inline(always)]
+    unsafe fn walk_cycle_chunk(
+        amps: SharedAmps,
+        start: usize,
+        len: usize,
+        offsets: &[usize],
+        cycle: &[usize],
+        phases: &[C64],
+    ) {
+        unsafe {
+            let mut saved = [MaybeUninit::<__m256d>::uninit(); CHUNK / 2];
+            let last = cycle[cycle.len() - 1];
+            let from_last = start + offsets[last];
+            for (j, v) in saved[..len / 2].iter_mut().enumerate() {
+                v.write(load2(amps, from_last + 2 * j));
+            }
+            for k in (1..cycle.len()).rev() {
+                let from = cycle[k - 1];
+                let (src, dst) = (start + offsets[from], start + offsets[cycle[k]]);
+                let (br, bi) = (bcast(phases[from].re), bcast(phases[from].im));
+                for j in (0..len).step_by(2) {
+                    store2(amps, dst + j, cmul_bcast(load2(amps, src + j), br, bi));
                 }
             }
-            for (row, &off) in offsets.iter().enumerate() {
-                let coeffs = &m[row * block..(row + 1) * block];
-                let mut s = [zero(); TILE];
-                let mut t = [zero(); TILE];
-                for (col, c) in coeffs.iter().enumerate() {
-                    if sparse && *c == C64::ZERO {
-                        continue;
+            let dst = start + offsets[cycle[0]];
+            let (br, bi) = (bcast(phases[last].re), bcast(phases[last].im));
+            for (j, v) in saved[..len / 2].iter().enumerate() {
+                store2(amps, dst + 2 * j, cmul_bcast(v.assume_init(), br, bi));
+            }
+        }
+    }
+
+    /// Fully dense block matvec: per lane of two configurations, gather
+    /// the block (plain and re/im-swapped, so each coefficient costs two
+    /// FMAs), run the row dot products through split real/imag
+    /// accumulators, combine with one `addsub`, scatter back. Blocks of
+    /// 2, 4 and 8 run bodies specialized to their size; 16 runs the tiled
+    /// arm; other sizes the same body at a run-time size.
+    ///
+    /// # Safety
+    ///
+    /// As [`diag_runs`]; additionally `m` must be a `block * block`
+    /// row-major matrix for `block = offsets.len() <= MAX_BLOCK`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn dense_runs(amps: SharedAmps, sweep: &Sweep, offsets: &[usize], m: &[C64]) {
+        unsafe {
+            match offsets.len() {
+                2 => dense_body(amps, sweep, offsets, m, 2),
+                4 => dense_body(amps, sweep, offsets, m, 4),
+                8 => dense_body(amps, sweep, offsets, m, 8),
+                16 => dense_tiles(amps, sweep, offsets, m, 16),
+                block if block > 16 => dense_tiles(amps, sweep, offsets, m, block),
+                block => dense_body(amps, sweep, offsets, m, block),
+            }
+        }
+    }
+
+    /// The body of [`dense_runs`], inlined once per block size so the
+    /// gather and row loops unroll for the specialized sizes.
+    ///
+    /// # Safety
+    ///
+    /// As [`dense_runs`], with `block == offsets.len()`.
+    #[inline(always)]
+    unsafe fn dense_body(
+        amps: SharedAmps,
+        sweep: &Sweep,
+        offsets: &[usize],
+        m: &[C64],
+        block: usize,
+    ) {
+        debug_assert!(block <= MAX_BLOCK && offsets.len() == block);
+        let offsets = &offsets[..block];
+        let m = &m[..block * block];
+        let mut sc = [MaybeUninit::<__m256d>::uninit(); MAX_BLOCK];
+        for base in sweep.bases() {
+            for i in (base..base + sweep.run).step_by(2) {
+                unsafe {
+                    for (col, &off) in offsets.iter().enumerate() {
+                        sc[col].write(load2(amps, i + off));
                     }
-                    let br = bcast(c.re);
-                    let bi = bcast(c.im);
-                    for j in 0..bases.len() {
-                        s[j] = fmadd(sc[col][j], br, s[j]);
-                        t[j] = fmadd(sw[col][j], bi, t[j]);
+                    for (row, &off) in m.chunks_exact(block).zip(offsets) {
+                        let mut s = zero();
+                        let mut u = zero();
+                        for (col, c) in row.iter().enumerate() {
+                            s = fmadd(sc[col].assume_init(), bcast(c.re), s);
+                            u = fmadd(sc[col].assume_init(), bcast(c.im), u);
+                        }
+                        store2(amps, i + off, addsub(s, swap_halves(u)));
                     }
                 }
-                for (j, &base) in bases.iter().enumerate() {
-                    store2(amps, base + off, addsub(s[j], t[j]));
+            }
+        }
+    }
+
+    /// Structurally sparse block matvec: [`dense_runs`]'s lane
+    /// arithmetic over each row's [`Nonzeros`] only, in ascending column
+    /// order — the zero coefficients are skipped without a test inside
+    /// the sweep. Blocks of 4, 8 and 16 run bodies specialized to their
+    /// size.
+    ///
+    /// # Safety
+    ///
+    /// As [`dense_runs`]; `nz` must list the nonzeros of a
+    /// `block × block` matrix for `block = offsets.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn sparse_runs(
+        amps: SharedAmps,
+        sweep: &Sweep,
+        offsets: &[usize],
+        nz: Nonzeros<'_>,
+    ) {
+        let block = offsets.len();
+        let uniform = |k: usize| {
+            nz.ends
+                .iter()
+                .enumerate()
+                .all(|(row, &end)| end == k * (row + 1))
+        };
+        unsafe {
+            match block {
+                4 if uniform(2) => sparse_body(amps, sweep, offsets, nz, 4, 2),
+                4 => sparse_body(amps, sweep, offsets, nz, 4, 0),
+                8 if uniform(2) => sparse_body(amps, sweep, offsets, nz, 8, 2),
+                8 => sparse_body(amps, sweep, offsets, nz, 8, 0),
+                16 if uniform(4) => sparse_body(amps, sweep, offsets, nz, 16, 4),
+                16 => sparse_body(amps, sweep, offsets, nz, 16, 0),
+                _ => sparse_body(amps, sweep, offsets, nz, block, 0),
+            }
+        }
+    }
+
+    /// The body of [`sparse_runs`], inlined once per block size and, for
+    /// `per_row > 0`, per uniform count of nonzeros in every row.
+    ///
+    /// # Safety
+    ///
+    /// As [`sparse_runs`], with `block == offsets.len()` and, when
+    /// `per_row > 0`, exactly `per_row` nonzeros in every row.
+    #[inline(always)]
+    unsafe fn sparse_body(
+        amps: SharedAmps,
+        sweep: &Sweep,
+        offsets: &[usize],
+        nz: Nonzeros<'_>,
+        block: usize,
+        per_row: usize,
+    ) {
+        debug_assert!(block <= MAX_BLOCK && offsets.len() == block);
+        let offsets = &offsets[..block];
+        let ends = &nz.ends[..block];
+        let mut sc = [MaybeUninit::<__m256d>::uninit(); MAX_BLOCK];
+        for base in sweep.bases() {
+            for i in (base..base + sweep.run).step_by(2) {
+                unsafe {
+                    for (col, &off) in offsets.iter().enumerate() {
+                        sc[col].write(load2(amps, i + off));
+                    }
+                    let mut start = 0;
+                    for (row, (&end, &off)) in ends.iter().zip(offsets).enumerate() {
+                        let row_nz = match per_row {
+                            0 => nz.entries.get_unchecked(start..end),
+                            k => nz.entries.get_unchecked(row * k..row * k + k),
+                        };
+                        let mut s = zero();
+                        let mut u = zero();
+                        for &(col, c) in row_nz {
+                            let v = sc.get_unchecked(col).assume_init();
+                            s = fmadd(v, bcast(c.re), s);
+                            u = fmadd(v, bcast(c.im), u);
+                        }
+                        start = end;
+                        store2(amps, i + off, addsub(s, swap_halves(u)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The tiled arm for fully dense blocks of 16 and more: lanes are
+    /// buffered [`TILE`] at a time, their blocks gathered into an
+    /// L1-resident tile, and every coefficient broadcast is then
+    /// amortized over the whole tile before the results scatter back.
+    /// Lanes left over at the end of the sweep run as tiles of one.
+    ///
+    /// # Safety
+    ///
+    /// As [`dense_runs`], with `block == offsets.len()`.
+    #[inline(always)]
+    unsafe fn dense_tiles(
+        amps: SharedAmps,
+        sweep: &Sweep,
+        offsets: &[usize],
+        m: &[C64],
+        block: usize,
+    ) {
+        let mut lanes = [0usize; TILE];
+        let mut n = 0usize;
+        for base in sweep.bases() {
+            for i in (base..base + sweep.run).step_by(2) {
+                lanes[n] = i;
+                n += 1;
+                if n == TILE {
+                    unsafe { dense_tile(amps, &lanes, offsets, m, block) };
+                    n = 0;
+                }
+            }
+        }
+        for &lane in &lanes[..n] {
+            unsafe { dense_tile(amps, &[lane], offsets, m, block) };
+        }
+    }
+
+    /// One tile of [`dense_tiles`]: gathers every listed lane, applies
+    /// the block matrix, scatters back. All gathers complete before the
+    /// first store (distinct lanes touch disjoint amplitudes, but the row
+    /// outputs alias the gathered inputs).
+    ///
+    /// # Safety
+    ///
+    /// As [`dense_tiles`].
+    #[inline(always)]
+    unsafe fn dense_tile<const N: usize>(
+        amps: SharedAmps,
+        lanes: &[usize; N],
+        offsets: &[usize],
+        m: &[C64],
+        block: usize,
+    ) {
+        unsafe {
+            let mut sc = [[MaybeUninit::<__m256d>::uninit(); N]; MAX_BLOCK];
+            for (col, &off) in offsets[..block].iter().enumerate() {
+                for (j, &lane) in lanes.iter().enumerate() {
+                    sc[col][j].write(load2(amps, lane + off));
+                }
+            }
+            for (row, &off) in m[..block * block].chunks_exact(block).zip(offsets) {
+                let mut s = [zero(); N];
+                let mut u = [zero(); N];
+                for (col, c) in row.iter().enumerate() {
+                    let br = bcast(c.re);
+                    let bi = bcast(c.im);
+                    for j in 0..N {
+                        s[j] = fmadd(sc[col][j].assume_init(), br, s[j]);
+                        u[j] = fmadd(sc[col][j].assume_init(), bi, u[j]);
+                    }
+                }
+                for (j, &lane) in lanes.iter().enumerate() {
+                    store2(amps, lane + off, addsub(s[j], swap_halves(u[j])));
                 }
             }
         }
@@ -654,24 +785,5 @@ mod tests {
         let b = SimdLevel::detect();
         assert_eq!(a, b);
         assert!(matches!(a.name(), "scalar" | "avx2+fma"));
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn paired_layout_halves_the_innermost_free_qudit() {
-        let reg = Register::ququarts(4);
-        // Operands (0, 1): the innermost qudit 3 (stride 1, dim 4) pairs.
-        let others = [2usize, 3];
-        let ps = PairedSweep::detect(&reg, &others).expect("pairable");
-        assert_eq!(ps.dims(), &[4, 2]);
-        assert_eq!(ps.strides(), &[reg.stride(2), 2]);
-        // 16 configurations walk as 8 pair-units.
-        assert_eq!(ps.dims().iter().product::<usize>(), 8);
-        // When the innermost qudit is an operand the sweep cannot pair.
-        let others = [0usize, 1];
-        assert!(PairedSweep::detect(&reg, &others).is_none());
-        // Odd innermost dimensions cannot pair either.
-        let reg = Register::new(vec![2, 3]);
-        assert!(PairedSweep::detect(&reg, &[1usize]).is_none());
     }
 }

@@ -376,9 +376,14 @@ impl State {
     /// bounds the difference below one standard error.
     ///
     /// Trailing qudits whose dimension is unchanged map contiguous runs
-    /// of amplitudes onto contiguous runs, so the reshape walks the
-    /// leading digits with an odometer and copies (or clips) one run at a
-    /// time; clipped probability is summed in ascending source order.
+    /// of amplitudes onto contiguous runs of the same length. Above them,
+    /// the lowest changed qudit keeps `min(d_src, d_dst)` levels, which
+    /// are contiguous on both sides, so each step copies
+    /// `min(d_src, d_dst) · run` amplitudes at once. An odometer steps the
+    /// qudits above it, with consecutive unchanged qudits merged into one
+    /// digit, over the union of both registers' digits. Only destination
+    /// ranges that no copy writes are zeroed. Clipped probability is
+    /// summed in ascending source order.
     ///
     /// # Panics
     ///
@@ -398,48 +403,86 @@ impl State {
             out_amps.copy_from_slice(&self.amps);
             return 0.0;
         }
-        // Qudits `lead..` keep their dimension; `lead >= 1` since the
-        // registers differ.
-        let mut lead = src.n_qudits();
-        while src.dim(lead - 1) == dst.dim(lead - 1) {
-            lead -= 1;
+        // Qudit `low` is the lowest whose dimension changes; the qudits
+        // below it form runs of `run` amplitudes on both sides.
+        let mut low = src.n_qudits() - 1;
+        while src.dim(low) == dst.dim(low) {
+            low -= 1;
         }
-        assert!(
-            lead <= kernel::MAX_QUDITS,
-            "register too large for stack digits"
-        );
-        let run = src.stride(lead - 1);
-        out_amps.fill(C64::ZERO);
-        // Odometer over the leading digits: `clipped` counts the digits
-        // outside `dst`'s range, `dst_base` is the run's offset in `dst`
-        // whenever `clipped == 0`.
-        let mut digits = [0usize; kernel::MAX_QUDITS];
-        let mut clipped = 0usize;
-        let mut dst_base = 0usize;
-        let mut leaked = 0.0f64;
-        for src_run in self.amps.chunks_exact(run) {
-            if clipped == 0 {
-                out_amps[dst_base..dst_base + run].copy_from_slice(src_run);
-            } else {
-                for amp in src_run {
-                    leaked += amp.norm_sqr();
+        let run = src.stride(low);
+        let (src_block, dst_block) = (src.dim(low) * run, dst.dim(low) * run);
+        let keep = src_block.min(dst_block);
+        // Odometer digits over the qudits above `low`, most significant
+        // first: (source dim, destination dim, source stride,
+        // destination stride), consecutive unchanged qudits merged.
+        let mut digits = [(0usize, 0usize, 0usize, 0usize); kernel::MAX_QUDITS];
+        let mut n = 0;
+        for q in 0..low {
+            let (ds, dd) = (src.dim(q), dst.dim(q));
+            match digits[..n].last_mut() {
+                Some(prev) if ds == dd && prev.0 == prev.1 => {
+                    *prev = (prev.0 * ds, prev.1 * dd, src.stride(q), dst.stride(q));
+                }
+                _ => {
+                    assert!(
+                        n < kernel::MAX_QUDITS,
+                        "register too large for stack digits"
+                    );
+                    digits[n] = (ds, dd, src.stride(q), dst.stride(q));
+                    n += 1;
                 }
             }
-            for q in (0..lead).rev() {
-                let d = digits[q] + 1;
-                if d < src.dim(q) {
-                    digits[q] = d;
-                    dst_base += dst.stride(q);
-                    if d == dst.dim(q) {
-                        clipped += 1;
+        }
+        // The lowest digit runs as a flat loop inside the odometer over
+        // the others.
+        let (outer, (ds_low, dd_low, ss_low, sd_low)) = match n {
+            0 => (&digits[..0], (1, 1, 0, 0)),
+            _ => (&digits[..n - 1], digits[n - 1]),
+        };
+        let mut values = [0usize; kernel::MAX_QUDITS];
+        // Outer digits at or past the source (destination) dimension: the
+        // step has no source (destination) blocks.
+        let (mut src_out, mut dst_out) = (0usize, 0usize);
+        let (mut src_base, mut dst_base) = (0usize, 0usize);
+        let mut leaked = 0.0f64;
+        let steps: usize = outer.iter().map(|&(ds, dd, ..)| ds.max(dd)).product();
+        for _ in 0..steps {
+            let src_levels = if src_out == 0 { ds_low } else { 0 };
+            let dst_levels = if dst_out == 0 { dd_low } else { 0 };
+            for v in 0..src_levels.max(dst_levels) {
+                let (s, d) = (src_base + v * ss_low, dst_base + v * sd_low);
+                match (v < src_levels, v < dst_levels) {
+                    (true, true) => {
+                        copy_run(&mut out_amps[d..d + keep], &self.amps[s..s + keep]);
+                        for amp in &self.amps[s + keep..s + src_block] {
+                            leaked += amp.norm_sqr();
+                        }
+                        zero_run(&mut out_amps[d + keep..d + dst_block]);
                     }
+                    (true, false) => {
+                        for amp in &self.amps[s..s + src_block] {
+                            leaked += amp.norm_sqr();
+                        }
+                    }
+                    _ => zero_run(&mut out_amps[d..d + dst_block]),
+                }
+            }
+            for (pos, &(ds, dd, ss, sd)) in outer.iter().enumerate().rev() {
+                let v = values[pos] + 1;
+                src_base += ss;
+                dst_base += sd;
+                src_out += usize::from(v == ds);
+                dst_out += usize::from(v == dd);
+                if v < ds.max(dd) {
+                    values[pos] = v;
                     break;
                 }
-                if digits[q] >= dst.dim(q) {
-                    clipped -= 1;
-                }
-                dst_base -= digits[q] * dst.stride(q);
-                digits[q] = 0;
+                // Wrapped: the digit had passed both dimensions.
+                values[pos] = 0;
+                src_out -= 1;
+                dst_out -= 1;
+                src_base -= v * ss;
+                dst_base -= v * sd;
             }
         }
         leaked
@@ -450,6 +493,13 @@ impl State {
     /// temporary). The Pauli's dimension may be smaller than the device
     /// dimension (e.g. a qubit error on a 4-level transmon): levels at or
     /// above `op.d` are untouched.
+    ///
+    /// The pass is run-major. The level sequence of each cycle of
+    /// `j -> (j + a) % d` is computed once per call; each cycle then
+    /// walks the `stride` contiguous amplitudes of its levels, so no
+    /// division runs per amplitude. A clock-type Pauli (`a == 0`) scales
+    /// each level's run by its phase. Every amplitude gets the plain
+    /// product `phase * amp`.
     ///
     /// This is a stack-only specialization of the permutation-kernel
     /// cycle walk in [`crate::kernel`], kept allocation-free for the
@@ -471,29 +521,55 @@ impl State {
             *p = op.act_on_basis(j).1;
         }
         let a = op.a as usize;
+        if a == 0 {
+            // Pure clock operator: scale each level's run in place.
+            for block in self.amps.chunks_exact_mut(span) {
+                for (run, &phase) in block.chunks_exact_mut(stride).zip(&phases[..d]) {
+                    for amp in run {
+                        *amp = phase * *amp;
+                    }
+                }
+            }
+            return;
+        }
+        // Shift-by-a permutation: `gcd(a, d)` cycles of `len` levels
+        // each, cycle `c` visiting levels `(c + k * a) % d` in order.
+        let len = d / gcd(a, d);
+        let mut levels = [0usize; 16];
+        for (c, cycle) in levels[..d].chunks_exact_mut(len).enumerate() {
+            for (k, level) in cycle.iter_mut().enumerate() {
+                *level = (c + k * a) % d;
+            }
+        }
         for block in self.amps.chunks_exact_mut(span) {
-            for inner in 0..stride {
-                if a == 0 {
-                    // Pure clock operator: scale each level in place.
-                    for (j, &phase) in phases.iter().take(d).enumerate() {
-                        let cell = inner + j * stride;
-                        block[cell] = phase * block[cell];
+            for cycle in levels[..d].chunks_exact(len) {
+                let last = cycle[len - 1];
+                if let [from, to] = *cycle {
+                    // A swap of two level runs.
+                    let (lo, hi) = (from.min(to), from.max(to));
+                    let (head, tail) = block.split_at_mut(hi * stride);
+                    let (lo_run, hi_run) =
+                        (&mut head[lo * stride..][..stride], &mut tail[..stride]);
+                    let (src, dst) = if from < to {
+                        (lo_run, hi_run)
+                    } else {
+                        (hi_run, lo_run)
+                    };
+                    for (s, t) in src.iter_mut().zip(dst) {
+                        let tmp = *t;
+                        *t = phases[from] * *s;
+                        *s = phases[to] * tmp;
                     }
-                } else {
-                    // Shift-by-a permutation: walk each cycle of
-                    // j -> (j + a) % d with one temporary.
-                    let g = gcd(a, d);
-                    for start in 0..g {
-                        let len = d / g;
-                        let pos = |k: usize| inner + ((start + k * a) % d) * stride;
-                        let last_col = (start + (len - 1) * a) % d;
-                        let tmp = block[pos(len - 1)];
-                        for k in (1..len).rev() {
-                            let from_col = (start + (k - 1) * a) % d;
-                            block[pos(k)] = phases[from_col] * block[pos(k - 1)];
-                        }
-                        block[pos(0)] = phases[last_col] * tmp;
+                    continue;
+                }
+                for inner in 0..stride {
+                    let tmp = block[last * stride + inner];
+                    for k in (1..len).rev() {
+                        let from = cycle[k - 1];
+                        block[cycle[k] * stride + inner] =
+                            phases[from] * block[from * stride + inner];
                     }
+                    block[cycle[0] * stride + inner] = phases[last] * tmp;
                 }
             }
         }
@@ -712,6 +788,30 @@ fn scale_periodic<const C: usize>(amps: &mut [C64], stride: usize, factors: &[f6
     }
     for (a, &f) in periods.into_remainder().iter_mut().zip(&pattern) {
         *a *= f;
+    }
+}
+
+/// `dst.copy_from_slice(src)`, with the short runs most reshapes copy
+/// (up to 8 amplitudes) as inline moves rather than a library call.
+#[inline(always)]
+fn copy_run(dst: &mut [C64], src: &[C64]) {
+    match src.len() {
+        2 => dst[..2].copy_from_slice(&src[..2]),
+        4 => dst[..4].copy_from_slice(&src[..4]),
+        8 => dst[..8].copy_from_slice(&src[..8]),
+        _ => dst.copy_from_slice(src),
+    }
+}
+
+/// `run.fill(C64::ZERO)`, short runs inline as in [`copy_run`].
+#[inline(always)]
+fn zero_run(run: &mut [C64]) {
+    match run.len() {
+        0 => {}
+        2 => run[..2].fill(C64::ZERO),
+        4 => run[..4].fill(C64::ZERO),
+        8 => run[..8].fill(C64::ZERO),
+        _ => run.fill(C64::ZERO),
     }
 }
 

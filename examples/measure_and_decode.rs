@@ -27,7 +27,13 @@ fn main() {
     let input_index = 0b111_000usize; // controls 1, ancillas & target 0
     let mut amps = vec![C64::ZERO; 1 << n];
     amps[input_index] = C64::ONE;
-    let initial = compiled.embed_logical_state(&amps, &compiled.initial_sites);
+    // Inputs of the shot loop live on the simulation schedule's first
+    // register (a split schedule's first window may differ from `timed`).
+    let initial = compiled.embed_logical_state_on(
+        compiled.sim_schedule().first_register(),
+        &amps,
+        &compiled.initial_sites,
+    );
 
     let mut rng = StdRng::seed_from_u64(99);
     println!(

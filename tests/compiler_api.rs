@@ -187,3 +187,38 @@ fn fault_injection_is_compiled_out_of_the_default_build() {
         );
     }
 }
+
+#[test]
+fn basis_input_embeds_on_the_first_register_of_a_split_schedule() {
+    // Default mixed-radix cnu-6q splits into two segments, so `timed`'s
+    // register is not the simulation schedule's input register. The
+    // all-controls-on basis input of examples/measure_and_decode.rs,
+    // embedded on the schedule's first register, runs noiselessly and
+    // decodes to the flipped target only.
+    use rand::SeedableRng;
+    use waltz_math::C64;
+
+    let circuit = generalized_toffoli(3);
+    let n = circuit.n_qubits();
+    let compiled = Compiler::new(Target::paper(Strategy::mixed_radix_ccz()))
+        .compile(&circuit)
+        .expect("compiles");
+    let schedule = compiled.sim_schedule();
+    assert_eq!(schedule.segments().len(), 2, "mixed-radix cnu-6q splits");
+    assert_ne!(schedule.first_register(), &compiled.timed.register);
+
+    let input_index = 0b111_000usize;
+    let mut amps = vec![C64::ZERO; 1 << n];
+    amps[input_index] = C64::ONE;
+    let initial =
+        compiled.embed_logical_state_on(schedule.first_register(), &amps, &compiled.initial_sites);
+    let mut sim = compiled.simulate();
+    let last = sim.run_ideal(&initial).clone();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+    let counts = compiled.sample_decoded(&last, 200, &mut rng);
+    assert_eq!(
+        counts.into_iter().collect::<Vec<_>>(),
+        vec![(input_index | 1, 200)],
+        "only the flipped-target bitstring"
+    );
+}
