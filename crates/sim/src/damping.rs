@@ -1,8 +1,9 @@
 //! Amplitude-damping steps (the §6.5 channel, unraveled): the engine
 //! primitives a step runs on, the one decision every engine takes, the
 //! per-estimate step tables and the no-jump factors a running trajectory
-//! has not applied yet. See the [`crate::trajectory`] module docs for
-//! what a step costs.
+//! has not applied yet, which the next op on a qudit takes into its own
+//! coefficients. See the [`crate::trajectory`] module docs for what a
+//! step costs.
 
 use rand::Rng;
 use waltz_noise::CoherenceModel;
@@ -242,7 +243,7 @@ impl StepTables {
 
     /// Runs damping call `k`, on `qudit`, against `state`. The step
     /// draws its uniform first. A roll at or above the step's no-jump
-    /// bound cannot jump, so it folds `√(1−λ_m)` into the qudit's
+    /// bound cannot jump, so it multiplies `√(1−λ_m)` into the qudit's
     /// pending factors and touches nothing else. A smaller roll applies
     /// every pending factor, reads the populations and decides as a
     /// step that normalizes would.
@@ -289,6 +290,12 @@ impl StepTables {
 /// per qudit and level, and the norm² its next read weighs jump
 /// probabilities by. The true state is the stored amplitudes times the
 /// pending factors, divided by the reference norm.
+///
+/// An op takes its operands' factors into its own coefficients
+/// ([`Pending::take_block`]), a reshape that clips nothing carries them
+/// onto the next register ([`Pending::carry`]), and a Pauli, a read, a
+/// clipping reshape, the trajectory end and a dense block too large to
+/// fold apply them in a pass per qudit ([`Pending::flush`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Pending {
     /// Qudit `q`'s factors are `factors[offsets[q]..offsets[q + 1]]`.
@@ -296,6 +303,10 @@ pub(crate) struct Pending {
     offsets: Vec<usize>,
     /// Bit `q` is set when qudit `q` has a factor other than 1.
     dirty: u64,
+    /// Amplitudes of the register the factors are laid out for.
+    amplitudes: usize,
+    /// The factors before a carry, kept for their storage.
+    carried: Vec<f64>,
     /// `None` when the state is normalized as of its last drawn step,
     /// so the reference is the stored norm² (with factors applied).
     /// `Some(r)` before the first drawn step (`r = 1`: the input is
@@ -312,9 +323,8 @@ impl Pending {
         self.reference = Some(1.0);
     }
 
-    /// Lays the factors out for a register of `dims`, all 1 — after a
-    /// reshape, which applies every factor first.
-    pub(crate) fn layout(&mut self, dims: &[u8]) {
+    /// Lays the factors out for a register of `dims`, all 1.
+    fn layout(&mut self, dims: &[u8]) {
         assert!(dims.len() <= 64, "register too large for pending damping");
         self.offsets.clear();
         self.offsets.push(0);
@@ -326,6 +336,80 @@ impl Pending {
         self.factors.clear();
         self.factors.resize(end, 1.0);
         self.dirty = 0;
+        self.amplitudes = amplitudes(dims);
+    }
+
+    /// Lays the factors out for a register of `dims` after a reshape of
+    /// the stored amplitudes that clipped nothing: each qudit keeps the
+    /// factors of the levels both registers have, and its new levels
+    /// start at 1. The levels it drops held only zeros.
+    pub(crate) fn carry(&mut self, dims: &[u8]) {
+        if self.dirty == 0 {
+            return self.layout(dims);
+        }
+        assert_eq!(
+            dims.len() + 1,
+            self.offsets.len(),
+            "a reshape keeps the qudit count"
+        );
+        std::mem::swap(&mut self.factors, &mut self.carried);
+        self.factors.clear();
+        self.dirty = 0;
+        let mut old_start = 0;
+        for (q, &d) in dims.iter().enumerate() {
+            let old = &self.carried[old_start..self.offsets[q + 1]];
+            old_start = self.offsets[q + 1];
+            let kept = &old[..old.len().min(d as usize)];
+            if kept.iter().any(|&f| f != 1.0) {
+                self.dirty |= 1 << q;
+            }
+            self.factors.extend_from_slice(kept);
+            self.factors
+                .resize(self.factors.len() + d as usize - kept.len(), 1.0);
+            self.offsets[q + 1] = self.factors.len();
+        }
+        self.amplitudes = amplitudes(dims);
+    }
+
+    /// The amplitude count of the register the factors are laid out for.
+    pub(crate) fn amplitudes(&self) -> usize {
+        self.amplitudes
+    }
+
+    /// Whether any qudit has a pending factor.
+    pub(crate) fn is_dirty(&self) -> bool {
+        self.dirty != 0
+    }
+
+    /// Whether any of `operands` has a pending factor.
+    pub(crate) fn touches(&self, operands: &[usize]) -> bool {
+        operands.iter().any(|&q| self.dirty & (1 << q) != 0)
+    }
+
+    /// Takes the pending factors of `operands` as the diagonal over
+    /// their block into `diag` — entry `sub` the product of each
+    /// operand's factor at its digit of `sub`, the last operand least
+    /// significant, as [`crate::kernel::compute_offsets`] orders the
+    /// block — and resets them to 1. The caller applies `diag` with the
+    /// op that the operands belong to.
+    pub(crate) fn take_block(&mut self, operands: &[usize], diag: &mut Vec<f64>) {
+        diag.clear();
+        diag.push(1.0);
+        for &q in operands {
+            let factors = &mut self.factors[self.offsets[q]..self.offsets[q + 1]];
+            let (len, dim) = (diag.len(), factors.len());
+            diag.resize(len * dim, 0.0);
+            // From the top down, so each entry is read before its slots
+            // are written.
+            for i in (0..len).rev() {
+                let above = diag[i];
+                for (slot, &f) in diag[i * dim..(i + 1) * dim].iter_mut().zip(&*factors) {
+                    *slot = above * f;
+                }
+            }
+            factors.fill(1.0);
+            self.dirty &= !(1 << q);
+        }
     }
 
     /// Multiplies qudit `qudit`'s pending factors by a no-jump step's
@@ -369,15 +453,17 @@ impl Pending {
         }
     }
 
-    /// Records a lossy reshape of `source`, whose factors were applied
-    /// before it: when it clipped population from a state normalized as
-    /// of its last drawn step, the reference becomes the norm² before
-    /// the clip, so the next drawn step weighs its jump probabilities by
-    /// the sub-unit norm that survived.
-    pub(crate) fn reshaped<S: DampingTarget + ?Sized>(&mut self, leaked: f64, source: &S) {
-        if leaked > 0.0 && self.reference.is_none() {
+    /// Lays the factors out for a register of `dims`, all 1, after a
+    /// reshape that clipped population from `source`, whose factors were
+    /// all applied first. When `source` was normalized as of its last
+    /// drawn step, the reference becomes its norm² before the clip, so
+    /// the next drawn step weighs its jump probabilities by the sub-unit
+    /// norm that survived.
+    pub(crate) fn clipped<S: DampingTarget + ?Sized>(&mut self, source: &S, dims: &[u8]) {
+        if self.reference.is_none() {
             self.reference = Some(source.norm_sqr());
         }
+        self.layout(dims);
     }
 
     /// Ends a trajectory: applies every pending factor and divides by
@@ -391,4 +477,10 @@ impl Pending {
             state.scale_amplitudes(1.0 / r.sqrt());
         }
     }
+}
+
+/// `Π dims`, saturating: the amplitude count of a register of `dims`.
+fn amplitudes(dims: &[u8]) -> usize {
+    dims.iter()
+        .fold(1usize, |n, &d| n.saturating_mul(d as usize))
 }

@@ -8,7 +8,7 @@
 //! here, [`crate::Session::run_ideal`] and the estimator's reference runs
 //! share one loop.
 
-use crate::kernel::Workspace;
+use crate::kernel::{Coeffs, Workspace};
 use crate::sparse::{AdaptiveState, SparseState};
 use crate::trajectory::Representation;
 use crate::{Schedule, SegmentedCircuit, State, TimedCircuit, RESHAPE_LEAK_TOL};
@@ -117,7 +117,7 @@ pub(crate) fn run_schedule<S: Representation>(
             std::mem::swap(out, scratch);
         }
         for op in &segment.ops {
-            out.apply_op(op, ws);
+            out.apply_coeffs(Coeffs::of(&op.kernel, &op.unitary), &op.operands, ws);
         }
     }
 }

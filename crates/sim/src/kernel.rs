@@ -43,6 +43,11 @@
 //! configuration-at-a-time sweep; `tests/kernel_parity.rs` pins each
 //! arm to such a reference to the bit.
 //!
+//! The trajectory runner may hand an apply the op's coefficients with
+//! the operands' pending damping factors folded in (`U·D`, see the
+//! [`crate::trajectory`] module docs); they stay in the op's kernel
+//! class and run through the same arms.
+//!
 //! Scratch that cannot live on the stack is borrowed from a reusable
 //! [`Workspace`] so steady-state trajectory simulation performs no heap
 //! allocation per gate.
@@ -160,6 +165,157 @@ fn cycles_of(perm: &[usize], phases: &[C64]) -> Vec<Vec<usize>> {
     cycles
 }
 
+pub(crate) use coeffs::Coeffs;
+
+/// `pub` inside a private module: the sealed
+/// [`crate::trajectory::Representation`] takes [`Coeffs`] in a hidden
+/// method, and the type stays unnameable outside the crate.
+mod coeffs {
+    use waltz_math::{Matrix, C64};
+
+    use super::GateKernel;
+
+    /// The coefficients one apply runs on, borrowed: an op's own
+    /// ([`Coeffs::of`]) or the same kernel class with a diagonal folded in
+    /// ([`super::Fold::coeffs`]). Every engine picks its arm from the class
+    /// alone.
+    #[derive(Clone, Copy)]
+    pub enum Coeffs<'a> {
+        /// The identity on a block of `block` states.
+        Identity { block: usize },
+        /// Amplitude `sub` of every operand block is scaled by `phases[sub]`.
+        Diagonal { phases: &'a [C64] },
+        /// `new[perm[j]] = phases[j] · old[j]`. The dense engine walks
+        /// `cycles` and scales the `fixed` points the cycle list omits by
+        /// their `fixed_phases`.
+        Permutation {
+            perm: &'a [usize],
+            phases: &'a [C64],
+            cycles: &'a [Vec<usize>],
+            fixed: &'a [usize],
+            fixed_phases: &'a [C64],
+        },
+        /// A row-major `block × block` matrix, `single` for a single-qudit
+        /// kernel.
+        Dense {
+            m: &'a [C64],
+            block: usize,
+            single: bool,
+        },
+    }
+
+    impl<'a> Coeffs<'a> {
+        /// The coefficients of `kernel`, classified from `u`.
+        pub fn of(kernel: &'a GateKernel, u: &'a Matrix) -> Self {
+            let dense = |single| Coeffs::Dense {
+                m: u.as_slice(),
+                block: u.rows(),
+                single,
+            };
+            match kernel {
+                GateKernel::Identity => Coeffs::Identity { block: u.rows() },
+                GateKernel::Diagonal { phases } => Coeffs::Diagonal { phases },
+                GateKernel::Permutation {
+                    perm,
+                    phases,
+                    cycles,
+                } => Coeffs::Permutation {
+                    perm,
+                    phases,
+                    cycles,
+                    fixed: &[],
+                    fixed_phases: &[],
+                },
+                GateKernel::SingleQudit => dense(true),
+                GateKernel::TwoQudit | GateKernel::GeneralDense => dense(false),
+            }
+        }
+
+        /// The number of states in the operand block.
+        pub fn block(&self) -> usize {
+            match *self {
+                Coeffs::Identity { block } | Coeffs::Dense { block, .. } => block,
+                Coeffs::Diagonal { phases } => phases.len(),
+                Coeffs::Permutation { perm, .. } => perm.len(),
+            }
+        }
+    }
+}
+
+/// An op's coefficients times a real diagonal `D` on the right, `U·D`,
+/// in the op's own kernel class: the identity becomes `D`, a diagonal
+/// `phases∘D`, a permutation `phases∘D` plus the unit-phase fixed points
+/// `D` scales, a dense block its columns scaled by `D`. The buffers
+/// keep their size across ops.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Fold {
+    /// `D` over the operand block, in [`compute_offsets`] order.
+    pub(crate) diag: Vec<f64>,
+    coeffs: Vec<C64>,
+    fixed: Vec<usize>,
+    fixed_phases: Vec<C64>,
+}
+
+impl Fold {
+    /// The coefficients of `kernel` (classified from `u`) with
+    /// [`Fold::diag`] folded in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the diagonal does not span `u`'s block.
+    pub(crate) fn coeffs<'a>(&'a mut self, kernel: &'a GateKernel, u: &'a Matrix) -> Coeffs<'a> {
+        let d = &self.diag;
+        assert_eq!(d.len(), u.rows(), "folded diagonal does not match the op");
+        let scaled = |p: &'a [C64]| p.iter().zip(d).map(|(&p, &x)| p * x);
+        self.coeffs.clear();
+        match kernel {
+            GateKernel::Identity => {
+                self.coeffs.extend(d.iter().map(|&x| C64::real(x)));
+                Coeffs::Diagonal {
+                    phases: &self.coeffs,
+                }
+            }
+            GateKernel::Diagonal { phases } => {
+                self.coeffs.extend(scaled(phases));
+                Coeffs::Diagonal {
+                    phases: &self.coeffs,
+                }
+            }
+            GateKernel::Permutation {
+                perm,
+                phases,
+                cycles,
+            } => {
+                self.coeffs.extend(scaled(phases));
+                self.fixed.clear();
+                self.fixed.extend(
+                    (0..d.len()).filter(|&j| perm[j] == j && phases[j] == C64::ONE && d[j] != 1.0),
+                );
+                self.fixed_phases.clear();
+                self.fixed_phases
+                    .extend(self.fixed.iter().map(|&j| self.coeffs[j]));
+                Coeffs::Permutation {
+                    perm,
+                    phases: &self.coeffs,
+                    cycles,
+                    fixed: &self.fixed,
+                    fixed_phases: &self.fixed_phases,
+                }
+            }
+            GateKernel::SingleQudit | GateKernel::TwoQudit | GateKernel::GeneralDense => {
+                for row in u.as_slice().chunks_exact(d.len()) {
+                    self.coeffs.extend(scaled(row));
+                }
+                Coeffs::Dense {
+                    m: &self.coeffs,
+                    block: d.len(),
+                    single: matches!(kernel, GateKernel::SingleQudit),
+                }
+            }
+        }
+    }
+}
+
 /// Reusable scratch for the specialized apply paths and the trajectory
 /// runner. Holding one per worker thread makes the per-gate hot path
 /// allocation-free in steady state: every buffer is cleared and refilled
@@ -168,6 +324,9 @@ fn cycles_of(perm: &[usize], phases: &[C64]) -> Vec<Vec<usize>> {
 pub struct Workspace {
     /// Amplitude offset of each operand-block configuration.
     pub(crate) offsets: Vec<usize>,
+    /// Amplitude offsets of the fixed points a permutation with folded
+    /// damping scales.
+    pub(crate) fixed_offsets: Vec<usize>,
     /// Structural nonzeros of the current dense block (see
     /// [`Nonzeros`]).
     pub(crate) nz_entries: Vec<(usize, C64)>,
@@ -182,6 +341,9 @@ pub struct Workspace {
     /// Step tables of the single-trajectory entry points, rebuilt per
     /// call; estimates build theirs once and share them.
     pub(crate) steps: StepTables,
+    /// An op's coefficients with pending damping folded in (trajectory
+    /// runner).
+    pub(crate) fold: Fold,
     /// The SIMD tier the sweep bodies run at.
     pub(crate) simd: SimdLevel,
     /// nnz/amps ratio above which an adaptive state switches sparse →
@@ -201,12 +363,14 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace {
             offsets: Vec::new(),
+            fixed_offsets: Vec::new(),
             nz_entries: Vec::new(),
             nz_ends: Vec::new(),
             scratch: Vec::new(),
             free_at: Vec::new(),
             pending: Pending::default(),
             steps: StepTables::default(),
+            fold: Fold::default(),
             simd: SimdLevel::detect(),
             sparse_density_threshold: crate::sparse::DEFAULT_SPARSE_DENSITY_THRESHOLD,
             sparse_epsilon: 0.0,
@@ -528,24 +692,42 @@ pub(crate) fn apply(
     operands: &[usize],
     ws: &mut Workspace,
 ) {
+    apply_coeffs(amps, reg, Coeffs::of(kernel, u), operands, ws);
+}
+
+/// Asserts that `operands` are distinct and span a block of `block`
+/// states. The sweeps' unchecked writes stay in bounds only then.
+pub(crate) fn check_operands(reg: &Register, block: usize, operands: &[usize]) {
     for (i, a) in operands.iter().enumerate() {
         for b in operands.iter().skip(i + 1) {
             assert_ne!(a, b, "operands must be distinct");
         }
     }
     let dims_product: usize = operands.iter().map(|&q| reg.dim(q)).product();
-    assert_eq!(
-        u.rows(),
-        dims_product,
-        "unitary does not match operand dims"
-    );
+    assert_eq!(block, dims_product, "unitary does not match operand dims");
+}
 
-    if matches!(kernel, GateKernel::Identity) {
+/// Applies `coeffs` to the operand qudits through the arm of their
+/// kernel class.
+///
+/// # Panics
+///
+/// Panics if the block does not match the operand dimensions or an
+/// operand repeats.
+pub(crate) fn apply_coeffs(
+    amps: &mut [C64],
+    reg: &Register,
+    coeffs: Coeffs<'_>,
+    operands: &[usize],
+    ws: &mut Workspace,
+) {
+    check_operands(reg, coeffs.block(), operands);
+    if let Coeffs::Identity { .. } = coeffs {
         return;
     }
 
     // Fast path: diagonal on a single qudit is a contiguous slice scale.
-    if let (GateKernel::Diagonal { phases }, [q]) = (kernel, operands) {
+    if let (Coeffs::Diagonal { phases }, [q]) = (coeffs, operands) {
         return apply_diagonal_single(amps, reg, phases, *q, ws.simd);
     }
 
@@ -560,44 +742,65 @@ pub(crate) fn apply(
         level: ws.simd,
     };
 
-    match kernel {
-        GateKernel::Identity => {}
-        GateKernel::Diagonal { phases } => {
-            if simd::diag_sweep(&ctx, phases) {
-                return;
-            }
-            // Configuration by configuration: on an op whose innermost
-            // qudit is an operand, a pass per offset would stride over
-            // every cache line of the state once per offset.
-            for base in sweep.bases() {
-                for k in 0..sweep.run {
-                    let b = base + k * sweep.step;
-                    for (&off, &phase) in offsets.iter().zip(phases) {
-                        // SAFETY: every base + offset is in bounds (see SharedAmps).
-                        unsafe { *shared.at(b + off) *= phase };
-                    }
+    match coeffs {
+        Coeffs::Identity { .. } => {}
+        Coeffs::Diagonal { phases } => diagonal_sweep(&ctx, phases),
+        Coeffs::Permutation {
+            cycles,
+            phases,
+            fixed,
+            fixed_phases,
+            ..
+        } => {
+            if !simd::perm_sweep(&ctx, cycles, phases) {
+                for cycle in cycles {
+                    // SAFETY: every base + offset is in bounds (see SharedAmps).
+                    unsafe { walk_cycle(shared, &sweep, offsets, cycle, phases) };
                 }
             }
-        }
-        GateKernel::Permutation { cycles, phases, .. } => {
-            if simd::perm_sweep(&ctx, cycles, phases) {
-                return;
+            if !fixed.is_empty() {
+                // The fixed points the cycle list omits, in one sweep:
+                // each amplitude gets the one product a cycle of one
+                // would give it.
+                ws.fixed_offsets.clear();
+                ws.fixed_offsets.extend(fixed.iter().map(|&j| offsets[j]));
+                let ctx = simd::SweepCtx {
+                    offsets: &ws.fixed_offsets,
+                    ..ctx
+                };
+                diagonal_sweep(&ctx, fixed_phases);
             }
-            for cycle in cycles {
-                // SAFETY: every base + offset is in bounds (see SharedAmps).
-                unsafe { walk_cycle(shared, &sweep, offsets, cycle, phases) };
-            }
         }
-        GateKernel::SingleQudit | GateKernel::TwoQudit | GateKernel::GeneralDense => {
-            let m = u.as_slice();
+        Coeffs::Dense { m, single, .. } => {
             let nz = nonzeros(m, block, &mut ws.nz_entries, &mut ws.nz_ends);
             if simd::dense_sweep(&ctx, m, nz) {
                 return;
             }
-            match (kernel, block) {
-                (GateKernel::SingleQudit, 2) => single_qubit_sweep(&sweep, shared, offsets, m),
-                (GateKernel::SingleQudit, 4) => single_ququart_sweep(&sweep, shared, offsets, m),
+            match (single, block) {
+                (true, 2) => single_qubit_sweep(&sweep, shared, offsets, m),
+                (true, 4) => single_ququart_sweep(&sweep, shared, offsets, m),
                 _ => dense_block_sweep(&sweep, shared, offsets, m, nz, &mut ws.scratch),
+            }
+        }
+    }
+}
+
+/// Multiplies the configurations at `ctx.offsets[i]` of the sweep by
+/// `phases[i]`, through the vector arm when it takes the sweep.
+fn diagonal_sweep(ctx: &simd::SweepCtx<'_>, phases: &[C64]) {
+    if simd::diag_sweep(ctx, phases) {
+        return;
+    }
+    // Configuration by configuration: on an op whose innermost qudit is
+    // an operand, a pass per offset would stride over every cache line
+    // of the state once per offset.
+    let sweep = ctx.sweep;
+    for base in sweep.bases() {
+        for k in 0..sweep.run {
+            let b = base + k * sweep.step;
+            for (&off, &phase) in ctx.offsets.iter().zip(phases) {
+                // SAFETY: every base + offset is in bounds (see SharedAmps).
+                unsafe { *ctx.shared.at(b + off) *= phase };
             }
         }
     }

@@ -14,10 +14,10 @@
 //!   time it has been idle; after each gate a generalized-Pauli error is
 //!   drawn with probability `1 - F_gate` (§6.5). A damping step draws
 //!   its uniform first and reads the state only when that roll could
-//!   be a jump; otherwise it folds its no-jump factors into per-qudit
-//!   factors that are applied once, when an op next touches the qudit,
-//!   and the trajectory normalizes once at its end (see the
-//!   [`trajectory`] module docs).
+//!   be a jump; otherwise it multiplies its no-jump factors into
+//!   per-qudit factors, which the next op on the qudit folds into its
+//!   own coefficients (no pass of their own), and the trajectory
+//!   normalizes once at its end (see the [`trajectory`] module docs).
 //! * [`trajectory::Estimator`] — the one Monte-Carlo fidelity estimate
 //!   over a [`Schedule`], dense or density-adaptive, plain or
 //!   health-supervised, on the [`TrajectoryPool`]. It scores each

@@ -110,7 +110,8 @@ fn detect_uncached() -> SimdLevel {
 }
 
 /// Everything a vector dispatcher needs about the sweep being applied.
-/// Built once per [`crate::kernel::apply`] call.
+/// Built once per apply, and once more for the fixed points a
+/// permutation with folded damping scales.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 pub(crate) struct SweepCtx<'a> {
     /// Run-major layout of the sweep.

@@ -32,7 +32,7 @@ use waltz_math::{Matrix, C64};
 use waltz_noise::{CoherenceModel, PauliOp};
 
 use crate::damping::{self, DampingTarget, POP_LANES};
-use crate::kernel::{self, GateKernel, Workspace};
+use crate::kernel::{self, Coeffs, GateKernel, Workspace};
 use crate::{Register, State, TimedOp};
 
 /// Default nnz/amps ratio above which an [`AdaptiveState`] abandons the
@@ -347,26 +347,31 @@ impl SparseState {
         operands: &[usize],
         ws: &mut Workspace,
     ) {
-        for (i, a) in operands.iter().enumerate() {
-            for b in operands.iter().skip(i + 1) {
-                assert_ne!(a, b, "operands must be distinct");
-            }
-        }
-        let reg = &self.register;
-        let dims_product: usize = operands.iter().map(|&q| reg.dim(q)).product();
-        assert_eq!(
-            u.rows(),
-            dims_product,
-            "unitary does not match operand dims"
-        );
+        self.apply_coeffs(Coeffs::of(kernel, u), operands, ws);
+    }
 
-        if matches!(kernel, GateKernel::Identity) {
+    /// Applies `coeffs` to the operand qudits through the sparse arm of
+    /// their kernel class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block does not match the operand dimensions or an
+    /// operand repeats.
+    pub(crate) fn apply_coeffs(
+        &mut self,
+        coeffs: Coeffs<'_>,
+        operands: &[usize],
+        ws: &mut Workspace,
+    ) {
+        kernel::check_operands(&self.register, coeffs.block(), operands);
+        if let Coeffs::Identity { .. } = coeffs {
             return;
         }
+        let reg = &self.register;
 
         // Single-operand diagonal: phase per stored entry, skipping unit
         // phases exactly as the dense contiguous-slice fast path does.
-        if let (GateKernel::Diagonal { phases }, [q]) = (kernel, operands) {
+        if let (Coeffs::Diagonal { phases }, [q]) = (coeffs, operands) {
             let stride = reg.stride(*q);
             let dim = reg.dim(*q);
             for (idx, amp) in &mut self.entries {
@@ -380,9 +385,9 @@ impl SparseState {
         }
 
         let block = kernel::compute_offsets(reg, operands, &mut ws.offsets);
-        match kernel {
-            GateKernel::Identity => {}
-            GateKernel::Diagonal { phases } => {
+        match coeffs {
+            Coeffs::Identity { .. } => {}
+            Coeffs::Diagonal { phases } => {
                 // Multi-operand diagonal: the dense sweep multiplies
                 // unconditionally, so the sparse arm does too.
                 for (idx, amp) in &mut self.entries {
@@ -390,7 +395,7 @@ impl SparseState {
                     *amp *= phases[sub];
                 }
             }
-            GateKernel::Permutation { perm, phases, .. } => {
+            Coeffs::Permutation { perm, phases, .. } => {
                 let offsets: &[usize] = &ws.offsets;
                 for (idx, amp) in &mut self.entries {
                     let sub = operand_sub(reg, operands, *idx);
@@ -409,8 +414,8 @@ impl SparseState {
                 // order needs restoring.
                 self.entries.sort_unstable_by_key(|&(i, _)| i);
             }
-            GateKernel::SingleQudit | GateKernel::TwoQudit | GateKernel::GeneralDense => {
-                self.apply_dense_block(kernel, u, operands, block, ws);
+            Coeffs::Dense { m, single, .. } => {
+                self.apply_dense_block(m, single, operands, block, ws);
             }
         }
     }
@@ -423,8 +428,8 @@ impl SparseState {
     /// class, and surviving rows scattered back.
     fn apply_dense_block(
         &mut self,
-        kernel: &GateKernel,
-        u: &Matrix,
+        m: &[C64],
+        single: bool,
         operands: &[usize],
         block: usize,
         ws: &mut Workspace,
@@ -445,12 +450,10 @@ impl SparseState {
 
         rebuilt.clear();
         let eps2 = self.epsilon * self.epsilon;
-        let m = u.as_slice();
         // Same once-per-apply scan as `dense_block_sweep`: fully dense
         // blocks run the branchless accumulation chain, blocks with
         // structural zeros keep the per-coefficient skip.
         let fully_dense = m.iter().all(|&c| c != C64::ZERO);
-        let single = matches!(kernel, GateKernel::SingleQudit);
         let mut scratch = [C64::ZERO; kernel::MAX_STACK_BLOCK];
         let mut heap_scratch = Vec::new();
         if block > kernel::MAX_STACK_BLOCK {
@@ -517,10 +520,9 @@ impl SparseState {
                     heap_scratch[gather[j].1 as usize] = gather[j].2;
                     j += 1;
                 }
-                for row in 0..block {
+                for (row, row_coeffs) in m.chunks_exact(block).enumerate() {
                     let mut acc = C64::ZERO;
-                    for (col, &amp) in heap_scratch.iter().enumerate() {
-                        let coeff = u[(row, col)];
+                    for (&coeff, &amp) in row_coeffs.iter().zip(&heap_scratch) {
                         if coeff != C64::ZERO {
                             acc += coeff * amp;
                         }
@@ -913,11 +915,25 @@ impl AdaptiveState {
     /// to dense when the resulting density crosses the workspace's
     /// threshold.
     pub fn apply_op(&mut self, op: &TimedOp, ws: &mut Workspace) {
+        self.apply_coeffs(Coeffs::of(&op.kernel, &op.unitary), &op.operands, ws);
+    }
+
+    /// Applies `coeffs` to the operand qudits in either representation,
+    /// then re-decides the representation.
+    pub(crate) fn apply_coeffs(
+        &mut self,
+        coeffs: Coeffs<'_>,
+        operands: &[usize],
+        ws: &mut Workspace,
+    ) {
         if self.is_dense {
-            self.dense.as_mut().expect("dense buffer").apply_op(op, ws);
+            self.dense
+                .as_mut()
+                .expect("dense buffer")
+                .apply_coeffs(coeffs, operands, ws);
         } else {
             self.sparse.set_epsilon(ws.sparse_epsilon);
-            self.sparse.apply_op(op, ws);
+            self.sparse.apply_coeffs(coeffs, operands, ws);
             self.maybe_densify(ws);
         }
         self.note_peak();

@@ -6,7 +6,7 @@ use waltz_math::{vector, Matrix, C64};
 use waltz_noise::{CoherenceModel, PauliOp};
 
 use crate::damping::{self, DampingTarget, POP_LANES};
-use crate::kernel::{self, GateKernel, Workspace};
+use crate::kernel::{self, Coeffs, GateKernel, Workspace};
 use crate::{Register, TimedOp};
 
 /// Largest modulus an amplitude clipped by [`State::reshape_into`] may
@@ -285,6 +285,18 @@ impl State {
             &op.operands,
             ws,
         );
+    }
+
+    /// Applies `coeffs` to the operand qudits: an op's own, or with the
+    /// trajectory runner's pending damping folded in (see
+    /// [`crate::trajectory`]).
+    pub(crate) fn apply_coeffs(
+        &mut self,
+        coeffs: Coeffs<'_>,
+        operands: &[usize],
+        ws: &mut Workspace,
+    ) {
+        kernel::apply_coeffs(&mut self.amps, &self.register, coeffs, operands, ws);
     }
 
     /// Applies a unitary through an explicitly classified kernel. The

@@ -26,19 +26,32 @@
 //! populations once and takes the branch a normalizing step would: a
 //! collapse on a jump, the no-jump factors pended again otherwise.
 //!
-//! A qudit's pending factors are applied in one pass when an op or a
-//! Pauli touches it, before a reshape or a population read, and at the
-//! trajectory end: 0.22–0.24 passes per drawn step for qubit-only
-//! schedules, 0.62–0.75 for mixed-radix and full-ququart. Gates on
-//! other qudits commute with them. The stored amplitudes are never
-//! normalized inside a trajectory: a read weighs jump probabilities by
-//! the stored norm, and the end divides by it once. A lossy reshape
-//! keeps the rule that the next drawn step weighs them by the sub-unit
-//! norm that survived: the reshape records the norm² before the clip as
-//! the reference. The RNG stream, the early returns (`dt <= 0`, every
-//! `λ_m == 0`) and every branch are those of a step that reads and
-//! normalizes each time, and the dense and sparse engines do identical
-//! arithmetic.
+//! An op does not apply the factors in passes of their own. The no-jump
+//! evolution is a fixed diagonal (Plenio & Knight, RMP 70, 101 (1998)),
+//! so an op on qudits with pending factors takes them as the diagonal
+//! `D` over its operand block and applies `U·D` through its own kernel
+//! class: the identity becomes `D`, a diagonal `phases∘D`, a permutation
+//! `phases∘D` plus the unit-phase fixed points `D` scales, a dense block
+//! its columns scaled by `D`. A dense block with more coefficients than
+//! the register has amplitudes, where scaling them costs more than the
+//! pass it saves, keeps a pass per pending operand instead. Gates on
+//! other qudits commute with the factors. A reshape of the stored
+//! amplitudes that clips nothing carries them onto the next register:
+//! kept levels keep their factors and new levels start at 1.
+//!
+//! Factors are still applied in one pass per qudit where they cannot
+//! ride along: when a Pauli touches the qudit, before a population read
+//! (every qudit), before a reshape that clips population (every qudit,
+//! then the reshape runs again), and at the trajectory end. The stored
+//! amplitudes are never normalized inside a trajectory: a read weighs
+//! jump probabilities by the stored norm, and the end divides by it
+//! once. A lossy reshape keeps the rule that the next drawn step weighs
+//! them by the sub-unit norm that survived: the reshape records the norm²
+//! of the damped state before the clip as the reference. The RNG stream,
+//! the early returns (`dt <= 0`, every `λ_m == 0`) and every branch are
+//! those of a step that reads and normalizes each time. The dense and
+//! sparse engines fold the same ops with the same coefficients and do
+//! identical arithmetic.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -52,7 +65,7 @@ use waltz_math::C64;
 use waltz_noise::{pauli, NoiseModel, PauliOp};
 
 use crate::damping::{DampingTarget, StepTables};
-use crate::kernel::Workspace;
+use crate::kernel::{Coeffs, GateKernel, Workspace};
 use crate::pool::TrajectoryPool;
 use crate::sparse::{AdaptiveState, SparsePolicy, SparseState};
 use crate::{ideal, Register, Schedule, SegmentedCircuit, State, TimedCircuit, TimedOp};
@@ -87,8 +100,10 @@ pub trait Representation: DampingTarget + Sized {
     /// Panics if `input`'s register differs from `register`.
     #[doc(hidden)]
     fn load(&mut self, input: &Self::Input, register: &Register, ws: &mut Workspace);
+    /// Applies an op's coefficients, or the runner's folded ones, to
+    /// `operands`.
     #[doc(hidden)]
-    fn apply_op(&mut self, op: &TimedOp, ws: &mut Workspace);
+    fn apply_coeffs(&mut self, coeffs: Coeffs<'_>, operands: &[usize], ws: &mut Workspace);
     #[doc(hidden)]
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize);
     /// Re-targets the buffer onto `register` (contents unspecified).
@@ -128,8 +143,8 @@ impl Representation for State {
         State::remap(self, register);
         self.copy_from(input);
     }
-    fn apply_op(&mut self, op: &TimedOp, ws: &mut Workspace) {
-        State::apply_op(self, op, ws);
+    fn apply_coeffs(&mut self, coeffs: Coeffs<'_>, operands: &[usize], ws: &mut Workspace) {
+        State::apply_coeffs(self, coeffs, operands, ws);
     }
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize) {
         State::apply_pauli(self, op, qudit);
@@ -175,8 +190,8 @@ impl Representation for AdaptiveState {
         assert_eq!(input.register(), register, "{REGISTER_MISMATCH}");
         self.reset_from_sparse(input, ws);
     }
-    fn apply_op(&mut self, op: &TimedOp, ws: &mut Workspace) {
-        AdaptiveState::apply_op(self, op, ws);
+    fn apply_coeffs(&mut self, coeffs: Coeffs<'_>, operands: &[usize], ws: &mut Workspace) {
+        AdaptiveState::apply_coeffs(self, coeffs, operands, ws);
     }
     fn apply_pauli(&mut self, op: PauliOp, qudit: usize) {
         AdaptiveState::apply_pauli(self, op, qudit);
@@ -378,10 +393,22 @@ impl<S: Representation, R: Rng + ?Sized> NoiseCalls for Runner<'_, S, R> {
     }
 
     fn apply(&mut self, op: &TimedOp) {
-        for &q in &op.operands {
-            self.ws.pending.flush(q, self.state);
+        let ws = &mut *self.ws;
+        if folds(op, ws.pending.amplitudes()) && ws.pending.touches(&op.operands) {
+            // The fold's buffers leave the workspace while the apply
+            // borrows it.
+            let mut fold = std::mem::take(&mut ws.fold);
+            ws.pending.take_block(&op.operands, &mut fold.diag);
+            let coeffs = fold.coeffs(&op.kernel, &op.unitary);
+            self.state.apply_coeffs(coeffs, &op.operands, ws);
+            ws.fold = fold;
+        } else {
+            for &q in &op.operands {
+                ws.pending.flush(q, self.state);
+            }
+            let coeffs = Coeffs::of(&op.kernel, &op.unitary);
+            self.state.apply_coeffs(coeffs, &op.operands, ws);
         }
-        self.state.apply_op(op, self.ws);
         #[cfg(feature = "fault-inject")]
         self.state.fault_tick();
     }
@@ -399,19 +426,45 @@ impl<S: Representation, R: Rng + ?Sized> NoiseCalls for Runner<'_, S, R> {
     }
 }
 
+/// Whether `op` takes its operands' pending factors into its own
+/// coefficients rather than after a pass per factor, on a register of
+/// `amplitudes`: always for the identity, diagonals and permutations
+/// (one multiply per block entry), and for a dense block when its
+/// `block²` coefficients are no more than the amplitudes of the pass it
+/// saves. Both engines decide on the register's size, never on a sparse
+/// state's entry count, so they fold the same ops.
+fn folds(op: &TimedOp, amplitudes: usize) -> bool {
+    match op.kernel {
+        GateKernel::SingleQudit | GateKernel::TwoQudit | GateKernel::GeneralDense => {
+            op.unitary.rows().pow(2) <= amplitudes
+        }
+        GateKernel::Identity | GateKernel::Diagonal { .. } | GateKernel::Permutation { .. } => true,
+    }
+}
+
 impl<S: Representation, R: Rng + ?Sized> Runner<'_, S, R> {
     /// Moves the state onto the next segment's `register` through
-    /// `scratch`, with every pending factor applied first.
+    /// `scratch`. The stored amplitudes are reshaped as they are; when
+    /// that clips nothing the pending factors ride along. When it clips
+    /// population, the factors are applied and the state reshaped again,
+    /// so the clipped probability and the reference norm are those of
+    /// the damped state.
     fn reshape(&mut self, register: &Register, scratch: &mut S) {
-        self.ws.pending.flush_all(self.state);
         // Lossy: an error draw may have populated levels the noiseless
         // occupancy analysis proved empty. The reshape drops them and
         // leaves a sub-unit norm (see `State::reshape_into_lossy`).
         scratch.remap(register);
-        let leaked = self.state.reshape_lossy(scratch, self.ws);
-        self.ws.pending.reshaped(leaked, self.state);
+        let mut leaked = self.state.reshape_lossy(scratch, self.ws);
+        if leaked > 0.0 && self.ws.pending.is_dirty() {
+            self.ws.pending.flush_all(self.state);
+            leaked = self.state.reshape_lossy(scratch, self.ws);
+        }
+        if leaked > 0.0 {
+            self.ws.pending.clipped(self.state, register.dims());
+        } else {
+            self.ws.pending.carry(register.dims());
+        }
         std::mem::swap(self.state, scratch);
-        self.ws.pending.layout(register.dims());
     }
 }
 

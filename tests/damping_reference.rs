@@ -10,7 +10,9 @@
 //! and jump level, leave the RNG at the same position and agree on every
 //! amplitude to 1e-12; whole noisy trajectories of compiled cnu-6q under
 //! every strategy must agree the same way. The dense and sparse engines
-//! must agree to the bit.
+//! must agree to the bit. The `fold` module holds the runners' folded
+//! applies, which take pending no-jump factors into an op's own
+//! coefficients, to the same reference.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -951,5 +953,603 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pending damping folded into each op's coefficients: an op on qudits
+// with pending no-jump factors applies `U·D`, `D` the factors over its
+// operand block, through its own kernel class, and a reshape that clips
+// nothing carries the factors onto the next register. The reference
+// runner never defers a factor. Per kernel class, on random mixed-radix
+// registers with one to three operands, both must agree to 1e-12 with
+// the RNG at the same position at both SIMD levels, and the adaptive
+// runner must hold the dense runner's bits.
+// ---------------------------------------------------------------------
+mod fold {
+    use super::*;
+    use waltz_sim::GateKernel;
+
+    /// Names the case under test when an assertion inside it fails.
+    struct OnFailure(String);
+
+    impl Drop for OnFailure {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("while checking {}", self.0);
+            }
+        }
+    }
+
+    /// The reference runner over every segment of `seg`: the normalized
+    /// state reshaped at each boundary, then the trailing idle. Returns
+    /// the final state and the probability each reshape clipped.
+    fn reference_run(
+        seg: &SegmentedCircuit,
+        initial: &State,
+        noise: &NoiseModel,
+        rng: &mut StdRng,
+        ws: &mut Workspace,
+    ) -> (State, Vec<f64>) {
+        let mut state = initial.clone();
+        let mut free_at = vec![0.0; state.register().n_qudits()];
+        let (mut jumps, mut leaks) = (0usize, Vec::new());
+        for (k, segment) in seg.segments.iter().enumerate() {
+            if k > 0 {
+                let mut next = State::zero(&segment.register);
+                leaks.push(state.reshape_into_lossy(&mut next));
+                state = next;
+            }
+            reference_ops(
+                segment,
+                noise,
+                rng,
+                &mut state,
+                &mut free_at,
+                ws,
+                &mut jumps,
+            );
+        }
+        let total = seg.total_duration_ns;
+        reference_trailing(total, noise, rng, &mut state, &free_at, &mut jumps);
+        (state, leaks)
+    }
+
+    fn workspace(level: SimdLevel) -> Workspace {
+        let mut ws = Workspace::new();
+        ws.set_simd_level(level);
+        ws
+    }
+
+    /// Runs `seg` from `initial` through the folding runner and the
+    /// reference on same-seed RNGs at `level`, at the paper's T1 and at
+    /// 2 µs, and checks every amplitude and the RNG position. Returns the
+    /// probability each reference reshape clipped.
+    fn assert_matches_reference(
+        seg: &SegmentedCircuit,
+        initial: &State,
+        seed: u64,
+        level: SimdLevel,
+    ) -> Vec<f64> {
+        let mut session = Session::new(seg);
+        *session.workspace_mut() = workspace(level);
+        let mut ws = workspace(level);
+        let mut leaks = Vec::new();
+        for noise in [NoiseModel::paper(), short_t1_noise()] {
+            let mut rng_new = StdRng::seed_from_u64(seed);
+            let mut rng_ref = StdRng::seed_from_u64(seed);
+            let got = session.run_trajectory(seg, initial, &noise, &mut rng_new);
+            let (want, clipped) = reference_run(seg, initial, &noise, &mut rng_ref, &mut ws);
+            assert_same_trajectory(got, &want, &mut rng_new, &mut rng_ref);
+            leaks.extend(clipped);
+        }
+        leaks
+    }
+
+    /// Runs `seg` from `initial` on the dense runner and on the adaptive
+    /// one at density thresholds 0 (dense from the start) and 2 (never
+    /// dense), scalar-pinned, and checks the bits and the RNG position.
+    fn assert_adaptive_matches_dense(seg: &SegmentedCircuit, initial: &State, seed: u64) {
+        let sparse = SparseState::from_dense(initial, 0.0);
+        let mut dense = Session::new(seg);
+        *dense.workspace_mut() = scalar_ws(0.0);
+        let mut adaptive = Session::adaptive(seg, &SparsePolicy::default());
+        for noise in [NoiseModel::paper(), short_t1_noise()] {
+            for threshold in [0.0, 2.0] {
+                *adaptive.workspace_mut() = scalar_ws(threshold);
+                let mut rng_dense = StdRng::seed_from_u64(seed);
+                let mut rng_adaptive = StdRng::seed_from_u64(seed);
+                let want = dense.run_trajectory(seg, initial, &noise, &mut rng_dense);
+                let got = adaptive.run_trajectory(seg, &sparse, &noise, &mut rng_adaptive);
+                let context = format!("threshold {threshold}");
+                assert_adaptive_bits(want, got, &context);
+                assert_eq!(
+                    rng_dense.gen::<u64>(),
+                    rng_adaptive.gen::<u64>(),
+                    "{context}: RNG position"
+                );
+            }
+        }
+    }
+
+    /// A register holding `operand_dims` at random positions among more
+    /// qudits of 2–4 levels, added until it has at least `min_amps`
+    /// amplitudes, and the operands in a random order.
+    fn register_with(
+        operand_dims: &[u8],
+        min_amps: usize,
+        rng: &mut StdRng,
+    ) -> (Register, Vec<usize>) {
+        let mut dims = operand_dims.to_vec();
+        while dims.iter().map(|&d| d as usize).product::<usize>() < min_amps {
+            dims.push(rng.gen_range(2..=4u8));
+        }
+        let n = dims.len();
+        let mut slots: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            slots.swap(i, rng.gen_range(0..=i));
+        }
+        // Slot `slots[k]` holds the `k`-th qudit drawn above.
+        let mut placed = vec![0u8; n];
+        for (&slot, &d) in slots.iter().zip(&dims) {
+            placed[slot] = d;
+        }
+        let operands = slots[..operand_dims.len()].to_vec();
+        (Register::new(placed), operands)
+    }
+
+    /// A unitary on one qudit of `dim` levels: Haar on its two lowest
+    /// levels and the identity above, so levels 2 and up stay empty.
+    fn qubit_gate(dim: usize, rng: &mut StdRng) -> Matrix {
+        let h = linalg::haar_unitary(2, rng);
+        let mut m = Matrix::identity(dim);
+        for r in 0..2 {
+            for c in 0..2 {
+                m[(r, c)] = h[(r, c)];
+            }
+        }
+        m
+    }
+
+    fn op(
+        u: Matrix,
+        operands: Vec<usize>,
+        dims: Vec<u8>,
+        start: f64,
+        dur: f64,
+        fid: f64,
+    ) -> TimedOp {
+        TimedOp::new("op", u, operands, dims, start, dur, fid)
+    }
+
+    /// A schedule on `reg` around the op `u` on `operands`: first a layer
+    /// of qubit-subspace gates on every qudit, whose busy damping leaves
+    /// factors pending, then `u` after an idle gap, a second layer, and a
+    /// trailing idle. An operand in `clean` instead ends its first-layer
+    /// gate, of zero duration, exactly where `u` starts, so no step damps
+    /// it before `u`.
+    fn around(
+        reg: &Register,
+        u: &Matrix,
+        operands: &[usize],
+        clean: &[usize],
+        rng: &mut StdRng,
+    ) -> SegmentedCircuit {
+        let (start, dur) = (120.0, 251.0);
+        let mut tc = TimedCircuit::new(reg.clone());
+        for q in 0..reg.n_qudits() {
+            let d = reg.dim(q);
+            tc.ops.push(match clean.contains(&q) {
+                true => op(qubit_gate(d, rng), vec![q], vec![2], start, 0.0, 1.0),
+                false => op(qubit_gate(d, rng), vec![q], vec![2], 0.0, 35.0, 0.99),
+            });
+        }
+        let dims: Vec<u8> = operands.iter().map(|&q| reg.dim(q) as u8).collect();
+        tc.ops
+            .push(op(u.clone(), operands.to_vec(), dims, start, dur, 0.9));
+        for q in 0..reg.n_qudits() {
+            let d = reg.dim(q);
+            let u = linalg::haar_unitary(d, rng);
+            tc.ops
+                .push(op(u, vec![q], vec![d as u8], 600.0, 35.0, 0.99));
+        }
+        tc.total_duration_ns = 1_500.0;
+        tc.validate().expect("valid schedule");
+        SegmentedCircuit::new(vec![tc], 1_500.0)
+    }
+
+    /// A diagonal of random phases, with every `unit`-th phase exactly 1.
+    fn random_diagonal(n: usize, unit: usize, rng: &mut StdRng) -> Matrix {
+        let phases: Vec<C64> = (0..n)
+            .map(|j| match j % unit {
+                0 => C64::ONE,
+                _ => C64::cis(rng.gen::<f64>() * std::f64::consts::TAU),
+            })
+            .collect();
+        Matrix::from_diag(&phases)
+    }
+
+    /// A phased permutation of `n` states built from the given cycle
+    /// lengths over a random relabeling; the states no cycle covers are
+    /// fixed points, the first of them phased and the rest at phase
+    /// exactly 1.
+    fn structured_permutation(n: usize, cycle_lengths: &[usize], rng: &mut StdRng) -> Matrix {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut phases = vec![C64::ONE; n];
+        let mut at = 0;
+        for &len in cycle_lengths {
+            let cycle = &order[at..at + len];
+            for (k, &j) in cycle.iter().enumerate() {
+                perm[j] = cycle[(k + 1) % len];
+                phases[j] = C64::cis(rng.gen::<f64>() * std::f64::consts::TAU);
+            }
+            at += len;
+        }
+        assert!(at + 2 <= n, "leave a phased and a unit-phase fixed point");
+        phases[order[at]] = C64::cis(0.7);
+        let mut m = Matrix::zeros(n, n);
+        for j in 0..n {
+            m[(perm[j], j)] = phases[j];
+        }
+        m
+    }
+
+    /// A unitary of `n` (even) states with structural zeros: Haar 2×2
+    /// blocks on consecutive pairs of states, rows shuffled.
+    fn structurally_sparse(n: usize, rng: &mut StdRng) -> Matrix {
+        let mut rows: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rows.swap(i, rng.gen_range(0..=i));
+        }
+        let mut m = Matrix::zeros(n, n);
+        for pair in 0..n / 2 {
+            let h = linalg::haar_unitary(2, rng);
+            for r in 0..2 {
+                for c in 0..2 {
+                    m[(rows[2 * pair + r], 2 * pair + c)] = h[(r, c)];
+                }
+            }
+        }
+        m
+    }
+
+    /// One kernel-class case: the operand dimensions, a unitary on their
+    /// block and the class it must classify as.
+    struct Case {
+        dims: &'static [u8],
+        unitary: fn(usize, &mut StdRng) -> Matrix,
+        class: &'static str,
+    }
+
+    fn cases() -> Vec<Case> {
+        let case = |dims, unitary, class| Case {
+            dims,
+            unitary,
+            class,
+        };
+        let identity = |n, _: &mut StdRng| Matrix::identity(n);
+        let diagonal = |n, r: &mut StdRng| random_diagonal(n, 3, r);
+        let (dense, sparse) = (linalg::haar_unitary, structurally_sparse);
+        vec![
+            case(&[3], identity, "identity"),
+            case(&[4, 2, 3], identity, "identity"),
+            case(&[4], diagonal, "diagonal"),
+            case(&[3], diagonal, "diagonal"),
+            case(&[4, 3], diagonal, "diagonal"),
+            case(&[2, 3, 4], diagonal, "diagonal"),
+            case(
+                &[4, 2],
+                |n, r| structured_permutation(n, &[2, 2], r),
+                "permutation",
+            ),
+            case(
+                &[2, 2, 2],
+                |n, r| structured_permutation(n, &[3, 2], r),
+                "permutation",
+            ),
+            case(
+                &[3, 3],
+                |n, r| structured_permutation(n, &[5], r),
+                "permutation",
+            ),
+            case(
+                &[4],
+                |n, r| structured_permutation(n, &[2], r),
+                "permutation",
+            ),
+            case(&[2], dense, "single-qudit"),
+            case(&[3], dense, "single-qudit"),
+            case(&[4], dense, "single-qudit"),
+            case(&[4], sparse, "single-qudit"),
+            case(&[2, 2], dense, "two-qudit"),
+            case(&[2, 2], sparse, "two-qudit"),
+            case(&[4, 2], dense, "two-qudit"),
+            case(&[2, 4], sparse, "two-qudit"),
+            case(&[4, 3], dense, "two-qudit"),
+            case(&[4, 4], dense, "two-qudit"),
+            case(&[4, 4], sparse, "two-qudit"),
+            case(&[2, 2, 2], dense, "general-dense"),
+            case(&[2, 2, 2], sparse, "general-dense"),
+            case(&[4, 4, 4], dense, "general-dense"),
+            case(&[4, 4, 4], sparse, "general-dense"),
+        ]
+    }
+
+    /// Runs `check` on every case over a few random registers, operand
+    /// orders and undamped-operand choices. A dense block's register has
+    /// at least as many amplitudes as the block has coefficients, so the
+    /// op folds; the other classes fold on registers of every size, from
+    /// one extra qubit up.
+    fn for_each_case(mut check: impl FnMut(&SegmentedCircuit, &State, u64)) {
+        for (c, case) in cases().iter().enumerate() {
+            for draw in 0..4u64 {
+                let seed = 1000 * c as u64 + draw;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let block: usize = case.dims.iter().map(|&d| d as usize).product();
+                let u = (case.unitary)(block, &mut rng);
+                let kernel = GateKernel::classify(&u, case.dims.len());
+                assert_eq!(kernel.name(), case.class, "case {c}");
+                let min_amps = match kernel {
+                    GateKernel::Identity
+                    | GateKernel::Diagonal { .. }
+                    | GateKernel::Permutation { .. } => block << (1 + draw % 3),
+                    _ => block * block,
+                };
+                let (reg, operands) = register_with(case.dims, min_amps, &mut rng);
+                // One draw in four leaves the first operand undamped
+                // before the op, so the folded diagonal mixes 1s with
+                // factors.
+                let clean = match draw {
+                    3 => &operands[..1],
+                    _ => &[][..],
+                };
+                let seg = around(&reg, &u, &operands, clean, &mut rng);
+                let initial = State::random_qubit_product(&reg, &mut StdRng::seed_from_u64(seed));
+                let _context = OnFailure(format!(
+                    "case {c} ({}) on {:?} at {operands:?}, undamped {clean:?}",
+                    case.class,
+                    reg.dims()
+                ));
+                check(&seg, &initial, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn folded_ops_match_the_reference_at_both_simd_levels() {
+        for_each_case(|seg, initial, seed| {
+            for level in [SimdLevel::detect(), SimdLevel::Scalar] {
+                assert_matches_reference(seg, initial, seed, level);
+            }
+        });
+    }
+
+    #[test]
+    fn folded_adaptive_runs_equal_the_dense_runs_to_the_bit() {
+        for_each_case(assert_adaptive_matches_dense);
+    }
+
+    #[test]
+    fn dense_blocks_larger_than_the_register_flush_and_match() {
+        // A dense block folds only if its coefficients are no more than
+        // the register's amplitudes: a 16-state block has 256, more than
+        // three ququarts hold (64), and a 64-state block 4096, more than
+        // three ququarts and three qubits hold (512). These ops keep a
+        // flush pass per pending operand.
+        let mut rng = StdRng::seed_from_u64(77);
+        let small = Register::new(vec![4, 4, 4]);
+        let large = Register::new(vec![2, 4, 2, 4, 2, 4]);
+        let cases = [
+            (&small, linalg::haar_unitary(16, &mut rng), vec![2, 0]),
+            (&small, structurally_sparse(16, &mut rng), vec![1, 2]),
+            (&large, linalg::haar_unitary(64, &mut rng), vec![1, 3, 5]),
+            (&large, structurally_sparse(64, &mut rng), vec![5, 1, 3]),
+        ];
+        for (k, (reg, u, operands)) in cases.iter().enumerate() {
+            let seg = around(reg, u, operands, &[], &mut rng);
+            for seed in 0..6u64 {
+                let initial = State::random_qubit_product(reg, &mut StdRng::seed_from_u64(seed));
+                let _context = OnFailure(format!("block {} on {:?}", u.rows(), reg.dims()));
+                for level in [SimdLevel::detect(), SimdLevel::Scalar] {
+                    assert_matches_reference(&seg, &initial, 10 * k as u64 + seed, level);
+                }
+                assert_adaptive_matches_dense(&seg, &initial, seed);
+            }
+        }
+    }
+
+    /// Three windows: (4, 2, 3, 2) and three more qudits (2, 4, 2), then
+    /// qudit 0 demoted to a qubit and qudit 1 promoted to a ququart, then
+    /// qudit 2 demoted to a qubit. Every gate and error on a qudit that a
+    /// later window demotes stays in its qubit subspace, so no reshape
+    /// clips anything, and the busy damping after each window's last
+    /// gates leaves factors pending at both reshapes.
+    fn clean_windows(rng: &mut StdRng) -> SegmentedCircuit {
+        let mut first = TimedCircuit::new(Register::new(vec![4, 2, 3, 2, 2, 4, 2]));
+        let ops = [
+            op(
+                linalg::haar_unitary(8, rng),
+                vec![5, 6],
+                vec![4, 2],
+                0.0,
+                100.0,
+                0.95,
+            ),
+            op(
+                structured_permutation(8, &[3], rng),
+                vec![4, 5],
+                vec![2, 4],
+                150.0,
+                100.0,
+                0.95,
+            ),
+            op(qubit_gate(4, rng), vec![0], vec![2], 0.0, 35.0, 0.95),
+            op(
+                qubit_gate(3, rng).kron(&linalg::haar_unitary(2, rng)),
+                vec![2, 3],
+                vec![2, 2],
+                0.0,
+                251.0,
+                0.95,
+            ),
+            op(
+                waltz_gates::embed(&linalg::haar_unitary(4, rng), &[2, 2], &[2, 4]),
+                vec![1, 0],
+                vec![2, 2],
+                300.0,
+                100.0,
+                0.95,
+            ),
+        ];
+        first.ops.extend(ops);
+        first.total_duration_ns = 2_000.0;
+        let mut second = TimedCircuit::new(Register::new(vec![2, 4, 3, 2, 2, 4, 2]));
+        let ops = [
+            op(
+                structured_permutation(8, &[3, 2], rng),
+                vec![1, 0],
+                vec![4, 2],
+                600.0,
+                251.0,
+                0.95,
+            ),
+            op(qubit_gate(3, rng), vec![2], vec![2], 700.0, 35.0, 0.95),
+        ];
+        second.ops.extend(ops);
+        second.total_duration_ns = 2_000.0;
+        let mut third = TimedCircuit::new(Register::new(vec![2, 4, 2, 2, 2, 4, 2]));
+        let ops = [
+            op(
+                linalg::haar_unitary(4, rng),
+                vec![2, 3],
+                vec![2, 2],
+                1_000.0,
+                251.0,
+                0.95,
+            ),
+            op(
+                random_diagonal(8, 3, rng),
+                vec![0, 1],
+                vec![2, 4],
+                1_100.0,
+                100.0,
+                0.95,
+            ),
+        ];
+        third.ops.extend(ops);
+        third.total_duration_ns = 2_000.0;
+        SegmentedCircuit::new(vec![first, second, third], 2_000.0)
+    }
+
+    #[test]
+    fn clean_reshapes_carry_pending_factors() {
+        let mut clipped = 0usize;
+        for t in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(t);
+            let seg = clean_windows(&mut rng);
+            seg.validate().expect("valid windows");
+            let initial = State::random_qubit_product(
+                seg.first_register(),
+                &mut StdRng::seed_from_u64(500 + t),
+            );
+            let _context = OnFailure(format!("clean windows, t {t}"));
+            for level in [SimdLevel::detect(), SimdLevel::Scalar] {
+                let leaks = assert_matches_reference(&seg, &initial, t, level);
+                clipped += leaks.iter().filter(|&&p| p > 0.0).count();
+            }
+            assert_adaptive_matches_dense(&seg, &initial, t);
+        }
+        assert_eq!(clipped, 0, "a clean window clipped population");
+    }
+
+    /// A ququart next to a qutrit: the first window splits the ququart's
+    /// ground state over its levels 1 and 2 (and mixes the qutrit), the
+    /// second keeps two levels of the ququart, so the reshape clips about
+    /// half the population while the busy damping of both gates is still
+    /// pending. With `tail`, a gate after the reshape damps again;
+    /// without it no step draws after the reshape, so the runner's final
+    /// scale is the reference norm the reshape recorded.
+    fn leaking_windows(tail: bool, rng: &mut StdRng) -> SegmentedCircuit {
+        let (o, l) = (C64::ZERO, C64::ONE);
+        let h = C64::real(std::f64::consts::FRAC_1_SQRT_2);
+        let split = Matrix::from_rows(&[
+            vec![o, o, l, o],
+            vec![h, h, o, o],
+            vec![h, C64::real(-h.re), o, o],
+            vec![o, o, o, l],
+        ]);
+        let mut first = TimedCircuit::new(Register::new(vec![4, 3]));
+        let mix = linalg::haar_unitary(3, rng);
+        first.ops.push(op(split, vec![0], vec![4], 0.0, 35.0, 1.0));
+        first.ops.push(op(mix, vec![1], vec![3], 0.0, 35.0, 1.0));
+        first.total_duration_ns = 35.0;
+        let mut second = TimedCircuit::new(Register::new(vec![2, 3]));
+        let (start, dur) = if tail { (800.0, 35.0) } else { (35.0, 0.0) };
+        let x = Matrix::permutation(&[1, 0]);
+        second.ops.push(op(x, vec![0], vec![2], start, dur, 1.0));
+        second.total_duration_ns = start + dur;
+        let total = if tail { 1_500.0 } else { 35.0 };
+        SegmentedCircuit::new(vec![first, second], total)
+    }
+
+    #[test]
+    fn leaking_reshapes_apply_pending_factors_first() {
+        let mut clipped = 0usize;
+        for tail in [false, true] {
+            for t in 0..60u64 {
+                let mut rng = StdRng::seed_from_u64(t);
+                let seg = leaking_windows(tail, &mut rng);
+                let initial = State::zero(seg.first_register());
+                let _context = OnFailure(format!("leaking windows, tail {tail}, t {t}"));
+                for level in [SimdLevel::detect(), SimdLevel::Scalar] {
+                    let leaks = assert_matches_reference(&seg, &initial, t, level);
+                    clipped += leaks.iter().filter(|&&p| p > 0.0).count();
+                }
+                assert_adaptive_matches_dense(&seg, &initial, t);
+            }
+        }
+        assert!(clipped > 200, "only {clipped} reshapes clipped population");
+    }
+
+    /// Four ququarts and a qubit: an X on ququart 1 whose busy damping
+    /// leaves factors pending on it, then a swap whose operand list
+    /// names ququart 1 twice. `TimedOp::new` does not validate, so only
+    /// the apply's operand check stands between the fold and writes past
+    /// the amplitudes.
+    fn repeated_operand() -> SegmentedCircuit {
+        let mut tc = TimedCircuit::new(Register::new(vec![4, 4, 4, 4, 2]));
+        let x = Matrix::permutation(&[1, 0, 2, 3]);
+        let swap: Vec<usize> = (0..16).map(|j| (j % 4) * 4 + j / 4).collect();
+        let swap = Matrix::permutation(&swap);
+        tc.ops.push(op(x, vec![1], vec![4], 0.0, 35.0, 1.0));
+        tc.ops
+            .push(op(swap, vec![1, 1], vec![4, 4], 35.0, 35.0, 1.0));
+        tc.total_duration_ns = 70.0;
+        SegmentedCircuit::new(vec![tc], 70.0)
+    }
+
+    #[test]
+    #[should_panic(expected = "operands must be distinct")]
+    fn a_repeated_operand_panics_in_the_folding_dense_runner() {
+        let seg = repeated_operand();
+        let initial = State::zero(seg.first_register());
+        let mut session = Session::new(&seg);
+        let mut rng = StdRng::seed_from_u64(1);
+        session.run_trajectory(&seg, &initial, &NoiseModel::paper(), &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "operands must be distinct")]
+    fn a_repeated_operand_panics_in_the_folding_sparse_runner() {
+        let seg = repeated_operand();
+        let initial = SparseState::from_dense(&State::zero(seg.first_register()), 0.0);
+        let mut session = Session::adaptive(&seg, &SparsePolicy::default());
+        *session.workspace_mut() = scalar_ws(2.0);
+        let mut rng = StdRng::seed_from_u64(1);
+        session.run_trajectory(&seg, &initial, &NoiseModel::paper(), &mut rng);
     }
 }
