@@ -217,13 +217,13 @@ impl CompiledCircuit {
     /// For an unsplit schedule the first register is `timed`'s.
     ///
     /// The fused schedule produces the same noiseless output as `timed`
-    /// (1e-12 parity). Noisy trajectory estimates are *statistically*
-    /// equivalent — per-pulse error probabilities and per-device
-    /// idle/busy damping times are preserved exactly — but individual
-    /// draws differ (noise inside a block is replayed around one unitary
-    /// apply rather than interleaved), so same-seed means differ by
-    /// sampling noise. Use [`crate::CompileOptions::unfused`] when exact
-    /// pulse-by-pulse noise interleaving matters.
+    /// (1e-12 parity). Under noise it approximates `timed`: per-pulse
+    /// error probabilities and per-device idle/busy damping times are
+    /// preserved exactly, but a fused block damps idle time before its
+    /// one unitary and busy time and Pauli draws after it, which moves
+    /// estimates measurably (see [`crate::Fusion`]). Use
+    /// [`crate::CompileOptions::unfused`] when exact pulse-by-pulse noise
+    /// interleaving matters.
     pub fn sim_schedule(&self) -> Schedule<'_> {
         (&self.sim).into()
     }

@@ -67,9 +67,7 @@
 //!    constants, optional block-span cap). Every estimate, serial run
 //!    and remote simulate runs this schedule through
 //!    [`CompiledCircuit::sim_schedule`]; the Fuse and Lower reports
-//!    count its ops. Block products are memoized in a compiler-wide
-//!    [`waltz_sim::FuseCache`], so batches of structurally similar
-//!    circuits multiply each repeated block shape once.
+//!    count its ops.
 //! 7. [`Pass::Lower`] — the coherence-span timeline the EPS model
 //!    consumes (§6.3) and aggregate statistics, assembled into a
 //!    [`CompileArtifact`].

@@ -10,7 +10,7 @@ use std::time::Instant;
 use waltz_arch::InteractionGraph;
 use waltz_circuit::{Circuit, GateKind};
 use waltz_gates::Q1Gate;
-use waltz_sim::{FuseCache, FuseOptions, GateKernel, Schedule, SegmentedCircuit};
+use waltz_sim::{FuseOptions, GateKernel, Schedule, SegmentedCircuit};
 
 use crate::artifact::CompileArtifact;
 use crate::cache::ArtifactCache;
@@ -51,7 +51,7 @@ pub enum Pass {
     /// segments on the same timeline.
     Schedule,
     /// Gate fusion of the simulation schedule, once per segment
-    /// ([`waltz_sim::SegmentedCircuit::fuse_with_cache`]); a no-op pass
+    /// ([`waltz_sim::SegmentedCircuit::fuse_with`]); a no-op pass
     /// when the options disable fusion. Its report counts the ops and
     /// start times of the schedule simulations run.
     Fuse,
@@ -198,11 +198,6 @@ pub struct Compiler {
     target: Target,
     options: CompileOptions,
     fuse: FuseOptions,
-    /// Memoized fused-block products, shared by every compilation through
-    /// this compiler (and its clones — the store is behind an `Arc`):
-    /// batches of structurally similar circuits multiply each repeated
-    /// block shape once instead of once per circuit.
-    fuse_cache: FuseCache,
     /// Content-addressed artifact cache
     /// ([`Compiler::with_artifact_cache`]): repeat compilations of the
     /// same circuit against the same target replay the stored artifact
@@ -225,7 +220,6 @@ impl Compiler {
             target,
             options,
             fuse,
-            fuse_cache: FuseCache::new(),
             artifact_cache: None,
         }
     }
@@ -552,19 +546,15 @@ impl Compiler {
 
         // -- Fuse ---------------------------------------------------------
         // The simulation schedule fuses once, per segment (never across a
-        // reshape boundary), sharing the compiler-wide block cache. Only
-        // an unfused, unsplit compile copies `timed`.
+        // reshape boundary). Only an unfused, unsplit compile copies
+        // `timed`.
         begin_pass(Pass::Fuse, deadline, budget_ms)?;
         let t0 = Instant::now();
         let sim = match (self.options.fusion, windowed) {
             (Fusion::Off, Some(windowed)) => windowed,
             (Fusion::Off, None) => SegmentedCircuit::single(timed.clone()),
-            (Fusion::TwoQudit, Some(windowed)) => {
-                windowed.fuse_with_cache(&self.fuse, &self.fuse_cache)
-            }
-            (Fusion::TwoQudit, None) => {
-                SegmentedCircuit::single(timed.fuse_with_cache(&self.fuse, &self.fuse_cache))
-            }
+            (Fusion::TwoQudit, Some(windowed)) => windowed.fuse_with(&self.fuse),
+            (Fusion::TwoQudit, None) => SegmentedCircuit::single(timed.fuse_with(&self.fuse)),
         };
         let sim_ops = sim.len();
         let sim_depth = schedule_depth(&sim);
@@ -592,15 +582,6 @@ impl Compiler {
                     } else {
                         self.fuse.max_block_span.to_string()
                     },
-                ),
-                ("fuse_cache_hits".into(), self.fuse_cache.hits().to_string()),
-                (
-                    "fuse_cache_misses".into(),
-                    self.fuse_cache.misses().to_string(),
-                ),
-                (
-                    "fuse_cache_evictions".into(),
-                    self.fuse_cache.evictions().to_string(),
                 ),
             ],
         });
@@ -724,15 +705,14 @@ impl Compiler {
         .collect()
     }
 
-    /// A compiler over the same target and fuse cache with different
+    /// A compiler over the same target and artifact cache with different
     /// options — the supervisor's degradation rungs recompile through
-    /// this, so retries reuse every memoized fused block.
+    /// this.
     pub(crate) fn reoptioned(&self, options: CompileOptions) -> Compiler {
         Compiler {
             target: self.target.clone(),
             fuse: resolve_fuse_options(&options),
             options,
-            fuse_cache: self.fuse_cache.clone(),
             // Degraded rungs keep the cache: their options change the
             // fingerprint, so rung artifacts are cached under their own
             // keys and a retried batch warms up too.
@@ -1103,26 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn compiler_fuse_cache_is_shared_across_compiles() {
-        let compiler = Compiler::new(Target::paper(Strategy::qubit_only()));
-        let first = compiler.compile(&small_circuit()).unwrap();
-        let populated = compiler.fuse_cache.len();
-        assert!(populated > 0, "fusing must memoize block products");
-        let second = compiler.compile(&small_circuit()).unwrap();
-        assert_eq!(
-            compiler.fuse_cache.len(),
-            populated,
-            "recompiling the same circuit must hit the cache"
-        );
-        // Cache hits are bit-identical.
-        let (a, b) = (&first.sim.segments[0], &second.sim.segments[0]);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.ops.iter().zip(&b.ops) {
-            assert_eq!(x.unitary, y.unitary);
-        }
-    }
-
-    #[test]
     fn batch_work_stealing_matches_sequential_on_skewed_batches() {
         // One big circuit first, many tiny ones after — the shape static
         // chunking handled worst (the big circuit's worker chunk also
@@ -1150,6 +1110,11 @@ mod tests {
             assert_eq!(got.timed.len(), want.timed.len());
             assert_eq!(got.timed.register.dims(), want.timed.register.dims());
             assert_eq!(got.sim.len(), want.sim.len());
+            // Two compiles through one compiler encode byte for byte.
+            assert_eq!(
+                waltz_codec::encode_to_vec(got.compiled()),
+                waltz_codec::encode_to_vec(want.compiled())
+            );
         }
     }
 

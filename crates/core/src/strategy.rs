@@ -18,15 +18,17 @@
 /// every simulation runs the fused program
 /// ([`crate::CompiledCircuit::sim_schedule`]). Fused blocks replay their
 /// constituents' error channels per pulse
-/// ([`waltz_sim::NoiseEvent`]), so noiseless outputs are bit-compatible
-/// (pinned at 1e-12 by the fusion parity suite) and noisy estimates are
-/// statistically equivalent: per-pulse error probabilities and
-/// per-device damping times are preserved exactly, while individual
-/// trajectory draws differ because the engines consume the RNG in
-/// different orders and a block's interior noise is replayed around one
-/// unitary apply. (Measured on cnu-6q at 4000 trajectories, fused and
-/// unfused means agree within one standard error for all three
-/// strategies.)
+/// ([`waltz_sim::NoiseEvent`]), so noiseless outputs match the unfused
+/// program (pinned at 1e-12 by the fusion parity suite) and every pulse
+/// keeps its error probability and every device its exact idle and busy
+/// times. Noisy estimates are an approximation, not an equivalent: a
+/// block damps its constituents' idle times before its one unitary, and
+/// damps their busy times and draws their Pauli errors after it, so noise
+/// that falls between interior pulses acts at the block's edges. The
+/// bias is measurable: on cnu-6q at 80k trajectories per arm, fused minus
+/// unfused read +0.0086 (z +3.9) under qubit-only and +0.0064 (z +3.2)
+/// under mixed-radix (ROADMAP.md item 2, which plans the exact
+/// replacement).
 ///
 /// Fusing is the default: it is a simulation-side optimization only.
 /// Turn it off to benchmark the unfused engine or to force exact

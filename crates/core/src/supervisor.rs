@@ -440,8 +440,8 @@ impl Supervisor {
     ) -> Result<CompileArtifact, CompileError> {
         // AssertUnwindSafe: the closure only borrows the compiler and the
         // circuit; the one cross-attempt structure a panic could leave
-        // mid-update is the fuse cache, whose lock is poison-tolerant and
-        // whose entries are only ever inserted whole.
+        // mid-update is the artifact cache, whose lock is poison-tolerant
+        // and whose entries are only ever inserted whole.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             compiler.compile_until(circuit, deadline, budget_ms)
         }));

@@ -47,7 +47,6 @@ const EXPECTED: &[&str] = &[
 const EXPECTED_SIM: &[&str] = &[
     "AdaptiveState",
     "DEFAULT_SPARSE_DENSITY_THRESHOLD",
-    "FuseCache",
     "FuseOptions",
     "GateKernel",
     "NoiseEvent",

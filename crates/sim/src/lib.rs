@@ -53,10 +53,13 @@
 //! adjacent ops supported on the same ≤2-qudit operand set are multiplied
 //! into one dense block at schedule time and re-classified through the
 //! [`GateKernel`] probes (a run of diagonals fuses back to a diagonal).
-//! Each fused block keeps one [`NoiseEvent`] per original pulse so the
-//! trajectory method still damps idle time and draws errors per hardware
-//! pulse. Fused programs run through the same [`ideal`] / [`trajectory`]
-//! entry points and are parity-pinned against the unfused engine.
+//! Each fused block keeps one [`NoiseEvent`] per original pulse, so the
+//! trajectory method still draws each pulse's error and damps each
+//! device's exact idle and busy time. Noiselessly a fused program is the
+//! unfused one (pinned at 1e-12). Under noise it is an approximation: a
+//! block damps idle time before its one unitary and busy time and Pauli
+//! draws after it, a bias [`TimedCircuit::fuse`] quantifies (ROADMAP.md
+//! item 2).
 //!
 //! # SIMD dispatch & the trajectory pool
 //!
@@ -148,7 +151,7 @@
 //! per-device busy timeline through every segment, so noise accounting
 //! is identical to the single-register engine, and rolls the state
 //! through a second buffer only when the schedule is split; fusion runs
-//! per segment ([`SegmentedCircuit::fuse_with_cache`]) and never crosses
+//! per segment ([`SegmentedCircuit::fuse_with`]) and never crosses
 //! a reshape boundary.
 //!
 //! # Example
@@ -191,6 +194,4 @@ pub use sparse::{
     sparse_enabled, AdaptiveState, SparsePolicy, SparseState, DEFAULT_SPARSE_DENSITY_THRESHOLD,
 };
 pub use state::{State, RESHAPE_LEAK_TOL};
-pub use timed::{
-    FuseCache, FuseOptions, NoiseEvent, Schedule, SegmentedCircuit, TimedCircuit, TimedOp,
-};
+pub use timed::{FuseOptions, NoiseEvent, Schedule, SegmentedCircuit, TimedCircuit, TimedOp};

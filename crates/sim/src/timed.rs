@@ -2,10 +2,6 @@
 //! and the gate-fusion pass that batches it for throughput
 //! ([`TimedCircuit::fuse`]).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
 use waltz_math::{structure, Matrix};
 
 use crate::kernel::GateKernel;
@@ -110,187 +106,6 @@ impl FuseClass {
     }
 }
 
-/// Identity of one fused-block product: the block's operand dimensions
-/// plus, per constituent, its operand positions within the block and the
-/// exact unitary entries (as `f64` bit patterns, so the key is `Eq` +
-/// `Hash`). Two blocks with the same key multiply to the same matrix
-/// regardless of which physical devices they sit on or when they start.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct BlockKey {
-    dims: Vec<usize>,
-    parts: Vec<BlockPart>,
-}
-
-/// One [`BlockKey`] constituent: operand positions within the block and
-/// the unitary's entries as `(re, im)` bit patterns.
-type BlockPart = (Vec<usize>, Vec<(u64, u64)>);
-
-impl BlockKey {
-    fn part_of(unitary: &Matrix, positions: Vec<usize>) -> BlockPart {
-        let bits = unitary
-            .as_slice()
-            .iter()
-            .map(|c| (c.re.to_bits(), c.im.to_bits()))
-            .collect();
-        (positions, bits)
-    }
-}
-
-/// A memoized fused-block product: the multiplied unitary and its
-/// already-classified kernel.
-#[derive(Debug, Clone)]
-struct CachedBlock {
-    unitary: Matrix,
-    kernel: GateKernel,
-}
-
-/// Entries the cache holds by default; [`FuseCache::with_capacity`]
-/// tunes it per deployment.
-const FUSE_CACHE_CAP: usize = 4096;
-
-/// Shared store behind [`FuseCache`]: the memo map (tagged with
-/// last-use ticks for LRU eviction) plus lifetime hit/miss/eviction
-/// counters.
-#[derive(Debug)]
-struct FuseCacheInner {
-    map: Mutex<HashMap<BlockKey, (u64, CachedBlock)>>,
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// Memoizes fused-block products across [`TimedCircuit::fuse_with_cache`]
-/// calls: repeated (operand-dims, constituent-run) shapes — ubiquitous in
-/// batches of structurally similar circuits, and within one schedule
-/// whenever a gate pattern repeats — skip the schedule-time matrix
-/// multiplication and kernel re-classification entirely.
-///
-/// Cloning is cheap and *shares* the underlying store (`Arc`), which is
-/// how a compiler hands one cache to every worker of a batch compile.
-/// Correctness does not depend on the cache: keys identify the exact
-/// unitary entries, so a hit returns bit-identical blocks.
-///
-/// The store holds at most [`FuseCache::capacity`] shapes (default 4096,
-/// tunable via [`FuseCache::with_capacity`]); overflow evicts the
-/// least-recently-used entry. Lifetime [`FuseCache::hits`] /
-/// [`FuseCache::misses`] / [`FuseCache::evictions`] counters expose the
-/// cache's effectiveness to compile-pass diagnostics.
-#[derive(Debug, Clone)]
-pub struct FuseCache {
-    inner: Arc<FuseCacheInner>,
-}
-
-impl Default for FuseCache {
-    fn default() -> Self {
-        FuseCache::new()
-    }
-}
-
-impl FuseCache {
-    /// An empty cache with the default capacity.
-    pub fn new() -> Self {
-        FuseCache::with_capacity(FUSE_CACHE_CAP)
-    }
-
-    /// An empty cache holding at most `capacity` block shapes. A capacity
-    /// of 0 disables memoization (every lookup misses, nothing is stored).
-    pub fn with_capacity(capacity: usize) -> Self {
-        FuseCache {
-            inner: Arc::new(FuseCacheInner {
-                map: Mutex::new(HashMap::new()),
-                capacity,
-                tick: AtomicU64::new(0),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Maximum number of memoized block shapes.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
-    /// Number of memoized block shapes.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime lookup hits across every handle sharing this store.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime lookup misses across every handle sharing this store.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime LRU evictions across every handle sharing this store.
-    pub fn evictions(&self) -> u64 {
-        self.inner.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Poison-tolerant lock: entries are only ever inserted whole, so a
-    /// panic on another thread (isolated by a batch supervisor) cannot
-    /// leave a half-written entry — sibling jobs keep using the cache.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<BlockKey, (u64, CachedBlock)>> {
-        self.inner
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn get(&self, key: &BlockKey) -> Option<CachedBlock> {
-        let tick = self.inner.tick.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.lock();
-        match map.get_mut(key) {
-            Some((last_use, block)) => {
-                *last_use = tick;
-                let block = block.clone();
-                drop(map);
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                Some(block)
-            }
-            None => {
-                drop(map);
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: BlockKey, value: CachedBlock) {
-        if self.inner.capacity == 0 {
-            return;
-        }
-        let tick = self.inner.tick.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.lock();
-        if map.len() >= self.inner.capacity && !map.contains_key(&key) {
-            // Evict the least-recently-used shape. O(len) scan: eviction
-            // only happens past `capacity` distinct shapes, far off the
-            // per-block hot path.
-            if let Some(oldest) = map
-                .iter()
-                .min_by_key(|(_, (last_use, _))| *last_use)
-                .map(|(k, _)| k.clone())
-            {
-                map.remove(&oldest);
-                self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        map.insert(key, (tick, value));
-    }
-}
-
 /// One constituent pulse's noise record, kept by a fused op so the
 /// trajectory method still draws errors and damps idle time **per
 /// hardware pulse** even though the unitaries were multiplied into one
@@ -391,8 +206,10 @@ impl TimedOp {
 /// A fully scheduled hardware circuit over a device register.
 ///
 /// Invariants (checked by [`TimedCircuit::validate`]): ops are listed in
-/// dependency order, every op's unitary matches its operands' device
-/// dimensions, and per-device start times never regress.
+/// dependency order, every op names distinct operands inside the register
+/// and carries a square unitary matching their device dimensions, every
+/// op and noise event draws its errors on one dimension per operand, and
+/// per-device start times never regress.
 #[derive(Debug, Clone)]
 pub struct TimedCircuit {
     /// The device register (dimension 2 or 4 per device).
@@ -441,13 +258,18 @@ impl TimedCircuit {
         c
     }
 
-    /// Checks structural invariants.
-    ///
-    /// Fused blocks (ops carrying [`TimedOp::noise_events`]) are checked
-    /// per constituent event: each event's devices must be a subset of the
-    /// block's operands and per-device start times must not regress across
-    /// events, since the block envelope itself may start before a
-    /// late-joining device frees.
+    /// Checks structural invariants — everything the runners index by, so
+    /// a schedule that passes never panics inside a simulation; decode
+    /// runs it on every schedule. Every op names at least one operand,
+    /// each inside the register and none twice, under a square unitary
+    /// over their device dimensions. Every op and every noise event has
+    /// one error dimension per operand, each in `2..=min(device dim, 16)`
+    /// (a Pauli walks its levels on 16-entry tables). Calibrations are in
+    /// range, no op ends after the total duration, and per-device start
+    /// times never regress. Fused blocks (ops carrying
+    /// [`TimedOp::noise_events`]) are timed per constituent event, whose
+    /// devices must be a subset of the block's operands: the block
+    /// envelope itself may start before a late-joining device frees.
     ///
     /// # Errors
     ///
@@ -462,58 +284,56 @@ impl TimedCircuit {
     /// timeline through every segment (a reshape boundary is a simulation
     /// artifact — it must never hide a scheduling overlap).
     fn validate_ops(&self, busy_until: &mut [f64]) -> Result<(), String> {
+        let n = self.register.n_qudits();
         for (i, op) in self.ops.iter().enumerate() {
-            let dims: usize = op
-                .operands
-                .iter()
-                .map(|&q| {
-                    assert!(q < self.register.n_qudits());
-                    self.register.dim(q)
-                })
-                .product();
-            if op.unitary.rows() != dims {
-                return Err(format!(
-                    "op {i} ({}) unitary dim {} != operand space {dims}",
-                    op.label,
-                    op.unitary.rows()
-                ));
+            let at = |e: String| format!("op {i} ({}) {e}", op.label);
+            // The unitary before the pairwise checks: one that matches
+            // bounds the operand count by its size.
+            let mut space = 1usize;
+            for &q in &op.operands {
+                if q >= n {
+                    return Err(at(format!("operand {q} is outside the {n}-qudit register")));
+                }
+                space = space.saturating_mul(self.register.dim(q));
             }
+            let (rows, cols) = (op.unitary.rows(), op.unitary.cols());
+            if rows != space || cols != space {
+                return Err(at(format!(
+                    "unitary dim {rows}x{cols} != operand space {space}"
+                )));
+            }
+            check_pulse(&self.register, &op.operands, &op.error_dims).map_err(at)?;
             if op.duration_ns < 0.0 || op.fidelity < 0.0 || op.fidelity > 1.0 {
-                return Err(format!("op {i} ({}) has invalid calibration", op.label));
+                return Err(at("has invalid calibration".into()));
             }
             match &op.noise_events {
                 None => {
                     for &q in &op.operands {
                         if op.start_ns + 1e-9 < busy_until[q] {
-                            return Err(format!(
-                                "op {i} ({}) starts at {} before device {q} frees at {}",
-                                op.label, op.start_ns, busy_until[q]
-                            ));
+                            return Err(at(format!(
+                                "starts at {} before device {q} frees at {}",
+                                op.start_ns, busy_until[q]
+                            )));
                         }
                         busy_until[q] = op.end_ns();
                     }
                 }
                 Some(events) => {
                     for (e, ev) in events.iter().enumerate() {
+                        let at = |m: String| at(format!("event {e} {m}"));
                         if ev.duration_ns < 0.0 || ev.fidelity < 0.0 || ev.fidelity > 1.0 {
-                            return Err(format!(
-                                "op {i} ({}) event {e} has invalid calibration",
-                                op.label
-                            ));
+                            return Err(at("has invalid calibration".into()));
                         }
+                        if let Some(q) = ev.operands.iter().find(|q| !op.operands.contains(q)) {
+                            return Err(at(format!("touches non-operand device {q}")));
+                        }
+                        check_pulse(&self.register, &ev.operands, &ev.error_dims).map_err(at)?;
                         for &q in &ev.operands {
-                            if !op.operands.contains(&q) {
-                                return Err(format!(
-                                    "op {i} ({}) event {e} touches non-operand device {q}",
-                                    op.label
-                                ));
-                            }
                             if ev.start_ns + 1e-9 < busy_until[q] {
-                                return Err(format!(
-                                    "op {i} ({}) event {e} starts at {} before device {q} \
-                                     frees at {}",
-                                    op.label, ev.start_ns, busy_until[q]
-                                ));
+                                return Err(at(format!(
+                                    "starts at {} before device {q} frees at {}",
+                                    ev.start_ns, busy_until[q]
+                                )));
                             }
                             busy_until[q] = ev.end_ns();
                         }
@@ -521,10 +341,7 @@ impl TimedCircuit {
                 }
             }
             if op.end_ns() > self.total_duration_ns + 1e-6 {
-                return Err(format!(
-                    "op {i} ({}) ends after the recorded total duration",
-                    op.label
-                ));
+                return Err(at("ends after the recorded total duration".into()));
             }
         }
         Ok(())
@@ -564,30 +381,23 @@ impl TimedCircuit {
     /// that end up with a single constituent are emitted verbatim.
     ///
     /// The result simulates identically to `self` under [`crate::ideal`]
-    /// (pinned at 1e-12 by the fusion parity suite) and statistically
-    /// equivalently under [`crate::trajectory`]; it is a simulation
-    /// artifact, not a hardware schedule — pulse counts reflect blocks,
-    /// not pulses.
+    /// (pinned at 1e-12 by the fusion parity suite). Under
+    /// [`crate::trajectory`] it approximates `self`: per-pulse error
+    /// probabilities and per-device idle and busy times are kept, but a
+    /// block damps idle time before its one unitary and busy time and
+    /// Pauli draws after it, which moved cnu-6q estimates by +0.0086
+    /// (z +3.9, qubit-only) and +0.0064 (z +3.2, mixed-radix) at 80k
+    /// trajectories per arm (ROADMAP.md item 2). It is a simulation
+    /// artifact, not a hardware schedule: pulse counts reflect blocks.
     #[must_use]
     pub fn fuse(&self) -> TimedCircuit {
         self.fuse_with(&FuseOptions::default())
     }
 
     /// [`TimedCircuit::fuse`] with explicit cost-model constants and an
-    /// optional cap on fused-block span (see [`FuseOptions`]). Block
-    /// products are memoized within the call; to share the memo across a
-    /// batch of circuits use [`TimedCircuit::fuse_with_cache`].
+    /// optional cap on fused-block span (see [`FuseOptions`]).
     #[must_use]
     pub fn fuse_with(&self, opts: &FuseOptions) -> TimedCircuit {
-        self.fuse_with_cache(opts, &FuseCache::new())
-    }
-
-    /// [`TimedCircuit::fuse_with`] memoizing fused-block products in a
-    /// caller-owned [`FuseCache`], so repeated (kernel-class,
-    /// operand-dims, op-run) shapes across a batch of circuits multiply
-    /// once instead of once per circuit.
-    #[must_use]
-    pub fn fuse_with_cache(&self, opts: &FuseOptions, cache: &FuseCache) -> TimedCircuit {
         let max_span = opts.max_block_span.max(1);
         let mut open: Vec<PendingBlock> = Vec::new();
         let mut out: Vec<TimedOp> = Vec::new();
@@ -700,7 +510,7 @@ impl TimedCircuit {
                 sharing.iter().rev().map(|&b| open.remove(b)).collect();
             flushed.reverse();
             for block in flushed {
-                out.push(self.emit_block(block, cache));
+                out.push(self.emit_block(block));
             }
             if fuseable {
                 open.push(PendingBlock {
@@ -714,7 +524,7 @@ impl TimedCircuit {
         }
         while !open.is_empty() {
             let block = open.remove(0);
-            out.push(self.emit_block(block, cache));
+            out.push(self.emit_block(block));
         }
         TimedCircuit {
             register: self.register.clone(),
@@ -724,48 +534,23 @@ impl TimedCircuit {
     }
 
     /// Builds the emitted op for a pending block: the original op when the
-    /// block holds a single constituent, otherwise the fused dense block
-    /// with per-constituent [`NoiseEvent`]s. The product and its kernel
-    /// classification are memoized in `cache` keyed on the exact
-    /// constituent shapes, so a repeated run costs one lookup.
-    fn emit_block(&self, block: PendingBlock, cache: &FuseCache) -> TimedOp {
+    /// block holds a single constituent, otherwise the product of its
+    /// constituents, classified once, with per-constituent
+    /// [`NoiseEvent`]s.
+    fn emit_block(&self, block: PendingBlock) -> TimedOp {
         if block.ops.len() == 1 {
             return block.ops.into_iter().next().expect("non-empty block").1;
         }
         let operands = block.operands;
         let dims: Vec<usize> = operands.iter().map(|&q| self.register.dim(q)).collect();
-        let positions_of = |op: &TimedOp| -> Vec<usize> {
-            op.operands
-                .iter()
-                .map(|q| {
-                    operands
-                        .iter()
-                        .position(|b| b == q)
-                        .expect("operand inside block")
-                })
-                .collect()
-        };
-        let key = BlockKey {
-            dims: dims.clone(),
-            parts: block
+        let position = |q| operands.iter().position(|b| b == q).expect("inside block");
+        let unitary = structure::fuse_unitaries(
+            block
                 .ops
                 .iter()
-                .map(|(_, op)| BlockKey::part_of(&op.unitary, positions_of(op)))
-                .collect(),
-        };
-        let CachedBlock { unitary, kernel } = cache.get(&key).unwrap_or_else(|| {
-            let unitary = structure::fuse_unitaries(
-                block
-                    .ops
-                    .iter()
-                    .map(|(_, op)| (&op.unitary, positions_of(op))),
-                &dims,
-            );
-            let kernel = GateKernel::classify(&unitary, operands.len());
-            let computed = CachedBlock { unitary, kernel };
-            cache.insert(key, computed.clone());
-            computed
-        });
+                .map(|(_, op)| (&op.unitary, op.operands.iter().map(position).collect())),
+            &dims,
+        );
         let start_ns = block
             .ops
             .iter()
@@ -795,20 +580,48 @@ impl TimedCircuit {
                 duration_ns: op.duration_ns,
             })
             .collect();
-        // Built directly (not through `TimedOp::new`) so the memoized
-        // kernel classification is reused instead of re-probed.
         TimedOp {
-            label,
-            unitary,
-            operands,
-            error_dims,
-            start_ns,
-            duration_ns: end_ns - start_ns,
-            fidelity,
-            kernel,
             noise_events: Some(events),
+            ..TimedOp::new(
+                label,
+                unitary,
+                operands,
+                error_dims,
+                start_ns,
+                end_ns - start_ns,
+                fidelity,
+            )
         }
     }
+}
+
+/// Checks one pulse's operands and error channel against `register`: at
+/// least one operand, none repeated, and one error dimension per operand
+/// in `2..=min(device dim, 16)`. The caller has already checked that the
+/// operands lie inside the register.
+fn check_pulse(register: &Register, operands: &[usize], error_dims: &[u8]) -> Result<(), String> {
+    if operands.is_empty() {
+        return Err("names no operand".into());
+    }
+    if let Some(k) = (1..operands.len()).find(|&k| operands[..k].contains(&operands[k])) {
+        return Err(format!("repeats operand {}", operands[k]));
+    }
+    if error_dims.len() != operands.len() {
+        return Err(format!(
+            "has {} error dimensions for {} operands",
+            error_dims.len(),
+            operands.len()
+        ));
+    }
+    for (&d, &q) in error_dims.iter().zip(operands) {
+        let top = register.dim(q).min(16);
+        if !(2..=top).contains(&usize::from(d)) {
+            return Err(format!(
+                "error dimension {d} on device {q} is outside 2..={top}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// An open fusion block: the operand set accumulated so far and the
@@ -952,23 +765,14 @@ impl SegmentedCircuit {
         Ok(())
     }
 
-    /// Per-segment gate fusion: [`TimedCircuit::fuse_with_cache`]
-    /// applied inside each segment independently. Fusion never crosses a
-    /// reshape boundary — a block's unitary lives on one register, and
-    /// the registers differ across the boundary by construction. The
-    /// cache key carries the block's
-    /// operand dimensions *in the segment's register* (the `dims` field
-    /// of the internal block key), so the same gate run fused in a dim-4
-    /// window and in a demoted dim-2 segment occupies two distinct
-    /// entries and a hit is always bit-identical.
+    /// Per-segment gate fusion: [`TimedCircuit::fuse_with`] applied
+    /// inside each segment independently. Fusion never crosses a reshape
+    /// boundary — a block's unitary lives on one register, and the
+    /// registers differ across the boundary by construction.
     #[must_use]
-    pub fn fuse_with_cache(&self, opts: &FuseOptions, cache: &FuseCache) -> SegmentedCircuit {
+    pub fn fuse_with(&self, opts: &FuseOptions) -> SegmentedCircuit {
         SegmentedCircuit {
-            segments: self
-                .segments
-                .iter()
-                .map(|s| s.fuse_with_cache(opts, cache))
-                .collect(),
+            segments: self.segments.iter().map(|s| s.fuse_with(opts)).collect(),
             total_duration_ns: self.total_duration_ns,
         }
     }
@@ -1135,6 +939,21 @@ mod tests {
         let a = crate::ideal::run(&tc, &initial);
         let b = crate::ideal::run(&fused, &initial);
         assert!((a.fidelity(&b) - 1.0).abs() < 1e-12);
+        // The same run on devices (1, 2) of a wider register fuses to the
+        // same block, bit for bit (the codec writes f64 bit patterns): a
+        // block depends on its constituents' positions inside it, never
+        // on the devices it sits on.
+        let mut shifted = tc.clone();
+        shifted.register = Register::qubits(3);
+        for o in &mut shifted.ops {
+            o.operands.iter_mut().for_each(|q| *q += 1);
+        }
+        let moved = shifted.fuse();
+        assert_eq!(moved.len(), 1);
+        let bits = waltz_codec::encode_to_vec::<Matrix>;
+        assert_eq!(bits(&moved.ops[0].unitary), bits(&block.unitary));
+        assert_eq!(moved.ops[0].kernel, block.kernel);
+        assert_eq!(moved.ops[0].operands, vec![1, 2]);
     }
 
     #[test]
@@ -1257,110 +1076,6 @@ mod tests {
     }
 
     #[test]
-    fn fuse_cache_hits_across_circuits_and_stays_bit_identical() {
-        let tc = four_op_run();
-        // Same schedule shape on a *different* device pair: positions and
-        // dims match, so the cached product must be reused.
-        let mut shifted = TimedCircuit::new(Register::qubits(3));
-        shifted.ops.push(op("h", standard::h(), vec![1], 0.0, 35.0));
-        shifted
-            .ops
-            .push(op("cx", standard::cx(), vec![1, 2], 35.0, 251.0));
-        shifted
-            .ops
-            .push(op("h", standard::h(), vec![2], 286.0, 35.0));
-        shifted
-            .ops
-            .push(op("h", standard::h(), vec![1], 286.0, 35.0));
-        shifted.total_duration_ns = 321.0;
-
-        let opts = FuseOptions::default();
-        let cache = FuseCache::new();
-        let a = tc.fuse_with_cache(&opts, &cache);
-        let entries_after_first = cache.len();
-        assert!(entries_after_first > 0, "block product must be memoized");
-        let b = shifted.fuse_with_cache(&opts, &cache);
-        assert_eq!(
-            cache.len(),
-            entries_after_first,
-            "identical shape on other devices must hit, not repopulate"
-        );
-        // Cached results are bit-identical to the uncached pass.
-        let fresh = shifted.fuse_with(&opts);
-        assert_eq!(b.len(), fresh.len());
-        for (x, y) in b.ops.iter().zip(&fresh.ops) {
-            assert_eq!(x.unitary, y.unitary);
-            assert_eq!(x.operands, y.operands);
-            assert_eq!(x.kernel.name(), y.kernel.name());
-        }
-        // And the first circuit's fused output still validates/parities.
-        let initial = crate::State::zero(&tc.register);
-        let x = crate::ideal::run(&tc, &initial);
-        let y = crate::ideal::run(&a, &initial);
-        assert!((x.fidelity(&y) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fuse_cache_clones_share_the_store() {
-        let cache = FuseCache::new();
-        let clone = cache.clone();
-        let tc = four_op_run();
-        let _ = tc.fuse_with_cache(&FuseOptions::default(), &cache);
-        assert!(!cache.is_empty());
-        assert_eq!(clone.len(), cache.len(), "clones share the Arc'd store");
-        assert_eq!(clone.hits(), cache.hits(), "counters are shared too");
-    }
-
-    #[test]
-    fn fuse_cache_counts_hits_and_misses() {
-        let cache = FuseCache::new();
-        assert_eq!(cache.capacity(), 4096);
-        let tc = four_op_run();
-        let _ = tc.fuse_with_cache(&FuseOptions::default(), &cache);
-        let first_misses = cache.misses();
-        assert!(first_misses > 0, "a cold cache must record misses");
-        assert_eq!(cache.evictions(), 0);
-        let hits_before = cache.hits();
-        let _ = tc.fuse_with_cache(&FuseOptions::default(), &cache);
-        assert!(cache.hits() > hits_before, "warm re-fuse must hit");
-        assert_eq!(cache.misses(), first_misses, "warm re-fuse must not miss");
-    }
-
-    #[test]
-    fn fuse_cache_capacity_one_evicts_lru() {
-        // A tiny cache forced to evict: two distinct block shapes compete
-        // for a single slot.
-        let cache = FuseCache::with_capacity(1);
-        assert_eq!(cache.capacity(), 1);
-        let a = four_op_run();
-        let mut b = four_op_run();
-        // A different trailing gate changes the block shapes.
-        b.ops.pop();
-        b.ops.push(op("x", standard::x(), vec![0], 286.0, 35.0));
-        let fused_a = a.fuse_with_cache(&FuseOptions::default(), &cache);
-        let _ = b.fuse_with_cache(&FuseOptions::default(), &cache);
-        assert!(cache.len() <= 1, "capacity bound must hold");
-        assert!(cache.evictions() > 0, "overflow must evict, not drop");
-        // Evictions never change results: re-fusing stays bit-identical.
-        let fused_a_again = a.fuse_with_cache(&FuseOptions::default(), &cache);
-        assert_eq!(fused_a.len(), fused_a_again.len());
-        for (x, y) in fused_a.ops.iter().zip(&fused_a_again.ops) {
-            assert_eq!(x.unitary, y.unitary);
-        }
-    }
-
-    #[test]
-    fn fuse_cache_zero_capacity_disables_memoization() {
-        let cache = FuseCache::with_capacity(0);
-        let tc = four_op_run();
-        let fused = tc.fuse_with_cache(&FuseOptions::default(), &cache);
-        assert!(cache.is_empty(), "nothing may be stored at capacity 0");
-        assert_eq!(cache.hits(), 0);
-        let fresh = tc.fuse_with(&FuseOptions::default());
-        assert_eq!(fused.len(), fresh.len());
-    }
-
-    #[test]
     fn fuse_with_custom_constants_matches_default_when_equal() {
         let tc = four_op_run();
         let a = tc.fuse();
@@ -1420,7 +1135,7 @@ mod tests {
     #[test]
     fn segmented_fuse_never_crosses_a_boundary() {
         let seg = segmented_fixture();
-        let fused = seg.fuse_with_cache(&FuseOptions::default(), &FuseCache::new());
+        let fused = seg.fuse_with(&FuseOptions::default());
         assert_eq!(fused.n_segments(), 2);
         // The two ops of the second segment fuse; the window op cannot
         // join them (different segment, different register).

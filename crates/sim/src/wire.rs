@@ -219,11 +219,70 @@ mod tests {
 
     #[test]
     fn invalid_schedule_is_rejected() {
-        let mut t = small_schedule();
-        // Make op 1 start before op 0 frees device 0.
-        t.ops[1].start_ns = 0.0;
-        let bytes = encode_to_vec(&t);
-        assert!(decode_from_slice::<TimedCircuit>(&bytes).is_err());
+        // One defect per schedule, in op `k` of the small schedule or in
+        // the second event of its fused block.
+        let edit = |k: usize, f: fn(&mut TimedOp)| {
+            let mut t = small_schedule();
+            f(&mut t.ops[k]);
+            t
+        };
+        let event = |f: fn(&mut NoiseEvent)| {
+            let mut t = small_schedule().fuse();
+            f(&mut t.ops[0].noise_events.as_mut().expect("one fused block")[1]);
+            t
+        };
+        let mut wide = TimedCircuit::new(Register::new(vec![20]));
+        let u = Matrix::identity(20);
+        wide.ops
+            .push(TimedOp::new("U", u, vec![0], vec![17], 0.0, 10.0, 0.99));
+        wide.total_duration_ns = 10.0;
+        let cases = [
+            // Op 1 starts before op 0 frees device 0.
+            ("overlap", edit(1, |op| op.start_ns = 0.0)),
+            ("operand outside", edit(0, |op| op.operands = vec![2])),
+            (
+                "no operand",
+                edit(0, |op| {
+                    op.operands.clear();
+                    op.error_dims.clear();
+                    op.unitary = Matrix::identity(1);
+                }),
+            ),
+            // At zero duration the busy timeline cannot see the repeat.
+            (
+                "repeated operand",
+                edit(1, |op| {
+                    op.operands = vec![1, 1];
+                    op.unitary = Matrix::identity(16);
+                    op.duration_ns = 0.0;
+                }),
+            ),
+            ("non-square", edit(0, |op| op.unitary = Matrix::zeros(2, 1))),
+            // Error dims: one per operand, each in 2..=min(device dim, 16).
+            ("error dim count", edit(0, |op| op.error_dims = vec![2, 2])),
+            ("error dim 1", edit(0, |op| op.error_dims = vec![1])),
+            (
+                "error dim above device",
+                edit(0, |op| op.error_dims = vec![4]),
+            ),
+            ("error dim above 16", wide),
+            ("event error dims", event(|ev| ev.error_dims = vec![2])),
+            (
+                "event repeated operand",
+                event(|ev| {
+                    ev.operands = vec![1, 1];
+                    ev.duration_ns = 0.0;
+                }),
+            ),
+        ];
+        for (name, t) in cases {
+            let bytes = encode_to_vec(&t);
+            let decoded = std::panic::catch_unwind(|| decode_from_slice::<TimedCircuit>(&bytes));
+            assert!(
+                matches!(decoded, Ok(Err(_))),
+                "{name}: decode must return Err without panicking"
+            );
+        }
     }
 
     #[test]

@@ -17,13 +17,17 @@ use proptest::prelude::*;
 
 use quantum_waltz::arch::Site;
 use quantum_waltz::circuit::Circuit;
-use quantum_waltz::core::{CompileError, Compiler, Strategy, Target};
+use quantum_waltz::core::{
+    CompileArtifact, CompileError, CompileOptions, CompiledCircuit, Compiler, Strategy, Target,
+};
+use quantum_waltz::math::Matrix;
 use quantum_waltz::serve::protocol::{read_frame, read_message, write_frame};
 use quantum_waltz::serve::{
     ArtifactSource, BatchOptions, ClientError, ErrorCode, ErrorFrame, FrameError, JobPhase,
     Request, Response, ServeClient, Server, ServerConfig, StatsSnapshot, FRAME_MAGIC,
     MAX_FRAME_BYTES, MAX_SIM_TRAJECTORIES, PROTOCOL_VERSION,
 };
+use quantum_waltz::sim::TimedOp;
 use waltz_gates::Q1Gate;
 
 /// One shared loopback server for every hostile-input test: the point is
@@ -219,11 +223,74 @@ fn hostile_inline_artifact_answers_malformed_frame_on_a_live_connection() {
         .find(|&p| hostile.initial_sites[p].device != device)
         .expect("a qubit on another device");
     hostile.initial_sites[other] = Site::new(device, 1);
+    assert_eq!(
+        waltz_codec::encode_to_vec(artifact.compiled()).len(),
+        waltz_codec::encode_to_vec(&hostile).len(),
+        "sites encode at a fixed width"
+    );
+    let message = simulate_forged_inline(&artifact, &hostile, 41);
+    assert!(message.contains("level"), "{message}");
+
+    // Schedules the runners would panic on: each defect sits in one
+    // pulse of an unfused qubit-only artifact's simulation schedule,
+    // which decode validates. Unchecked, an operand past the register
+    // panicked inside decode (the connection's reader died without an
+    // answer); the others decoded and panicked mid-simulate — a repeated
+    // operand at zero duration in the kernel's operand check, a
+    // non-square unitary on its first apply, an error dimension above
+    // its device on the first Pauli drawn (fidelity 0 draws one every
+    // trajectory).
+    let mut c = Circuit::new(3);
+    c.h(0).cx(0, 1).cx(1, 2);
+    let artifact = Compiler::with_options(
+        Target::paper(Strategy::qubit_only()),
+        CompileOptions::unfused(),
+    )
+    .compile(&c)
+    .expect("compile");
+    let n = artifact.sim.first_register().n_qudits();
+    let pair = artifact.sim.segments[0]
+        .ops
+        .iter()
+        .position(|op| op.operands.len() == 2 && op.noise_events.is_none())
+        .expect("a two-qubit pulse");
+    let forge = |edit: fn(&mut TimedOp, usize)| {
+        let mut hostile = artifact.compiled().clone();
+        edit(&mut hostile.sim.segments[0].ops[pair], n);
+        hostile
+    };
+    let cases = [
+        forge(|op, n| op.operands[0] = n),
+        forge(|op, _| {
+            op.operands[1] = op.operands[0];
+            op.duration_ns = 0.0;
+        }),
+        forge(|op, _| op.unitary = Matrix::zeros(4, 3)),
+        forge(|op, _| {
+            op.error_dims = vec![2, 4];
+            op.fidelity = 0.0;
+        }),
+    ];
+    for (token, hostile) in (42..).zip(&cases) {
+        let message = simulate_forged_inline(&artifact, hostile, token);
+        assert!(message.contains("schedule invariants"), "{message}");
+    }
+    assert_server_alive();
+}
+
+/// Sends a Simulate request carrying `artifact` inline with its compiled
+/// circuit's bytes replaced by `hostile`'s, expects a connection-scoped
+/// `MALFORMED_FRAME`, then pings with `token` on the same connection and
+/// returns the error frame's message.
+fn simulate_forged_inline(
+    artifact: &CompileArtifact,
+    hostile: &CompiledCircuit,
+    token: u64,
+) -> String {
     let honest = waltz_codec::encode_to_vec(artifact.compiled());
-    let forged = waltz_codec::encode_to_vec(&hostile);
-    assert_eq!(honest.len(), forged.len(), "sites encode at a fixed width");
+    let forged = waltz_codec::encode_to_vec(hostile);
     let mut payload = waltz_codec::encode_to_vec(&Request::Simulate {
-        source: ArtifactSource::Inline(Box::new(artifact)),
+        source: ArtifactSource::Inline(Box::new(artifact.clone())),
         trajectories: 8,
         seed: 1,
         chunk: 0,
@@ -232,7 +299,7 @@ fn hostile_inline_artifact_answers_malformed_frame_on_a_live_connection() {
         .windows(honest.len())
         .position(|w| w == honest.as_slice())
         .expect("the request carries the artifact's bytes");
-    payload[at..at + honest.len()].copy_from_slice(&forged);
+    payload.splice(at..at + honest.len(), forged);
 
     let mut stream = connect_raw();
     let frame = raw_frame(
@@ -242,20 +309,20 @@ fn hostile_inline_artifact_answers_malformed_frame_on_a_live_connection() {
         &payload,
     );
     stream.write_all(&frame).expect("write");
-    match read_message::<_, Response>(&mut stream).expect("an answer") {
+    let message = match read_message::<_, Response>(&mut stream).expect("an answer") {
         Response::Error(frame) => {
             assert_eq!(frame.code, ErrorCode::MALFORMED_FRAME);
             assert!(frame.job.is_none(), "the refusal is connection-scoped");
-            assert!(frame.message.contains("level"), "{}", frame.message);
+            frame.message
         }
         other => panic!("expected an error frame, got {other:?}"),
+    };
+    write_frame(&mut stream, &Request::Ping { token }).expect("same connection");
+    match read_message::<_, Response>(&mut stream).expect("pong") {
+        Response::Pong { token: got } => assert_eq!(got, token),
+        other => panic!("expected a pong, got {other:?}"),
     }
-    write_frame(&mut stream, &Request::Ping { token: 41 }).expect("same connection");
-    assert!(matches!(
-        read_message::<_, Response>(&mut stream).expect("pong"),
-        Response::Pong { token: 41 }
-    ));
-    assert_server_alive();
+    message
 }
 
 // ---------------------------------------------------------------------
